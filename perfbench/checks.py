@@ -299,13 +299,14 @@ _OWNER = {"scene_graphs": "parse", "graphs": "build-graphs", "models": "train",
 
 def check_rewritten(out: str, since: float) -> dict:
     """stage -> files under out it did not write after `since` (a wall-clock
-    time): the output directory persists across rounds and runs, so a file a
-    stage failed to write would otherwise still be there from before."""
+    time): every round rewrites the same output directory, so a file a stage
+    failed to write would otherwise still be there from an earlier round."""
     stale = {}
     for sub, stage in _OWNER.items():
         d = os.path.join(out, sub)
         for f in os.listdir(d) if os.path.isdir(d) else ():
-            if os.stat(os.path.join(d, f)).st_mtime < since:
+            st = os.stat(os.path.join(d, f))
+            if st.st_mtime < since or st.st_size == 0:
                 stale.setdefault(stage, []).append(f"{stage}: {sub}/{f} was not rewritten")
     return stale
 

@@ -26,6 +26,7 @@ PHRASES = {
 }
 MANY_VALUE = 3
 MAX_DUPLICATION = 10
+CAPTIONS_PER_IMAGE = 5  # crowded
 GEOMETRIC_RELATIONS = ("left_of", "right_of", "above", "below", "inside", "surrounding")
 GRAPH_NAMES = ("basic",) + GEOMETRIC_RELATIONS
 IMAGE_W, IMAGE_H = 640.0, 480.0
@@ -342,8 +343,9 @@ def fanout(seed: int, n_captions: int = 2000) -> Workload:
     return Workload("fanout", captions, boxes, supers, {}, "all", SMALL_WIDTHS)
 
 
-def wide_vocab(seed: int, n_captions: int = 800) -> Workload:
-    """Zipfian 1,000-noun / 308-relation / 200-attribute vocabulary (V = 1,508)."""
+def wide_vocab(seed: int) -> Workload:
+    """800 captions over a Zipfian 1,000-noun / 308-relation / 200-attribute
+    vocabulary (V = 1,508)."""
     rng = np.random.default_rng([seed, 2])
     nouns = _words(["ba", "ke", "li", "mo", "nu", "pa", "re", "si", "to", "vu"], 3, "", 1000)
     verbs = _words(["da", "fe", "gi", "ho", "ju", "ka", "lo", "mi", "ne", "po",
@@ -367,7 +369,7 @@ def wide_vocab(seed: int, n_captions: int = 800) -> Workload:
         return out
 
     captions, boxes = [], {}
-    for i in range(n_captions):
+    for i in range(800):
         b = _Builder(20000 + i, 700 + i, supers)
         for _ in range(1 if rng.random() < 0.7 else 2):
             quant = ("num", ("two", "three", "four")[int(rng.integers(3))]) \
@@ -394,7 +396,7 @@ def wide_vocab(seed: int, n_captions: int = 800) -> Workload:
     return Workload("wide_vocab", captions, boxes, supers, {}, "all", {"epochs": 10})
 
 
-def crowded(seed: int, n_images: int = 300, per_image: int = 5) -> Workload:
+def crowded(seed: int, n_images: int = 300) -> Workload:
     """Five long quantified captions per image, parsed with caption_mode richest."""
     rng = np.random.default_rng([seed, 3])
     nouns = _words(["bo", "da", "fi", "gu", "ka", "le", "mi", "no"], 2, "x", 60)
@@ -438,7 +440,7 @@ def crowded(seed: int, n_images: int = 300, per_image: int = 5) -> Workload:
             return w
 
         image_caps = []
-        for _ in range(per_image):
+        for _ in range(CAPTIONS_PER_IMAGE):
             b = _Builder(cid, image_id, supers)
             cid += 1
             for _ in range(int(rng.integers(3, 6))):

@@ -6,17 +6,20 @@ Usage, from the repository root:
 
 One process runs one workload: it plans the corpus from the seed, sets
 up (imports victr and writes the inputs, several times, median reported),
-then runs whole rounds of the seven CLI stages through ``victr.cli.main``
-for at most ``--seconds`` (at least one round). Every round rewrites the
-same output directory under ``perfbench/work/``, which persists across runs.
-Each stage invocation is one operation; it fails on a non-zero exit
-code, on an exception, or when its summary lines disagree with the plan,
-and the last round's files are checked in full against the plan. The
+then runs one untimed warm-up round and whole measured rounds of the seven
+CLI stages through ``victr.cli.main`` for at most ``--seconds`` (at least
+one). The run starts from an empty ``perfbench/work/<workload>``; the
+warm-up round creates the output files, and every later round rewrites
+them after they have been emptied. Each stage invocation, the warm-up
+round's too, is one operation; it fails on a non-zero exit code, on an
+exception, or when its summary lines disagree with the plan, and the last
+round's files are checked in full against the plan. The
 last line of stdout is a JSON object with correct, attempted, failed and
 metrics: the end-to-end metrics, or with ``--trace 1`` the per-layer ones.
 """
 
 import os
+import shutil
 import sys
 
 BLAS_THREADS = 1  # one BLAS thread plus the interpreter stay within two cores
@@ -52,7 +55,7 @@ STAGES = (
     ("project", ["project"]),
     ("stats", ["stats"]),
 )
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 PROGRAM_SETTINGS = {"basic_width": 200, "positional_width": 50, "text_width": 256,
                     "epochs": 200}
 VICTR_MODULES = ("binio", "ingest", "sceneparse", "geometry", "graphstore", "gcn",
@@ -82,13 +85,11 @@ def _environment():
             "blas_threads": BLAS_THREADS}
 
 
-def drop_stale_outputs(out, caption_ids) -> None:
-    """Delete per-caption files of captions this plan does not keep."""
-    for sub in ("scene_graphs", "evs", "fused"):
-        d = os.path.join(out, sub)
-        for f in os.listdir(d) if os.path.isdir(d) else ():
-            if f.split(".", 1)[0] not in caption_ids:
-                os.remove(os.path.join(d, f))
+def empty_outputs(out) -> None:
+    """Truncate every file under out to zero length."""
+    for dirpath, _, files in os.walk(out):
+        for f in files:
+            os.truncate(os.path.join(dirpath, f), 0)
 
 
 def run_stage(cli, argv, config, out):
@@ -120,6 +121,7 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, src)
     work = os.path.join(HERE, "work", args.workload)
+    shutil.rmtree(work, ignore_errors=True)  # nothing from an earlier run or commit
 
     wl = corpus.WORKLOADS[args.workload](args.seed)
     settings = {**PROGRAM_SETTINGS, **wl.config, "seed": args.seed}
@@ -131,10 +133,10 @@ def main(argv=None) -> int:
     gc.freeze()
 
     setup_times = []
-    for k in range(SETUP_REPEATS):
+    for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
         modules = _import_victr()
-        config = corpus.write_inputs(wl, os.path.join(work, f"inputs{k}"), args.seed)
+        config = corpus.write_inputs(wl, os.path.join(work, "inputs"), args.seed)
         setup_times.append(time.perf_counter() - start)
     cli = modules["cli"]
 
@@ -144,18 +146,20 @@ def main(argv=None) -> int:
         tracer = Tracer()
         tracer.install(modules)
 
-    # Whole rounds only; no round starts that would end past --seconds at
-    # the mean pace so far. Every round rewrites the same output directory,
-    # which persists across runs: on the reference machine, creating a new
-    # file costs 0.3-0.6 ms of kernel time that swings 3-5x from minute to
-    # minute, while rewriting an existing one is cheap and steady.
+    # Round 0 is an untimed warm-up: it creates the output files, which on
+    # the reference machine costs 0.3-0.5 ms of kernel time per file and
+    # varies from minute to minute. Before every measured round the
+    # files are emptied, untimed, so the round rewrites existing inodes and
+    # does not wait on the file system freeing and discarding the previous
+    # round's blocks. No measured round starts that would end past
+    # --seconds at the mean pace so far; at least one always runs.
     rounds, failed_ops, failures = [], set(), []
-    kept_ids = {c.caption_id for c in truth.kept}
     out = os.path.join(work, "out")
-    begin = time.perf_counter()
+    begin = None
     while True:
         r = len(rounds)
-        drop_stale_outputs(out, kept_ids)
+        if r:
+            empty_outputs(out)
         round_start = time.time() - 0.5  # file times lag the clock by a tick
         if tracer:
             tracer.reset()
@@ -173,8 +177,12 @@ def main(argv=None) -> int:
                 failures += bad
         rounds.append({"times": times, "cpu": cpu,
                        "layers": tracer.round_metrics(times) if tracer else None})
+        if begin is None:
+            begin = time.perf_counter()
+            continue
+        n_measured = len(rounds) - 1
         elapsed = time.perf_counter() - begin
-        if elapsed * (len(rounds) + 1) / len(rounds) > args.seconds:
+        if elapsed * (n_measured + 1) / n_measured > args.seconds:
             break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     files, size = _tree_size(out)
@@ -191,18 +199,25 @@ def main(argv=None) -> int:
     def med(values):
         return float(statistics.median(values))
 
-    n_in, n_kept = len(wl.captions), len(truth.kept)
+    # The rates and fit_s are totals over all measured rounds (work done ÷
+    # time taken): the machine's speed drifts in spells longer than a round,
+    # and a total averages over them where a median of rounds picks one.
+    measured = rounds[1:]
+    n_in, n_kept, n_rounds = len(wl.captions), len(truth.kept), len(measured)
+
+    def total(*stages):
+        return sum(r["times"][s] for r in measured for s in stages)
+
+    all_stages = [stage for stage, _ in STAGES]
     if tracer:
-        metrics = {name: {"value": med(r["layers"][name][0] for r in rounds),
-                          "unit": rounds[0]["layers"][name][1]} for name in rounds[0]["layers"]}
-        metrics["trace.captions_per_s"] = {
-            "value": med(n_in / sum(r["times"].values()) for r in rounds), "unit": "1/s"}
+        metrics = {name: {"value": med(r["layers"][name][0] for r in measured),
+                          "unit": unit} for name, (_, unit) in measured[0]["layers"].items()}
+        metrics["trace.captions_per_s"] = {"value": n_in * n_rounds / total(*all_stages), "unit": "1/s"}
     else:
-        t = [r["times"] for r in rounds]
         metrics = {
-            "captions_per_s": (med(n_in / sum(x.values()) for x in t), "1/s"),
-            "fit_s": (med(x["parse"] + x["build-graphs"] + x["train"] for x in t), "s"),
-            "encode_captions_per_s": (med(n_kept / (x["compose"] + x["fuse"]) for x in t), "1/s"),
+            "captions_per_s": (n_in * n_rounds / total(*all_stages), "1/s"),
+            "fit_s": (total("parse", "build-graphs", "train") / n_rounds, "s"),
+            "encode_captions_per_s": (n_kept * n_rounds / total("compose", "fuse"), "1/s"),
             "setup_s": (med(setup_times), "s"),
             "peak_rss_mb": (peak_rss_mb, "MiB"),
             "artifact_mb": (size / 2**20, "MiB"),

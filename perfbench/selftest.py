@@ -164,6 +164,8 @@ def test_checks_catch_corruption(work):
          lambda o: _shift_coordinate(os.path.join(o, "projection", "object.tsv"))),
         ("compose", "leave one E_vs file from an earlier round",
          lambda o: os.utime(os.path.join(o, "evs", f"{first}.victre"), (since - 60, since - 60))),
+        ("fuse", "leave one fused file emptied before the round",
+         lambda o: os.truncate(os.path.join(o, "fused", f"{first}.victrf"), 0)),
     ]
     for stage, what, corrupt in corruptions:
         copy = os.path.join(work, "corrupt")

@@ -8,7 +8,6 @@ memory until the run ends. Counters and sizes are taken after a span
 closes, so they do not inflate its time.
 """
 
-import os
 import time
 from collections import Counter, defaultdict
 
@@ -131,13 +130,17 @@ class Tracer:
     def _after_fuse(self, args, fused, _):
         self.count["fusion.attention_cells"] += fused.attention.size
 
-    def _after_write(self, args, _, __):
-        self.count["binio.files_written"] += 1
-        self.count["binio.bytes_written"] += os.path.getsize(args[0])
+    # container bytes are payload plus the fixed framing (magic line, header
+    # length, CRC); the small JSON header is left out, so no file is stat'ed
 
-    def _after_read(self, args, _, __):
+    def _after_write(self, args, _, __):
+        magic, payload = args[1], args[3]
+        self.count["binio.files_written"] += 1
+        self.count["binio.bytes_written"] += len(payload) + len(magic) + 9
+
+    def _after_read(self, args, result, __):
         self.count["binio.files_read"] += 1
-        self.count["binio.bytes_read"] += os.path.getsize(args[0])
+        self.count["binio.bytes_read"] += len(result[1]) + len(args[1]) + 9
 
     def round_metrics(self, stage_times: dict) -> dict:
         """Per-layer figures of the round just finished: name -> (value, unit)."""
