@@ -167,10 +167,9 @@ def cmd_train(cfg: PipelineConfig, graph_name: str) -> int:
         if not labels:
             raise ValueError(f"{name} graph has no labeled object nodes")
         hidden = cfg.basic_width if name == "basic" else cfg.positional_width
-        a_hat = gs.normalized_adjacency(graph, cfg.mirror_attributes)
+        a_hat = gs.normalized_adjacency(graph)
         train_cfg = gcn.TrainConfig(
-            learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-            seed=cfg.seed, init_scale=cfg.init_scale,
+            learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed,
         )
         model = gcn.init_model(len(graph.vocab), hidden, len(classes), train_cfg)
         model, history = gcn.train(model, a_hat, labels, train_cfg)
@@ -231,6 +230,7 @@ def _load_tables(cfg):
 def cmd_compose(cfg: PipelineConfig) -> int:
     corpus = _load_scene_graphs(cfg)
     vocab, tables = _load_tables(cfg)
+    vocab_hash = vocab.content_hash()
     evs_dir = os.path.join(cfg.out_dir, "evs")
     os.makedirs(evs_dir, exist_ok=True)
     for sg in corpus:
@@ -239,7 +239,7 @@ def cmd_compose(cfg: PipelineConfig) -> int:
             gcn.EmbeddingTable(n=0, width=tables.scene_width)
         gcn.save_embeddings(
             table, os.path.join(evs_dir, f"{sg.caption_id}.victre"),
-            vocab_hash=vocab.content_hash(),
+            vocab_hash=vocab_hash,
         )
         manifest = {
             "caption_id": sg.caption_id,

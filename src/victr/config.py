@@ -18,11 +18,9 @@ class PipelineConfig:
     learning_rate: float = 0.02
     epochs: int = 200
     seed: int = 7
-    init_scale: float = 1.0
     max_duplication: int = 10
     many_value: int = 3
     caption_mode: str = "all"
-    mirror_attributes: bool = False
 
     def __post_init__(self):
         for name in ("basic_width", "positional_width", "text_width",
@@ -50,13 +48,6 @@ def _coerce(name: str, raw: str):
         return int(raw)
     if ftype == "float":
         return float(raw)
-    if ftype == "bool":
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
     return raw
 
 

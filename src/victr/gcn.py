@@ -4,6 +4,11 @@ Node features are one-hot identities, so the first layer weight doubles as
 a node-embedding lookup mixed through the graph. Training is full-batch
 gradient descent on a cross-entropy restricted to labeled object nodes;
 the hidden activations are the node embeddings.
+
+``a_hat`` is anything with ``shape``, ``@`` on 2-D arrays and ``.T``: a
+dense ndarray, or the ``graphstore.Adjacency`` that ``normalized_adjacency``
+returns, whose products cost k² per column for the k nodes that have an
+edge, rather than V².
 """
 
 from dataclasses import dataclass, field
@@ -47,7 +52,6 @@ class TrainConfig:
     learning_rate: float = 0.02
     epochs: int = 200
     seed: int = 7
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -88,8 +92,8 @@ class EmbeddingTable:
 def init_model(n: int, hidden: int, n_classes: int, cfg: TrainConfig) -> GcnModel:
     """Xavier-uniform weights, zero biases, seeded for reproducibility."""
     rng = np.random.default_rng(cfg.seed)
-    lim1 = cfg.init_scale * np.sqrt(6.0 / (n + hidden))
-    lim2 = cfg.init_scale * np.sqrt(6.0 / (hidden + n_classes))
+    lim1 = np.sqrt(6.0 / (n + hidden))
+    lim2 = np.sqrt(6.0 / (hidden + n_classes))
     return GcnModel(
         w1=rng.uniform(-lim1, lim1, size=(n, hidden)),
         b1=np.zeros(hidden),

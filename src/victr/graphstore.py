@@ -5,9 +5,17 @@ are conditional frequencies: object->relation edges normalize over the
 object's relation successors, relation->object edges over the relation's
 object successors, and object->attribute edges over the attribute's total
 occurrences (attribute-conditioned). Every node carries self-weight 1.
+
+``normalized_adjacency`` turns a graph into the GCN's propagation operator
+A_hat without a V x V array: an ``Adjacency`` is the identity on nodes that
+have no edge besides their self-loop, plus a dense block over the rest.
+Positional graphs touch only a part of the shared vocabulary, so their
+block is much smaller than V x V; the basic graph's block is the whole
+matrix.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -244,30 +252,74 @@ def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
     return graphs
 
 
-def normalized_adjacency(graph: RelationalGraph,
-                         mirror_attribute_edges: bool = False) -> np.ndarray:
+class Adjacency:
+    """A V x V normalized adjacency held as identity plus one dense block.
+
+    ``nodes`` (ascending) are the nodes with at least one off-diagonal
+    weight; ``block`` is A_hat restricted to them. Every other node has only
+    its self-loop, so its row and column of A_hat are the unit vector e_i and
+    ``A @ X`` leaves its row of X unchanged. Supports ``@`` on 2-D arrays and
+    ``.T``, and reports ``shape``, ``size`` (V * V) and ``nbytes`` (bytes
+    actually held) like an ndarray; ``toarray()`` gives the dense matrix.
+    """
+
+    def __init__(self, n: int, nodes: np.ndarray, block: np.ndarray):
+        self.nodes = nodes
+        self.block = block
+        self.shape = (n, n)
+        self.size = n * n
+
+    @property
+    def nbytes(self) -> int:
+        return self.nodes.nbytes + self.block.nbytes
+
+    @property
+    def T(self) -> "Adjacency":
+        return Adjacency(self.shape[0], self.nodes, self.block.T)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if len(self.nodes) == self.shape[0]:  # every node has an edge: nothing to skip
+            return self.block @ x
+        out = x.astype(float)  # a copy: rows of edgeless nodes pass through
+        out[self.nodes] = self.block @ x[self.nodes]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = np.eye(self.shape[0])
+        dense[np.ix_(self.nodes, self.nodes)] = self.block
+        return dense
+
+
+def normalized_adjacency(graph: RelationalGraph) -> Adjacency:
     """Degree-normalized adjacency: A_hat[i,j] = A[i,j] / sqrt(d_i * d_j).
 
     A is the weight matrix (self-loops of weight 1 included); d is the row
-    sum. mirror_attribute_edges additionally transposes object->attribute
-    edges, for sensitivity checks only.
+    sum. Built from the weight entries alone, with no V x V intermediate:
+    nodes without an off-diagonal edge become the identity part of the
+    returned ``Adjacency``, which is exact since their only weight is the
+    self-loop, so A_hat[i,i] = w_ii / d_i = 1.
     """
     if not graph.weights:
         raise ValueError("normalized_adjacency: call compute_weights first")
-    n = len(graph.vocab)
-    a = np.zeros((n, n))
-    for (s, d), w in graph.weights.items():
-        a[s, d] = w
-    if mirror_attribute_edges:
-        for (s, d), w in graph.weights.items():
-            if s != d and graph.vocab.kind_of(d) == ATTRIBUTE:
-                a[d, s] = max(a[d, s], w)
-    deg = a.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)  # deg >= 1 thanks to self-loops
-    a_hat = a * inv_sqrt[:, None] * inv_sqrt[None, :]
-    if not np.all(np.isfinite(a_hat)):
+    n, m = len(graph.vocab), len(graph.weights)
+    src, dst = np.fromiter(itertools.chain.from_iterable(graph.weights), dtype=np.intp,
+                           count=2 * m).reshape(m, 2).T
+    w = np.fromiter(graph.weights.values(), dtype=float, count=m)
+    deg = np.bincount(src, weights=w, minlength=n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(deg)
+    off = src != dst
+    nodes = np.unique(np.concatenate([src[off], dst[off]]))
+    pos = np.full(n, -1)
+    pos[nodes] = np.arange(len(nodes))
+    inside = pos[src] >= 0  # off-diagonal entries and the self-loops of block nodes
+    block = np.zeros((len(nodes), len(nodes)))
+    block[pos[src[inside]], pos[dst[inside]]] = (
+        w[inside] * inv_sqrt[src[inside]] * inv_sqrt[dst[inside]]
+    )
+    if not (np.all(np.isfinite(inv_sqrt)) and np.all(np.isfinite(block))):
         raise InvariantError("normalized adjacency has non-finite entries")
-    return a_hat
+    return Adjacency(n, nodes, block)
 
 
 def serialize_graph(graph: RelationalGraph, path) -> None:
@@ -298,11 +350,8 @@ def deserialize_graph(path) -> RelationalGraph:
     records = np.frombuffer(payload, dtype=EDGE_DTYPE)
     if len(records) != header["nnz"]:
         raise ValueError(f"{path}: expected {header['nnz']} edges, got {len(records)}")
+    keys = list(zip(records["src"].tolist(), records["dst"].tolist()))
     graph = RelationalGraph(vocab=vocab, kind=header["kind"])
-    for rec in records:
-        key = (int(rec["src"]), int(rec["dst"]))
-        if rec["count"]:
-            graph.counts[key] = int(rec["count"])
-        if rec["weight"]:
-            graph.weights[key] = float(rec["weight"])
+    graph.counts = {k: c for k, c in zip(keys, records["count"].tolist()) if c}
+    graph.weights = {k: w for k, w in zip(keys, records["weight"].tolist()) if w}
     return graph

@@ -44,7 +44,7 @@ class DependencyGraph:
 
     def __post_init__(self):
         n = len(self.tokens)
-        roots = 0
+        heads = [0] * (n + 1)
         for i, tok in enumerate(self.tokens, start=1):
             if tok.index != i:
                 raise ConlluError(
@@ -56,10 +56,23 @@ class DependencyGraph:
                     f"caption {self.caption_id}: token {tok.index} head "
                     f"{tok.head} out of range 0..{n}"
                 )
-            if tok.head == 0:
-                roots += 1
-        if n and roots == 0:
-            raise ConlluError(f"caption {self.caption_id}: no root token")
+            heads[i] = tok.head
+        # The heads must form a tree under the root 0, since later stages walk
+        # up them. Walk up from each token until a token already seen: one
+        # seen on this walk closes a cycle, any other is known to reach 0.
+        # Each token is marked once, so the check is linear.
+        walk_of = [0] * (n + 1)  # the walk that first reached each token
+        walk_of[0] = -1
+        for start in range(1, n + 1):
+            i = start
+            while walk_of[i] == 0:
+                walk_of[i] = start
+                i = heads[i]
+            if walk_of[i] == start:
+                raise ConlluError(
+                    f"caption {self.caption_id}: token {i} is on a head cycle "
+                    "(heads do not form a tree)"
+                )
 
 
 @dataclass(frozen=True)

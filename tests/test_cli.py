@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,3 +236,24 @@ def test_out_dir_override(toy_cfg, tmp_path):
     alt = tmp_path / "alt"
     assert main(["parse", "--config", cfg, "--out-dir", str(alt)]) == 0
     assert (alt / "scene_graphs" / "101.json").exists()
+
+
+def test_parse_head_cycle_exit_2(tmp_path, toy_paths):
+    # a cycle under a quantifier used to hang quantifier expansion; run in a
+    # child process so a regression fails on the timeout instead of hanging
+    conllu = tmp_path / "cycle.conllu"
+    conllu.write_text(
+        "# caption_id = 101\n# image_id = 1\n"
+        "1\tlots\tlot\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+        "2\tof\tof\tADP\t_\t_\t1\tcase\t_\t_\n"
+        "3\tdogs\tdog\tNOUN\t_\t_\t1\tnsubj\t_\t_\n"
+        "4\trun\trun\tVERB\t_\t_\t0\troot\t_\t_\n",
+        encoding="utf-8",
+    )
+    cfg = _cfg_file(tmp_path, {**toy_paths, "conllu": str(conllu)}, tmp_path / "out")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "victr.cli", "parse", "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert re.search(r"cycle\.conllu:\d+: .*head cycle", proc.stderr)

@@ -21,10 +21,12 @@ from victr.gcn import (
     save_model,
     train,
 )
+from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import (
     accumulate_counts,
     build_vocabulary,
     compute_weights,
+    deserialize_graph,
     normalized_adjacency,
 )
 from victr.synthetic import two_clique_scene_graphs
@@ -289,3 +291,61 @@ def test_restricted_table_zero_fills(tmp_path):
     kept = table.restrict([1, 3])
     assert not kept.vector(0).any()
     assert np.array_equal(kept.vector(1), table.vector(1))
+
+
+@pytest.fixture(scope="module")
+def toy_graphs(tmp_path_factory, toy_paths):
+    """The seven graphs that build-graphs writes for the toy corpus."""
+    from victr.cli import main
+
+    tmp = tmp_path_factory.mktemp("toy")
+    cfg = tmp / "config.txt"
+    cfg.write_text(
+        f"conllu = {toy_paths['conllu']}\n"
+        f"captions = {toy_paths['captions']}\n"
+        f"instances = {toy_paths['instances']}\n"
+        f"superclass_lexicon = {toy_paths['superclasses']}\n"
+        f"quantifier_lexicon = {toy_paths['quantifiers']}\n"
+        f"alias_table = {toy_paths['aliases']}\n"
+        f"out_dir = {tmp / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["parse", "--config", str(cfg)]) == 0
+    assert main(["build-graphs", "--config", str(cfg)]) == 0
+    return {
+        name: deserialize_graph(tmp / "out" / "graphs" / f"{name}.victrg")
+        for name in ("basic",) + GEOMETRIC_RELATIONS
+    }
+
+
+def test_adjacency_operator_trains_like_dense(toy_graphs):
+    # the positional graphs exercise the identity rows, the basic graph the full block
+    assert any(len(normalized_adjacency(g).nodes) < len(g.vocab)
+               for g in toy_graphs.values())
+    cfg = TrainConfig()
+    for name, graph in toy_graphs.items():
+        labels, classes = object_labels(graph.vocab)
+        hidden = 200 if name == "basic" else 50
+        a_hat = normalized_adjacency(graph)
+        model = init_model(len(graph.vocab), hidden, len(classes), cfg)
+        got, got_history = train(model, a_hat, labels, cfg)
+        want, want_history = train(model, a_hat.toarray(), labels, cfg)
+        assert np.allclose(got_history, want_history, rtol=0, atol=1e-10), name
+        assert np.allclose(extract_embeddings(got, a_hat).dense(),
+                           extract_embeddings(want, a_hat.toarray()).dense(),
+                           rtol=0, atol=1e-10), name
+        assert accuracy(got, a_hat, labels) == accuracy(want, a_hat.toarray(), labels)
+
+
+def test_gradient_check_with_adjacency_operator(toy_graphs):
+    graph = toy_graphs["left_of"]
+    a_hat = normalized_adjacency(graph)
+    assert 0 < len(a_hat.nodes) < len(graph.vocab)
+    labels, classes = object_labels(graph.vocab)
+    rng = np.random.default_rng(14)
+    n, hidden = len(graph.vocab), 6
+    model = GcnModel(w1=rng.standard_normal((n, hidden)), b1=rng.standard_normal(hidden),
+                     w2=rng.standard_normal((hidden, len(classes))),
+                     b2=rng.standard_normal(len(classes)))
+    err = gradient_check(model, a_hat, labels, epsilon=1e-5, n_coords=200, seed=3)
+    assert err < 1e-4

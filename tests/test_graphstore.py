@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from victr.binio import FormatError
 from victr.errors import InvariantError
@@ -9,6 +12,7 @@ from victr.graphstore import (
     OBJECT,
     RELATION,
     RelationalGraph,
+    Vocabulary,
     accumulate_counts,
     build_positional_graphs,
     build_vocabulary,
@@ -258,7 +262,7 @@ def test_normalized_adjacency_isolated_node():
               sg(2, ["rock"])]
     vocab = build_vocabulary(corpus)
     g = compute_weights(accumulate_counts(corpus, vocab))
-    a_hat = normalized_adjacency(g)
+    a_hat = normalized_adjacency(g).toarray()
     rock = vocab.require("rock", OBJECT)
     row = np.zeros(len(vocab))
     row[rock] = 1.0
@@ -270,7 +274,7 @@ def test_normalized_adjacency_hand_example():
     vocab = build_vocabulary([MAN_RIDE_HORSE])
     g = RelationalGraph(vocab=vocab, kind="basic")
     g.weights = {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0, (2, 2): 1.0}
-    a_hat = normalized_adjacency(g)
+    a_hat = normalized_adjacency(g).toarray()
     assert a_hat[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert a_hat[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert a_hat[1, 0] == 0.0
@@ -283,7 +287,7 @@ def test_normalized_adjacency_entrywise_oracle():
         corpus = random_scene_graphs(int(rng.integers(1000)), n_graphs=4)
         vocab = build_vocabulary(corpus)
         g = compute_weights(accumulate_counts(corpus, vocab))
-        a_hat = normalized_adjacency(g)
+        a_hat = normalized_adjacency(g).toarray()
         n = len(vocab)
         a = np.zeros((n, n))
         for (s, d), w in g.weights.items():
@@ -297,18 +301,6 @@ def test_normalized_adjacency_entrywise_oracle():
         assert np.all(a_hat >= 0) and np.all(a_hat <= 1 + 1e-12)
 
 
-def test_mirror_attribute_edges_switch():
-    corpus = [sg(1, ["dog"], attributes=[(0, "brown")])]
-    vocab = build_vocabulary(corpus)
-    g = compute_weights(accumulate_counts(corpus, vocab))
-    dog = vocab.require("dog", OBJECT)
-    brown = vocab.require("brown", ATTRIBUTE)
-    plain = normalized_adjacency(g)
-    mirrored = normalized_adjacency(g, mirror_attribute_edges=True)
-    assert plain[brown, dog] == 0.0
-    assert mirrored[brown, dog] > 0.0
-
-
 def test_serialize_round_trip(tmp_path):
     vocab = build_vocabulary(TOY_CORPUS)
     g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
@@ -320,6 +312,9 @@ def test_serialize_round_trip(tmp_path):
     assert loaded.vocab.object_super_class == vocab.object_super_class
     assert loaded.counts == g.counts
     assert loaded.weights == g.weights
+    assert {type(i) for key in loaded.weights for i in key} == {int}
+    assert {type(c) for c in loaded.counts.values()} == {int}
+    assert {type(w) for w in loaded.weights.values()} == {float}
 
 
 def test_serialize_deterministic_bytes(tmp_path):
@@ -359,3 +354,86 @@ def test_deserialize_then_compute_weights_noop(tmp_path):
     before = dict(loaded.weights)
     compute_weights(loaded)
     assert loaded.weights == before
+
+
+def _dense_reference(n, weights):
+    a = np.zeros((n, n))
+    for (s, d), w in weights.items():
+        a[s, d] = w
+    deg = a.sum(axis=1)
+    return a / np.sqrt(np.outer(deg, deg))
+
+
+def _weight_graph(n, weights):
+    vocab = Vocabulary(nodes=[(f"w{i}", OBJECT) for i in range(n)])
+    return RelationalGraph(vocab=vocab, kind="basic",
+                           weights={**{(i, i): 1.0 for i in range(n)}, **weights})
+
+
+@st.composite
+def _weighted_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    weights = draw(st.dictionaries(pairs, st.floats(0.01, 1.0), max_size=3 * n))
+    width = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, width), elements=st.floats(-10, 10)))
+    return _weight_graph(n, weights), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_graphs())
+def test_adjacency_operator_matches_dense_reference(case):
+    g, x = case
+    n = len(g.vocab)
+    a_hat = normalized_adjacency(g)
+    dense = a_hat.toarray()
+    assert a_hat.shape == (n, n) and a_hat.size == n * n
+    assert a_hat.T.shape == (n, n)
+    assert np.allclose(dense, _dense_reference(n, g.weights), rtol=0, atol=1e-12)
+    assert np.allclose(a_hat @ x, dense @ x, rtol=0, atol=1e-12)
+    assert np.allclose(a_hat.T @ x, dense.T @ x, rtol=0, atol=1e-12)
+    connected = {i for s, d in g.weights if s != d for i in (s, d)}
+    isolated = sorted(set(range(n)) - connected)
+    assert np.array_equal((a_hat @ x)[isolated], x[isolated])
+    assert np.array_equal((a_hat.T @ x)[isolated], x[isolated])
+
+
+def test_adjacency_edgeless_graph_is_identity():
+    g = _weight_graph(5, {})
+    a_hat = normalized_adjacency(g)
+    x = np.arange(15.0).reshape(5, 3)
+    assert len(a_hat.nodes) == 0 and a_hat.block.shape == (0, 0)
+    assert np.array_equal(a_hat.toarray(), np.eye(5))
+    assert np.array_equal(a_hat @ x, x) and np.array_equal(a_hat.T @ x, x)
+    assert a_hat @ x is not x
+
+
+def test_adjacency_all_connected_is_one_block():
+    weights = {(0, 1): 0.5, (1, 2): 1.0, (2, 0): 0.25, (3, 2): 1.0}
+    g = _weight_graph(4, weights)
+    a_hat = normalized_adjacency(g)
+    assert np.array_equal(a_hat.nodes, np.arange(4))
+    assert np.array_equal(a_hat.toarray(), a_hat.block)
+    assert np.allclose(a_hat.block, _dense_reference(4, g.weights), rtol=0, atol=1e-12)
+    x = np.random.default_rng(3).standard_normal((4, 2))
+    assert np.array_equal(a_hat @ x, a_hat.block @ x)
+    assert np.array_equal(a_hat.T @ x, a_hat.block.T @ x)
+
+
+def test_adjacency_holds_only_the_block():
+    corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)]),
+              sg(2, ["rock", "tree", "sky"])]
+    vocab = build_vocabulary(corpus)
+    a_hat = normalized_adjacency(compute_weights(accumulate_counts(corpus, vocab)))
+    assert list(a_hat.nodes) == [vocab.require(w, k) for w, k in
+                                 (("man", OBJECT), ("ride", RELATION), ("horse", OBJECT))]
+    assert a_hat.nbytes == a_hat.block.nbytes + a_hat.nodes.nbytes
+    assert a_hat.nbytes < a_hat.toarray().nbytes
+
+
+def test_adjacency_missing_self_weight_rejected():
+    g = _weight_graph(3, {(0, 1): 1.0})
+    del g.weights[(2, 2)]
+    with pytest.raises(InvariantError, match="non-finite"):
+        normalized_adjacency(g)

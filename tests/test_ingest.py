@@ -230,3 +230,27 @@ def test_select_richest_permutation_invariant():
 def test_select_richest_numeric_ids_compare_numerically():
     entries = [("10", _sg(10, 2, 0, 0)), ("9", _sg(9, 2, 0, 0))]
     assert select_richest_caption(entries) == "9"
+
+
+HEAD_CYCLE = (
+    "# caption_id = 101\n# image_id = 1\n"
+    "1\tlots\tlot\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+    "2\tof\tof\tADP\t_\t_\t1\tcase\t_\t_\n"
+    "3\tdogs\tdog\tNOUN\t_\t_\t1\tnsubj\t_\t_\n"
+    "4\trun\trun\tVERB\t_\t_\t0\troot\t_\t_\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    HEAD_CYCLE,
+    MINIMAL.replace("0\troot", "3\troot"),  # no root: the heads cycle 2 -> 3 -> 2
+])
+def test_head_cycle_rejected_with_line(tmp_path, text):
+    with pytest.raises(ConlluError, match=r"x\.conllu:\d+: .*head cycle"):
+        load_conllu(_write(tmp_path, text))
+
+
+def test_head_forest_under_root_accepted(tmp_path):
+    # two root tokens still form one tree under the virtual root 0
+    text = MINIMAL.replace("2\tobj", "0\tobj")
+    assert len(load_conllu(_write(tmp_path, text))[0].tokens) == 3
