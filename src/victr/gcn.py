@@ -9,6 +9,14 @@ the hidden activations are the node embeddings.
 dense ndarray, or the ``graphstore.Adjacency`` that ``normalized_adjacency``
 returns, whose products cost k² per column for the k nodes that have an
 edge, rather than V².
+
+The second layer is computed as A_hat (H1 W2), not (A_hat H1) W2, so that
+its propagation runs at the class width C rather than the hidden width H.
+A training epoch therefore multiplies by A_hat four times: twice at width
+H (A_hat W1 forward, A_hat^T dPre1 backward) and twice at width C (A_hat
+(H1 W2) forward, A_hat^T G backward), each costing k² per column on an
+``Adjacency`` block. C is the number of object super-classes, a few, where
+H is 50 or 200.
 """
 
 from dataclasses import dataclass, field
@@ -103,14 +111,14 @@ def init_model(n: int, hidden: int, n_classes: int, cfg: TrainConfig) -> GcnMode
 
 
 def forward(model: GcnModel, a_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H1 = relu(A_hat W1 + b1); logits = A_hat H1 W2 + b2."""
+    """H1 = relu(A_hat W1 + b1); logits = A_hat (H1 W2) + b2."""
     n = a_hat.shape[0]
     if a_hat.shape != (n, n) or model.n != n:
         raise ValueError(
             f"shape mismatch: adjacency {a_hat.shape} vs model n={model.n}"
         )
     h1 = np.maximum(a_hat @ model.w1 + model.b1, 0.0)
-    logits = a_hat @ h1 @ model.w2 + model.b2
+    logits = a_hat @ (h1 @ model.w2) + model.b2
     return h1, logits
 
 
@@ -134,10 +142,15 @@ def masked_cross_entropy(logits: np.ndarray, labels: dict[int, int]) -> float:
 
 
 def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int]):
-    pre1 = a_hat @ model.w1 + model.b1
-    h1 = np.maximum(pre1, 0.0)
-    z = a_hat @ h1
-    logits = z @ model.w2 + model.b2
+    """Masked cross-entropy and its gradients for (W1, b1, W2, b2).
+
+    Per epoch this multiplies by A_hat four times: A_hat W1 and
+    A_hat^T dPre1 at the hidden width H, A_hat (H1 W2) and U = A_hat^T G at
+    the class width C. Each costs k² per column on an ``Adjacency`` block of
+    k connected nodes (V² on a dense array). U serves both dW2 = H1^T U and
+    dH1 = U W2^T.
+    """
+    h1, logits = forward(model, a_hat)
 
     rows = np.fromiter(labels.keys(), dtype=int)
     cols = np.fromiter(labels.values(), dtype=int)
@@ -149,12 +162,12 @@ def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int]):
     probs[np.arange(len(rows)), cols] -= 1.0
     g[rows] = probs / len(rows)
 
-    dw2 = z.T @ g
+    a_t = a_hat.T
+    u = a_t @ g
+    dw2 = h1.T @ u
     db2 = g.sum(axis=0)
-    dz = g @ model.w2.T
-    dh1 = a_hat.T @ dz
-    dpre1 = dh1 * (pre1 > 0)
-    dw1 = a_hat.T @ dpre1
+    dpre1 = (u @ model.w2.T) * (h1 > 0)  # h1 > 0 exactly where pre-activation > 0
+    dw1 = a_t @ dpre1
     db1 = dpre1.sum(axis=0)
     return loss, (dw1, db1, dw2, db2)
 

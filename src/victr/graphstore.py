@@ -350,6 +350,13 @@ def deserialize_graph(path) -> RelationalGraph:
     records = np.frombuffer(payload, dtype=EDGE_DTYPE)
     if len(records) != header["nnz"]:
         raise ValueError(f"{path}: expected {header['nnz']} edges, got {len(records)}")
+    outside = np.flatnonzero(np.maximum(records["src"], records["dst"]) >= len(nodes))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"{path}: edge {i} ({records['src'][i]}, {records['dst'][i]}) has a node "
+            f"outside the vocabulary of {len(nodes)} nodes"
+        )
     keys = list(zip(records["src"].tolist(), records["dst"].tolist()))
     graph = RelationalGraph(vocab=vocab, kind=header["kind"])
     graph.counts = {k: c for k, c in zip(keys, records["count"].tolist()) if c}

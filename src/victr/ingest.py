@@ -5,6 +5,7 @@ Captions arrive already dependency-parsed (CoNLL-U with ``# caption_id`` /
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -248,16 +249,27 @@ def load_instances(path) -> InstanceSet:
             raise ValueError(
                 f"{path}: annotation {i}: unknown category_id {ann['category_id']}"
             )
-        x, y, w, h = ann["bbox"]
-        if w <= 0 or h <= 0:
-            raise ValueError(
-                f"{path}: annotation {i}: non-positive bbox size {w}x{h}"
-            )
         name = cat_name[ann["category_id"]]
         boxes.setdefault(str(ann["image_id"]), []).append(
-            (name, cat_super[name], (float(x), float(y), float(w), float(h)))
+            (name, cat_super[name], _bbox(ann["bbox"], f"{path}: annotation {i}"))
         )
     return InstanceSet(boxes=boxes, categories=cat_super)
+
+
+def _bbox(value, where: str) -> tuple[float, float, float, float]:
+    """A JSON bbox as (x, y, w, h): four finite numbers with w, h > 0."""
+    if not (isinstance(value, list) and len(value) == 4
+            and all(type(v) in (int, float) for v in value)):  # bool is not a number here
+        raise ValueError(f"{where}: bbox must be a list of 4 numbers, got {value!r}")
+    try:
+        x, y, w, h = (float(v) for v in value)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{where}: bbox value out of range in {value!r}") from None
+    if not all(math.isfinite(v) for v in (x, y, w, h)):
+        raise ValueError(f"{where}: non-finite bbox value in {value!r}")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{where}: non-positive bbox size {w:g}x{h:g}")
+    return x, y, w, h
 
 
 def _id_sort_key(cid: str):

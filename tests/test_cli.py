@@ -10,7 +10,7 @@ import pytest
 from victr.cli import main
 from victr.fusion import load_fused
 from victr.gcn import load_embeddings, load_model
-from victr.graphstore import deserialize_graph
+from victr.graphstore import RelationalGraph, Vocabulary, deserialize_graph, serialize_graph
 
 
 def _cfg_file(tmp_path, toy_paths, out_dir, **extra):
@@ -257,3 +257,38 @@ def test_parse_head_cycle_exit_2(tmp_path, toy_paths):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert re.search(r"cycle\.conllu:\d+: .*head cycle", proc.stderr)
+
+
+def test_train_edge_outside_vocabulary_exit_2(tmp_path, capsys):
+    vocab = Vocabulary(nodes=[("dog", "object"), ("on", "relation"), ("grass", "object")],
+                       object_super_class={0: "animal", 2: "plant"})
+    graph = RelationalGraph(vocab=vocab, kind="basic", counts={(1, 5): 1},
+                            weights={(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (1, 5): 1.0})
+    path = tmp_path / "out" / "graphs" / "basic.victrg"
+    path.parent.mkdir(parents=True)
+    serialize_graph(graph, path)
+    assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
+    err = capsys.readouterr().err
+    assert "basic.victrg" in err and "outside the vocabulary" in err
+
+
+@pytest.mark.parametrize("bbox", [
+    [10, 20, float("nan"), 40],
+    [10, float("inf"), 30, 40],
+    "10 20 30 40",
+    [10, 20, 30],
+    None,
+    [10, 20, 10**400, 40],
+], ids=["nan", "inf", "string", "three_numbers", "null", "huge_integer"])
+def test_build_graphs_malformed_bbox_exit_2(toy_cfg, tmp_path, toy_paths, capsys, bbox):
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    with open(toy_paths["instances"], encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["annotations"][3]["bbox"] = bbox
+    bad = tmp_path / "bad_instances.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**toy_paths, "instances": str(bad)}, out)
+    capsys.readouterr()
+    assert main(["build-graphs", "--config", cfg]) == 2
+    assert f"{bad}: annotation 3: " in capsys.readouterr().err

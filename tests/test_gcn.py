@@ -23,6 +23,7 @@ from victr.gcn import (
 )
 from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import (
+    Adjacency,
     accumulate_counts,
     build_vocabulary,
     compute_weights,
@@ -235,6 +236,19 @@ def test_gradient_check_small_error():
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("operator", [False, True], ids=["dense", "adjacency"])
+def test_gradient_check_few_classes_wide_hidden(operator):
+    # C << H, as in the pipeline, where the second layer propagates at width C
+    a_hat, model, labels = _random_setup(15, n=8, hidden=32, mu=3)
+    if operator:  # nodes 0, 3 and 7 are isolated: identity rows of the operator
+        nodes = np.array([1, 2, 4, 5, 6])
+        a_hat = Adjacency(8, nodes, a_hat[np.ix_(nodes, nodes)])
+        assert np.array_equal(a_hat.toarray()[[0, 3, 7]], np.eye(8)[[0, 3, 7]])
+    labels[7] = 1
+    err = gradient_check(model, a_hat, labels, epsilon=1e-5, n_coords=200, seed=4)
+    assert err < 1e-4
+
+
 def test_gradient_check_zero_epsilon():
     a_hat, model, labels = _random_setup(5)
     with pytest.raises(ValueError, match="epsilon"):
@@ -349,3 +363,47 @@ def test_gradient_check_with_adjacency_operator(toy_graphs):
                      b2=rng.standard_normal(len(classes)))
     err = gradient_check(model, a_hat, labels, epsilon=1e-5, n_coords=200, seed=3)
     assert err < 1e-4
+
+
+def _reference_loss_and_grads(model, a_hat, labels):
+    """The earlier product order: both second-layer products at hidden width."""
+    pre1 = a_hat @ model.w1 + model.b1
+    h1 = np.maximum(pre1, 0.0)
+    z = a_hat @ h1
+    logits = z @ model.w2 + model.b2
+    rows = np.fromiter(labels.keys(), dtype=int)
+    cols = np.fromiter(labels.values(), dtype=int)
+    shifted = logits[rows] - logits[rows].max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(len(rows)), cols].mean())
+    g = np.zeros_like(logits)
+    probs = np.exp(logp)
+    probs[np.arange(len(rows)), cols] -= 1.0
+    g[rows] = probs / len(rows)
+    dpre1 = (a_hat.T @ (g @ model.w2.T)) * (pre1 > 0)
+    return loss, (a_hat.T @ dpre1, dpre1.sum(axis=0), z.T @ g, g.sum(axis=0))
+
+
+def test_class_width_propagation_matches_reference_order(toy_graphs):
+    cfg = TrainConfig()
+    for name, graph in toy_graphs.items():
+        labels, classes = object_labels(graph.vocab)
+        hidden = 200 if name == "basic" else 50
+        a_hat = normalized_adjacency(graph)
+        model = init_model(len(graph.vocab), hidden, len(classes), cfg)
+        got, got_history = train(model, a_hat, labels, cfg)
+
+        want, want_history = model.copy(), []
+        for _ in range(cfg.epochs):
+            loss, grads = _reference_loss_and_grads(want, a_hat, labels)
+            want_history.append(loss)
+            for param, grad in zip((want.w1, want.b1, want.w2, want.b2), grads):
+                param -= cfg.learning_rate * grad
+
+        assert np.allclose(got_history, want_history, rtol=0, atol=1e-12), name
+        for a, b in ((got.w1, want.w1), (got.b1, want.b1),
+                     (got.w2, want.w2), (got.b2, want.b2)):
+            assert np.allclose(a, b, rtol=0, atol=1e-12), name
+        assert np.allclose(extract_embeddings(got, a_hat).dense(),
+                           extract_embeddings(want, a_hat).dense(),
+                           rtol=0, atol=1e-12), name
