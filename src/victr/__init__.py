@@ -24,7 +24,6 @@ from .fusion import (
     victr_word,
 )
 from .gcn import (
-    EmbeddingTable,
     GcnModel,
     TrainConfig,
     extract_embeddings,
@@ -48,7 +47,6 @@ from .graphstore import (
     build_vocabulary,
     compute_weights,
     deserialize_graph,
-    merge_graphs,
     normalized_adjacency,
     serialize_graph,
     verify_weight_sums,

@@ -39,6 +39,18 @@ def _require_file(path, what: str, hint: str = ""):
     return path
 
 
+def _remove_stale(directory, suffixes: tuple[str, ...], caption_ids: set[str]) -> None:
+    """Delete the <caption id><suffix> files in directory of captions not in caption_ids.
+
+    A stage rewrites its files in place, then drops those an earlier run
+    left, so later stages read only this run's outputs.
+    """
+    for name in os.listdir(directory):
+        for suffix in suffixes:
+            if name.endswith(suffix) and name[: -len(suffix)] not in caption_ids:
+                os.remove(os.path.join(directory, name))
+
+
 def _scene_graph_dir(cfg) -> str:
     return os.path.join(cfg.out_dir, "scene_graphs")
 
@@ -55,8 +67,12 @@ def _load_scene_graphs(cfg) -> list[sp.SceneGraph]:
         raise FileNotFoundError(f"no scene graphs in {sg_dir}; run the parse stage first")
     graphs = []
     for name in names:
-        with open(os.path.join(sg_dir, name), encoding="utf-8") as f:
-            graphs.append(sp.scene_graph_from_json(f.read()))
+        path = os.path.join(sg_dir, name)
+        with open(path, encoding="utf-8") as f:
+            try:
+                graphs.append(sp.scene_graph_from_json(f.read()))
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
     return graphs
 
 
@@ -116,6 +132,7 @@ def cmd_parse(cfg: PipelineConfig) -> int:
         n_obj += len(sg.objects)
         n_rel += len(sg.relations)
         n_attr += len(sg.attributes)
+    _remove_stale(sg_dir, (".json",), {sg.caption_id for _, sg in parsed})
     print(
         f"parsed {len(parsed)} captions: {n_obj} objects, "
         f"{n_rel} relations, {n_attr} attributes"
@@ -173,16 +190,18 @@ def cmd_train(cfg: PipelineConfig, graph_name: str) -> int:
         )
         model = gcn.init_model(len(graph.vocab), hidden, len(classes), train_cfg)
         model, history = gcn.train(model, a_hat, labels, train_cfg)
-        table = gcn.extract_embeddings(model, a_hat)
-        if name != "basic":
-            table = table.restrict(graph.participants())
+        rows = gcn.extract_embeddings(model, a_hat)
+        if name != "basic":  # a positional graph embeds only the nodes it links
+            outside = np.ones(len(graph.vocab), dtype=bool)
+            outside[graph.participants()] = False
+            rows[outside] = 0.0
 
         for sub in ("models", "embeddings", "loss"):
             os.makedirs(os.path.join(cfg.out_dir, sub), exist_ok=True)
         gcn.save_model(model, os.path.join(cfg.out_dir, "models", f"{name}.victrm"),
                        seed=cfg.seed)
         gcn.save_embeddings(
-            table, os.path.join(cfg.out_dir, "embeddings", f"{name}.victre"),
+            rows, os.path.join(cfg.out_dir, "embeddings", f"{name}.victre"),
             vocab_hash=graph.vocab.content_hash(),
         )
         with open(os.path.join(cfg.out_dir, "loss", f"{name}.csv"), "w",
@@ -208,23 +227,16 @@ def _load_tables(cfg):
     vocab = basic_graph.vocab
     want_hash = vocab.content_hash()
     emb_dir = os.path.join(cfg.out_dir, "embeddings")
-    basic_table, got_hash = gcn.load_embeddings(
-        _require_file(os.path.join(emb_dir, "basic.victre"), "basic embeddings",
-                      hint="run the train stage first")
-    )
-    if got_hash != want_hash:
-        raise ValueError("basic embeddings were trained on a different vocabulary")
-    positional = {}
-    for name in geo.GEOMETRIC_RELATIONS:
-        table, got_hash = gcn.load_embeddings(
+    rows = {}
+    for name in GRAPH_NAMES:
+        rows[name], got_hash = gcn.load_embeddings(
             _require_file(os.path.join(emb_dir, f"{name}.victre"),
                           f"{name} embeddings",
                           hint=f"run the train stage with --graph {name} (or all)")
         )
         if got_hash != want_hash:
             raise ValueError(f"{name} embeddings were trained on a different vocabulary")
-        positional[name] = table
-    return vocab, emb.compose_tables(vocab, basic_table, positional)
+    return vocab, emb.compose_tables(vocab, rows.pop("basic"), rows)
 
 
 def cmd_compose(cfg: PipelineConfig) -> int:
@@ -235,10 +247,8 @@ def cmd_compose(cfg: PipelineConfig) -> int:
     os.makedirs(evs_dir, exist_ok=True)
     for sg in corpus:
         vs = emb.scene_visual_semantics(sg, tables)
-        table = gcn.EmbeddingTable.from_dense(vs.rows) if vs.rows.size else \
-            gcn.EmbeddingTable(n=0, width=tables.scene_width)
         gcn.save_embeddings(
-            table, os.path.join(evs_dir, f"{sg.caption_id}.victre"),
+            vs.rows, os.path.join(evs_dir, f"{sg.caption_id}.victre"),
             vocab_hash=vocab_hash,
         )
         manifest = {
@@ -252,6 +262,7 @@ def cmd_compose(cfg: PipelineConfig) -> int:
                   encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
             f.write("\n")
+    _remove_stale(evs_dir, (".victre", ".manifest.json"), {sg.caption_id for sg in corpus})
     print(
         f"composed visual semantic matrices for {len(corpus)} captions "
         f"(width {tables.scene_width})"
@@ -276,10 +287,10 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
         for g in ingest.load_conllu(cfg.conllu)
     }
 
-    first_table, _ = gcn.load_embeddings(
+    first_rows, _ = gcn.load_embeddings(
         os.path.join(evs_dir, f"{caption_ids[0]}.victre")
     )
-    visual_dim = first_table.width
+    visual_dim = first_rows.shape[1]
     if weights_path:
         w = np.load(_require_file(weights_path, "fusion weight file"))
         if w.shape != (cfg.text_width, visual_dim):
@@ -295,8 +306,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     for cid in caption_ids:
         if cid not in tokens_by_caption:
             raise ValueError(f"caption {cid} not present in {cfg.conllu}")
-        table, _ = gcn.load_embeddings(os.path.join(evs_dir, f"{cid}.victre"))
-        vs_rows = table.dense()
+        vs_rows, _ = gcn.load_embeddings(os.path.join(evs_dir, f"{cid}.victre"))
         if features_dir:
             text = fus.load_text_features(
                 _require_file(os.path.join(features_dir, f"{cid}.victre"),
@@ -312,6 +322,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             fused, os.path.join(fused_dir, f"{cid}.victrf"),
             caption_id=cid, text_dim=cfg.text_width, visual_dim=visual_dim,
         )
+    _remove_stale(fused_dir, (".victrf",), set(caption_ids))
     print(
         f"fused {len(caption_ids)} captions "
         f"(word width {cfg.text_width + visual_dim}, visual width {visual_dim})"
@@ -349,7 +360,7 @@ def _write_svg(path, words, coords, colors):
 def cmd_project(cfg: PipelineConfig, kind: str, svg: bool) -> int:
     vocab, tables = _load_tables(cfg)
     words, rows = emb.projection_rows(tables, kind)
-    coords = emb.pca_project(rows, out_dim=2, seed=cfg.seed)
+    coords = emb.pca_project(rows, out_dim=2)
     proj_dir = os.path.join(cfg.out_dir, "projection")
     os.makedirs(proj_dir, exist_ok=True)
     tsv_path = os.path.join(proj_dir, f"{kind}.tsv")
@@ -431,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_proj = sub.add_parser("project", parents=[common],
                             help="2-d principal-component projection of embeddings")
     p_proj.add_argument("--kind", default="object",
-                        choices=["object", "relation", "attribute", "joint"])
+                        choices=["object", "relation", "attribute"],
+                        help="which words to project, each kind on its own")
     p_proj.add_argument("--svg", action="store_true", help="also write an SVG scatter")
     sub.add_parser("stats", parents=[common], help="report corpus and graph statistics")
     return parser

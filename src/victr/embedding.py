@@ -1,49 +1,40 @@
 """Composed visual-semantic vectors and their 2-d principal-component views.
 
-Object and relation words concatenate the basic embedding with six
-positional embeddings (fixed order: left_of, right_of, above, below,
-inside, surrounding); attribute words use the basic embedding alone. A
-scene graph's per-object rows append mean-pooled attribute and relation
-segments: object || attributes || relations.
+Every vocabulary node's composed vector concatenates its basic embedding
+with its six positional embeddings (fixed order: left_of, right_of, above,
+below, inside, surrounding); object and relation words use the whole
+vector, attribute words its basic segment alone. A scene graph's
+per-object rows append mean-pooled attribute and relation segments:
+object || attributes || relations. Words outside the vocabulary map to a
+zero vector.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import EmbeddingTable
 from .geometry import GEOMETRIC_RELATIONS
 from .graphstore import ATTRIBUTE, OBJECT, RELATION, Vocabulary
 
 
 @dataclass
 class ComposedTables:
+    vocab: Vocabulary
+    vectors: np.ndarray  # (V + 1, B + 6P); the last row is zeros, for unknown words
     basic_width: int  # B
-    positional_width: int  # P, summed over the six graphs
-    objects: dict[str, np.ndarray]
-    relations: dict[str, np.ndarray]
-    attributes: dict[str, np.ndarray]
 
     @property
     def full_width(self) -> int:
-        return self.basic_width + self.positional_width
+        return self.vectors.shape[1]
 
     @property
     def scene_width(self) -> int:
         # object segment + attribute segment + relation segment
         return 2 * self.full_width + self.basic_width
 
-    def object_vector(self, word: str) -> np.ndarray:
-        v = self.objects.get(word)
-        return np.zeros(self.full_width) if v is None else v
-
-    def relation_vector(self, word: str) -> np.ndarray:
-        v = self.relations.get(word)
-        return np.zeros(self.full_width) if v is None else v
-
-    def attribute_vector(self, word: str) -> np.ndarray:
-        v = self.attributes.get(word)
-        return np.zeros(self.basic_width) if v is None else v
+    def row_of(self, word: str, kind: str) -> int:
+        """Row of (word, kind) in vectors; the zero row when it is unknown."""
+        return self.vocab.index.get((word, kind), len(self.vocab))
 
 
 @dataclass
@@ -52,36 +43,22 @@ class VisualSemanticMatrix:
     object_ids: list[int]
 
 
-def compose_tables(vocab: Vocabulary, basic: EmbeddingTable,
-                   positional) -> ComposedTables:
-    """Concatenate per-word basic and positional embeddings.
+def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> ComposedTables:
+    """Concatenate per-node basic and positional embedding rows.
 
-    positional maps each geometric relation name to its EmbeddingTable;
-    entries missing from a positional table contribute zeros.
+    basic is a (V, B) array; positional maps each geometric relation name to
+    a (V, P) array, in which nodes outside that graph have zero rows.
     """
     tables = [positional[p] for p in GEOMETRIC_RELATIONS]
-    widths = {t.width for t in tables}
+    widths = {t.shape[1] for t in tables}
     if len(widths) != 1:
         raise ValueError(f"positional widths differ: {sorted(widths)}")
-    p_each = widths.pop()
-    b = basic.width
     for t in tables + [basic]:
-        if t.n != len(vocab):
-            raise ValueError(f"table size {t.n} does not match vocabulary {len(vocab)}")
-
-    def concat(idx: int) -> np.ndarray:
-        return np.concatenate([basic.vector(idx)] + [t.vector(idx) for t in tables])
-
-    objects = {w: concat(i) for i, w in vocab.words_of_kind(OBJECT)}
-    relations = {w: concat(i) for i, w in vocab.words_of_kind(RELATION)}
-    attributes = {w: np.asarray(basic.vector(i)) for i, w in vocab.words_of_kind(ATTRIBUTE)}
-    return ComposedTables(
-        basic_width=b,
-        positional_width=6 * p_each,
-        objects=objects,
-        relations=relations,
-        attributes=attributes,
-    )
+        if t.shape[0] != len(vocab):
+            raise ValueError(f"table size {t.shape[0]} does not match vocabulary {len(vocab)}")
+    vectors = np.zeros((len(vocab) + 1, basic.shape[1] + 6 * widths.pop()))
+    np.concatenate([basic] + tables, axis=1, out=vectors[:-1])
+    return ComposedTables(vocab=vocab, vectors=vectors, basic_width=basic.shape[1])
 
 
 def scene_visual_semantics(sg, tables: ComposedTables) -> VisualSemanticMatrix:
@@ -91,39 +68,38 @@ def scene_visual_semantics(sg, tables: ComposedTables) -> VisualSemanticMatrix:
     relations count whether the object is subject or object of the triple.
     """
     fw, bw = tables.full_width, tables.basic_width
-    attrs_by_obj: dict[int, list[str]] = {}
+    vectors, row_of = tables.vectors, tables.row_of
+    attrs_by_obj: dict[int, list[int]] = {}
     for oid, word in sg.attributes:
-        attrs_by_obj.setdefault(oid, []).append(word)
-    rels_by_obj: dict[int, list[str]] = {}
+        attrs_by_obj.setdefault(oid, []).append(row_of(word, ATTRIBUTE))
+    rels_by_obj: dict[int, list[int]] = {}
     for s, p, o in sg.relations:
-        rels_by_obj.setdefault(s, []).append(p)
-        rels_by_obj.setdefault(o, []).append(p)
+        r = row_of(p, RELATION)
+        rels_by_obj.setdefault(s, []).append(r)
+        rels_by_obj.setdefault(o, []).append(r)
 
     rows = np.zeros((len(sg.objects), tables.scene_width))
+    rows[:, :fw] = vectors[[row_of(word, OBJECT) for _, word, _ in sg.objects]]
     ids = []
-    for i, (oid, word, _) in enumerate(sg.objects):
-        rows[i, :fw] = tables.object_vector(word)
-        attr_words = attrs_by_obj.get(oid, [])
-        if attr_words:
-            rows[i, fw : fw + bw] = np.mean(
-                [tables.attribute_vector(w) for w in attr_words], axis=0
-            )
-        rel_words = rels_by_obj.get(oid, [])
-        if rel_words:
-            rows[i, fw + bw :] = np.mean(
-                [tables.relation_vector(w) for w in rel_words], axis=0
-            )
+    for i, (oid, _, _) in enumerate(sg.objects):
+        # a gathered (n, width) block sums its rows in order, as np.mean over
+        # a list of vectors does, so the segment means do not change by a bit
+        attr_rows = attrs_by_obj.get(oid)
+        if attr_rows:
+            rows[i, fw : fw + bw] = vectors[attr_rows, :bw].mean(axis=0)
+        rel_rows = rels_by_obj.get(oid)
+        if rel_rows:
+            rows[i, fw + bw :] = vectors[rel_rows].mean(axis=0)
         ids.append(oid)
     return VisualSemanticMatrix(rows=rows, object_ids=ids)
 
 
-def pca_project(vectors, out_dim: int = 2, seed: int = 0) -> np.ndarray:
+def pca_project(vectors, out_dim: int = 2) -> np.ndarray:
     """Mean-centered projection onto the top principal components.
 
     Components are covariance eigenvectors in descending eigenvalue order,
     each sign-fixed so its largest-magnitude coordinate is positive. The
-    exact eigensolver is deterministic; seed is accepted for API parity
-    with stochastic projectors.
+    exact eigensolver makes the projection deterministic.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -144,28 +120,9 @@ def pca_project(vectors, out_dim: int = 2, seed: int = 0) -> np.ndarray:
 
 
 def projection_rows(tables: ComposedTables, kind: str) -> tuple[list[str], np.ndarray]:
-    """Word list and matching vector matrix for one composed-table kind.
-
-    kind "joint" zero-pads every kind to the widest vector and pools them;
-    per-kind projections are the canonical view.
-    """
-    groups = {
-        OBJECT: tables.objects,
-        RELATION: tables.relations,
-        ATTRIBUTE: tables.attributes,
-    }
-    if kind in groups:
-        items = sorted(groups[kind].items())
-        words = [w for w, _ in items]
-        return words, np.array([v for _, v in items])
-    if kind == "joint":
-        width = tables.full_width
-        words, rows = [], []
-        for k in (OBJECT, RELATION, ATTRIBUTE):
-            for w, v in sorted(groups[k].items()):
-                padded = np.zeros(width)
-                padded[: v.shape[0]] = v
-                words.append(f"{w}/{k}")
-                rows.append(padded)
-        return words, np.array(rows)
-    raise ValueError(f"unknown projection kind {kind!r}")
+    """Sorted words of one kind and their composed vectors, one row each."""
+    if kind not in (OBJECT, RELATION, ATTRIBUTE):
+        raise ValueError(f"unknown projection kind {kind!r}")
+    items = sorted((w, i) for i, w in tables.vocab.words_of_kind(kind))
+    width = tables.basic_width if kind == ATTRIBUTE else tables.full_width
+    return [w for w, _ in items], tables.vectors[[i for _, i in items], :width]

@@ -126,6 +126,7 @@ def builtin_text_features(tokens, seed: int, dim: int) -> TextFeatures:
 
 
 def save_text_features(text: TextFeatures, path) -> None:
+    """Write the per-caption file that fuse --text-features reads; its only writer."""
     header = {"kind": "text_features", "l": text.length, "d": text.dim}
     payload = (
         np.ascontiguousarray(text.words, dtype="<f4").tobytes()

@@ -2,8 +2,9 @@
 
 Node features are one-hot identities, so the first layer weight doubles as
 a node-embedding lookup mixed through the graph. Training is full-batch
-gradient descent on a cross-entropy restricted to labeled object nodes;
-the hidden activations are the node embeddings.
+gradient descent on a cross-entropy restricted to labeled object nodes.
+The hidden activations H1 are the node embeddings: a plain (V, H) array,
+one row per vocabulary node, which ``save_embeddings`` writes as float32.
 
 ``a_hat`` is anything with ``shape``, ``@`` on 2-D arrays and ``.T``: a
 dense ndarray, or the ``graphstore.Adjacency`` that ``normalized_adjacency``
@@ -19,13 +20,13 @@ H (A_hat W1 forward, A_hat^T dPre1 backward) and twice at width C (A_hat
 H is 50 or 200.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .binio import EMBED_MAGIC, MODEL_MAGIC, read_container, write_container
 from .errors import InvariantError
-from .graphstore import OBJECT, Vocabulary
+from .graphstore import Vocabulary
 
 
 class TrainingDiverged(InvariantError):
@@ -66,35 +67,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-
-
-@dataclass
-class EmbeddingTable:
-    n: int
-    width: int
-    vectors: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def vector(self, idx: int) -> np.ndarray:
-        v = self.vectors.get(idx)
-        return np.zeros(self.width) if v is None else v
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.width))
-        for i, v in self.vectors.items():
-            out[i] = v
-        return out
-
-    @classmethod
-    def from_dense(cls, arr: np.ndarray) -> "EmbeddingTable":
-        return cls(n=arr.shape[0], width=arr.shape[1],
-                   vectors={i: arr[i].copy() for i in range(arr.shape[0])})
-
-    def restrict(self, indices) -> "EmbeddingTable":
-        keep = set(indices)
-        return EmbeddingTable(
-            n=self.n, width=self.width,
-            vectors={i: v for i, v in self.vectors.items() if i in keep},
-        )
 
 
 def init_model(n: int, hidden: int, n_classes: int, cfg: TrainConfig) -> GcnModel:
@@ -196,9 +168,10 @@ def accuracy(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int]) -> floa
     return float((logits[rows].argmax(axis=1) == cols).mean())
 
 
-def extract_embeddings(model: GcnModel, a_hat: np.ndarray) -> EmbeddingTable:
+def extract_embeddings(model: GcnModel, a_hat: np.ndarray) -> np.ndarray:
+    """The hidden activations H1, one row per node: the node embeddings."""
     h1, _ = forward(model, a_hat)
-    return EmbeddingTable.from_dense(h1)
+    return h1
 
 
 def gradient_check(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
@@ -276,16 +249,18 @@ def load_model(path) -> tuple[GcnModel, int]:
     return model, header["seed"]
 
 
-def save_embeddings(table: EmbeddingTable, path, vocab_hash: str) -> None:
-    header = {"n": table.n, "h": table.width, "vocab_hash": vocab_hash}
-    dense = np.ascontiguousarray(table.dense(), dtype="<f4")
-    write_container(path, EMBED_MAGIC, header, dense.tobytes())
+def save_embeddings(rows: np.ndarray, path, vocab_hash: str) -> None:
+    """Write an (n, h) array of embedding rows as float32."""
+    n, h = rows.shape
+    header = {"n": n, "h": h, "vocab_hash": vocab_hash}
+    write_container(path, EMBED_MAGIC, header, np.ascontiguousarray(rows, dtype="<f4").tobytes())
 
 
-def load_embeddings(path) -> tuple[EmbeddingTable, str]:
+def load_embeddings(path) -> tuple[np.ndarray, str]:
+    """The (n, h) float64 rows and the vocabulary hash saved with them."""
     header, payload = read_container(path, EMBED_MAGIC)
     n, h = header["n"], header["h"]
     if len(payload) != n * h * 4:
         raise ValueError(f"{path}: payload size {len(payload)}, expected {n * h * 4}")
-    dense = np.frombuffer(payload, dtype="<f4").reshape(n, h).astype(np.float64)
-    return EmbeddingTable.from_dense(dense), header.get("vocab_hash", "")
+    rows = np.frombuffer(payload, dtype="<f4").reshape(n, h).astype(np.float64)
+    return rows, header.get("vocab_hash", "")

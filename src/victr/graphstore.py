@@ -160,18 +160,6 @@ def accumulate_counts(corpus, vocab: Vocabulary, kind: str = "basic") -> Relatio
     return g
 
 
-def merge_graphs(a: RelationalGraph, b: RelationalGraph) -> RelationalGraph:
-    """Element-wise sum of counts (weights are left to compute_weights)."""
-    if a.vocab is not b.vocab and a.vocab.nodes != b.vocab.nodes:
-        raise ValueError("merge_graphs: vocabularies differ")
-    if a.kind != b.kind:
-        raise ValueError("merge_graphs: graph kinds differ")
-    merged = RelationalGraph(vocab=a.vocab, kind=a.kind, counts=dict(a.counts))
-    for key, c in b.counts.items():
-        merged.counts[key] = merged.counts.get(key, 0) + c
-    return merged
-
-
 def compute_weights(graph: RelationalGraph) -> RelationalGraph:
     """Normalize counts into conditional-frequency weights; self-weights are 1.
 

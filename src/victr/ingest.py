@@ -175,7 +175,11 @@ def load_conllu(path) -> list[DependencyGraph]:
 
 
 def to_conllu(graphs) -> str:
-    """Serialize DependencyGraphs back to CoNLL-U (unused columns as '_')."""
+    """Serialize DependencyGraphs back to CoNLL-U (unused columns as '_').
+
+    The pipeline never writes CoNLL-U; this is kept as the inverse that the
+    load_conllu round-trip tests check the reader against.
+    """
     chunks = []
     for g in graphs:
         lines = [f"# caption_id = {g.caption_id}", f"# image_id = {g.image_id}"]

@@ -1,188 +1,14 @@
-"""Deterministic synthetic corpora for demos and verification.
+"""Small deterministic scene-graph corpora for tests.
 
-Generates dependency-parsed captions (with caption/instance JSON and box
-annotations) describing two disjoint co-occurrence communities, plus small
-random scene-graph corpora for property checks.
+``random_scene_graphs`` draws seeded random graphs for property checks of
+graph building; ``two_clique_scene_graphs`` gives two disconnected
+communities whose object super-classes a GCN can separate. The benchmark
+generates its own corpora (``perfbench/corpus.py``).
 """
-
-import json
-import os
 
 import numpy as np
 
-from .ingest import Token
 from .sceneparse import SceneGraph
-
-COMMUNITIES = {
-    "animals": {
-        "nouns": ["cat", "dog", "bird", "sheep", "horse"],
-        "super": "animal",
-        "adjs": ["brown", "small", "furry"],
-        "verbs": ["chase", "watch"],
-        "verb_preps": [("sit", "on"), ("stand", "near"), ("graze", "in")],
-        "grounds": ["grass", "field", "rock"],
-    },
-    "vehicles": {
-        "nouns": ["truck", "boat", "train", "car", "bus"],
-        "super": "vehicle",
-        "adjs": ["red", "big", "rusty"],
-        "verbs": ["tow", "carry"],
-        "verb_preps": [("park", "near"), ("stop", "at"), ("dock", "at")],
-        "grounds": ["road", "harbor", "station"],
-    },
-}
-
-_PLURALS = {"sheep": "sheep", "bus": "buses"}
-_COUNTS = [("two", 2), ("three", 3)]
-
-# box layouts realizing each geometric relation, jittered per caption
-_LAYOUTS = {
-    "left_of": ((50, 100, 60, 60), (220, 100, 60, 60)),
-    "right_of": ((220, 100, 60, 60), (50, 100, 60, 60)),
-    "above": ((100, 30, 60, 60), (100, 200, 60, 60)),
-    "below": ((100, 200, 60, 60), (100, 30, 60, 60)),
-    "inside": ((120, 120, 40, 40), (80, 80, 160, 160)),
-    "surrounding": ((80, 80, 160, 160), (120, 120, 40, 40)),
-}
-
-
-def _plural(noun: str) -> str:
-    return _PLURALS.get(noun, noun + "s")
-
-
-def _caption_tokens(rng, spec):
-    """Build one gold-parsed caption; returns (tokens, text, subject, object)."""
-    nouns = spec["nouns"]
-    subj, obj = (str(w) for w in rng.choice(nouns, size=2, replace=False))
-    template = int(rng.integers(3))
-    toks: list[Token] = []
-
-    def tok(surface, lemma, upos, head, deprel):
-        toks.append(Token(index=len(toks) + 1, surface=surface, lemma=lemma,
-                          upos=upos, head=head, deprel=deprel))
-
-    if template == 0:
-        # [two] [brown] dogs chase a cat
-        counted = bool(rng.random() < 0.4)
-        adj = str(rng.choice(spec["adjs"])) if rng.random() < 0.5 else None
-        verb = str(rng.choice(spec["verbs"]))
-        n_pre = int(counted) + int(adj is not None)
-        subj_pos, verb_pos = n_pre + 1, n_pre + 2
-        if counted:
-            word, _ = _COUNTS[int(rng.integers(len(_COUNTS)))]
-            tok(word, word, "NUM", subj_pos, "nummod")
-        if adj:
-            tok(adj, adj, "ADJ", subj_pos, "amod")
-        tok(_plural(subj) if counted else subj, subj, "NOUN", verb_pos, "nsubj")
-        tok(verb + "s" if not counted else verb, verb, "VERB", 0, "root")
-        tok("a", "a", "DET", verb_pos + 2, "det")
-        tok(obj, obj, "NOUN", verb_pos, "obj")
-    elif template == 1:
-        # a truck parks near the road
-        ground = str(rng.choice(spec["grounds"]))
-        verb, prep = spec["verb_preps"][int(rng.integers(len(spec["verb_preps"])))]
-        tok("a", "a", "DET", 2, "det")
-        tok(subj, subj, "NOUN", 3, "nsubj")
-        tok(verb + "s", verb, "VERB", 0, "root")
-        tok(prep, prep, "ADP", 6, "case")
-        tok("the", "the", "DET", 6, "det")
-        tok(ground, ground, "NOUN", 3, "obl")
-        obj = ground
-    else:
-        # a brown dog on the grass
-        ground = str(rng.choice(spec["grounds"]))
-        adj = str(rng.choice(spec["adjs"]))
-        tok("a", "a", "DET", 3, "det")
-        tok(adj, adj, "ADJ", 3, "amod")
-        tok(subj, subj, "NOUN", 0, "root")
-        tok("on", "on", "ADP", 6, "case")
-        tok("the", "the", "DET", 6, "det")
-        tok(ground, ground, "NOUN", 3, "nmod")
-        obj = ground
-    text = " ".join(t.surface for t in toks)
-    return toks, text, subj, obj
-
-
-def community_corpus(n_captions: int, seed: int):
-    """Two-community corpus as (conllu_text, captions_doc, instances_doc, superclasses).
-
-    One image per caption; both mentioned nouns get bounding boxes whose
-    layout realizes a pseudo-random geometric relation.
-    """
-    rng = np.random.default_rng(seed)
-    names = list(COMMUNITIES)
-    conllu_chunks = []
-    annotations = []
-    inst_annotations = []
-
-    categories = []
-    cat_id = {}
-    superclasses = {}
-    for name in names:
-        spec = COMMUNITIES[name]
-        for noun in spec["nouns"]:
-            superclasses[noun] = spec["super"]
-        for ground in spec["grounds"]:
-            superclasses[ground] = "outdoor"
-        for noun in spec["nouns"] + spec["grounds"]:
-            cat_id[noun] = len(categories) + 1
-            categories.append(
-                {"id": len(categories) + 1, "name": noun,
-                 "supercategory": superclasses[noun]}
-            )
-
-    relations = list(_LAYOUTS)
-    for i in range(n_captions):
-        spec = COMMUNITIES[names[i % 2]]
-        toks, text, subj, obj = _caption_tokens(rng, spec)
-        caption_id, image_id = 1000 + i, 100 + i
-        lines = [f"# caption_id = {caption_id}", f"# image_id = {image_id}"]
-        for t in toks:
-            lines.append(
-                f"{t.index}\t{t.surface}\t{t.lemma}\t{t.upos}\t_\t_\t{t.head}\t{t.deprel}\t_\t_"
-            )
-        conllu_chunks.append("\n".join(lines))
-        annotations.append({"image_id": image_id, "id": caption_id, "caption": text})
-
-        layout = _LAYOUTS[relations[int(rng.integers(len(relations)))]]
-        jitter = int(rng.integers(0, 20))
-        for noun, (x, y, w, h) in zip((subj, obj), layout):
-            inst_annotations.append(
-                {
-                    "image_id": image_id,
-                    "category_id": cat_id[noun],
-                    "bbox": [x + jitter, y + jitter, w, h],
-                }
-            )
-
-    conllu_text = "\n\n".join(conllu_chunks) + "\n"
-    captions_doc = {"annotations": annotations}
-    instances_doc = {"annotations": inst_annotations, "categories": categories}
-    return conllu_text, captions_doc, instances_doc, superclasses
-
-
-def write_corpus(dirpath, n_captions: int, seed: int) -> dict[str, str]:
-    """Write a community corpus to disk; returns the file paths."""
-    os.makedirs(dirpath, exist_ok=True)
-    conllu_text, captions_doc, instances_doc, superclasses = community_corpus(
-        n_captions, seed
-    )
-    paths = {
-        "conllu": os.path.join(dirpath, "captions.conllu"),
-        "captions": os.path.join(dirpath, "captions.json"),
-        "instances": os.path.join(dirpath, "instances.json"),
-        "superclasses": os.path.join(dirpath, "superclasses.tsv"),
-    }
-    with open(paths["conllu"], "w", encoding="utf-8") as f:
-        f.write(conllu_text)
-    with open(paths["captions"], "w", encoding="utf-8") as f:
-        json.dump(captions_doc, f, indent=2)
-    with open(paths["instances"], "w", encoding="utf-8") as f:
-        json.dump(instances_doc, f, indent=2)
-    with open(paths["superclasses"], "w", encoding="utf-8") as f:
-        for word in sorted(superclasses):
-            f.write(f"{word}\t{superclasses[word]}\n")
-    return paths
 
 
 def random_scene_graphs(seed: int, n_graphs: int) -> list[SceneGraph]:

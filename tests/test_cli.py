@@ -120,16 +120,30 @@ def test_train_basic_and_positional_widths(toy_cfg):
     main(["parse", "--config", cfg])
     main(["build-graphs", "--config", cfg])
     assert main(["train", "--config", cfg, "--graph", "basic"]) == 0
-    table, _ = load_embeddings(out / "embeddings" / "basic.victre")
-    assert table.width == 200
+    rows, _ = load_embeddings(out / "embeddings" / "basic.victre")
+    assert rows.shape[1] == 200
     assert main(["train", "--config", cfg, "--graph", "left_of"]) == 0
-    table, _ = load_embeddings(out / "embeddings" / "left_of.victre")
-    assert table.width == 50
+    rows, _ = load_embeddings(out / "embeddings" / "left_of.victre")
+    assert rows.shape[1] == 50
     model, seed = load_model(out / "models" / "basic.victrm")
     assert seed == 7 and model.hidden == 200
     with open(out / "loss" / "basic.csv", encoding="utf-8") as f:
         rows = f.read().strip().splitlines()
     assert rows[0] == "epoch,loss" and len(rows) == 201
+
+
+def test_train_positional_rows_outside_participants_zero(toy_cfg):
+    cfg, out = toy_cfg
+    main(["parse", "--config", cfg])
+    main(["build-graphs", "--config", cfg])
+    assert main(["train", "--config", cfg, "--graph", "left_of"]) == 0
+    rows, _ = load_embeddings(out / "embeddings" / "left_of.victre")
+    graph = deserialize_graph(out / "graphs" / "left_of.victrg")
+    inside = graph.participants()
+    outside = sorted(set(range(len(graph.vocab))) - set(inside))
+    assert rows.shape[0] == len(graph.vocab) and inside and outside
+    assert np.array_equal(rows[outside], np.zeros((len(outside), 50)))
+    assert rows[inside].any()
 
 
 def test_train_seed_repetition_identical_bytes(toy_cfg):
@@ -188,6 +202,78 @@ def test_fuse_deterministic(toy_cfg):
     first = (out / "fused" / "104.victrf").read_bytes()
     main(["fuse", "--config", cfg])
     assert (out / "fused" / "104.victrf").read_bytes() == first
+
+
+def test_parse_richest_after_all_drops_stale_scene_graphs(toy_cfg, tmp_path, capsys):
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    assert len(os.listdir(out / "scene_graphs")) == 20
+    assert main(["parse", "--config", cfg, "--caption-mode", "richest"]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["parse", "--config", cfg, "--caption-mode", "richest",
+                 "--out-dir", str(fresh)]) == 0
+    assert sorted(os.listdir(out / "scene_graphs")) == sorted(os.listdir(fresh / "scene_graphs"))
+    capsys.readouterr()
+    assert main(["stats", "--config", cfg]) == 0
+    assert "scene graphs: 10 captions" in capsys.readouterr().out
+
+
+def test_compose_and_fuse_drop_foreign_outputs(toy_cfg):
+    # files of another corpus in the stage directories, as a reused output
+    # directory holds them; fuse used to fail on the caption it cannot find
+    cfg, out = toy_cfg
+    _run_through_train(cfg)
+    (out / "evs").mkdir()
+    (out / "fused").mkdir()
+    foreign = [out / "evs" / "999.victre", out / "evs" / "999.manifest.json",
+               out / "fused" / "999.victrf"]
+    for path in foreign:
+        path.write_bytes(b"from an earlier run")
+    keep = out / "evs" / "notes.txt"
+    keep.write_text("not a stage output", encoding="utf-8")
+    assert main(["compose", "--config", cfg]) == 0
+    assert main(["fuse", "--config", cfg]) == 0
+    assert not any(path.exists() for path in foreign)
+    assert keep.exists()
+    assert len(os.listdir(out / "evs")) == 2 * 20 + 1
+    assert len(os.listdir(out / "fused")) == 20
+
+
+def _not_json(doc):
+    return "{not json"
+
+
+def _drop_relations(doc):
+    del doc["relations"]
+    return json.dumps(doc)
+
+
+def _objects_not_a_list(doc):
+    doc["objects"] = 5
+    return json.dumps(doc)
+
+
+def _string_object_id(doc):
+    doc["objects"][0]["id"] = "0"
+    return json.dumps(doc)
+
+
+def _number_as_word(doc):
+    doc["objects"][0]["word"] = 7
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _not_json, _drop_relations, _objects_not_a_list, _string_object_id, _number_as_word,
+], ids=["not_json", "missing_key", "objects_int", "string_id", "non_string_word"])
+def test_build_graphs_malformed_scene_graph_exit_2(toy_cfg, capsys, corrupt):
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    path = out / "scene_graphs" / "101.json"
+    path.write_text(corrupt(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build-graphs", "--config", cfg]) == 2
+    assert f"{path}: " in capsys.readouterr().err
 
 
 def test_fuse_before_compose_exit_2(toy_cfg, capsys):

@@ -7,10 +7,10 @@ from victr.embedding import (
     projection_rows,
     scene_visual_semantics,
 )
-from victr.gcn import EmbeddingTable
 from victr.geometry import GEOMETRIC_RELATIONS
-from victr.graphstore import build_vocabulary
+from victr.graphstore import ATTRIBUTE, OBJECT, RELATION, build_vocabulary
 from victr.sceneparse import SceneGraph
+from victr.synthetic import random_scene_graphs
 
 
 def sg(cid, objects, relations=(), attributes=()):
@@ -26,33 +26,37 @@ BASE_SG = sg(1, ["man", "horse"], relations=[(0, "ride", 1)],
              attributes=[(1, "brown")])
 
 
-def _tables(b=200, p=50, seed=0, restrict_positional_to=None):
+def _tables(b=200, p=50, seed=0, positional_zero=False):
     vocab = build_vocabulary([BASE_SG])
     rng = np.random.default_rng(seed)
-    basic = EmbeddingTable.from_dense(rng.standard_normal((len(vocab), b)))
+    basic = rng.standard_normal((len(vocab), b))
     positional = {}
     for name in GEOMETRIC_RELATIONS:
-        table = EmbeddingTable.from_dense(rng.standard_normal((len(vocab), p)))
-        if restrict_positional_to is not None:
-            table = table.restrict(restrict_positional_to)
-        positional[name] = table
+        rows = rng.standard_normal((len(vocab), p))
+        positional[name] = 0.0 * rows if positional_zero else rows
     return vocab, basic, positional
+
+
+def _vector(tables, word, kind):
+    """The composed vector of (word, kind): basic segment only for attributes."""
+    width = tables.basic_width if kind == ATTRIBUTE else tables.full_width
+    return tables.vectors[tables.row_of(word, kind), :width]
 
 
 def test_composed_widths_default_dims():
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
     assert tables.full_width == 500
-    assert tables.object_vector("man").shape == (500,)
-    assert tables.relation_vector("ride").shape == (500,)
-    assert tables.attribute_vector("brown").shape == (200,)
+    assert tables.vectors.shape == (len(vocab) + 1, 500)
+    assert _vector(tables, "man", OBJECT).shape == (500,)
+    assert _vector(tables, "brown", ATTRIBUTE).shape == (200,)
     assert tables.scene_width == 1200
 
 
 def test_missing_positional_entries_zero_filled():
-    vocab, basic, positional = _tables(restrict_positional_to=[])
+    vocab, basic, positional = _tables(positional_zero=True)
     tables = compose_tables(vocab, basic, positional)
-    v = tables.object_vector("man")
+    v = _vector(tables, "man", OBJECT)
     assert v.shape == (500,)
     assert v[:200].any() and not v[200:].any()
 
@@ -60,18 +64,24 @@ def test_missing_positional_entries_zero_filled():
 def test_unknown_words_map_to_zero_vectors():
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
-    assert not tables.object_vector("zzyzx").any()
-    assert not tables.relation_vector("zzyzx").any()
-    assert not tables.attribute_vector("zzyzx").any()
+    for kind in (OBJECT, RELATION, ATTRIBUTE):
+        assert tables.row_of("zzyzx", kind) == len(vocab)
+        assert not _vector(tables, "zzyzx", kind).any()
+    # a known word under another kind is unknown too
+    assert not _vector(tables, "man", RELATION).any()
 
 
 def test_width_mismatch_rejected():
     vocab, basic, positional = _tables()
-    positional["above"] = EmbeddingTable.from_dense(
-        np.zeros((len(vocab), 49))
-    )
+    positional["above"] = np.zeros((len(vocab), 49))
     with pytest.raises(ValueError, match="widths"):
         compose_tables(vocab, basic, positional)
+
+
+def test_table_size_mismatch_rejected():
+    vocab, basic, positional = _tables()
+    with pytest.raises(ValueError, match="does not match vocabulary"):
+        compose_tables(vocab, basic[:-1], positional)
 
 
 def test_positional_segment_order_is_fixed():
@@ -79,9 +89,9 @@ def test_positional_segment_order_is_fixed():
     tables = compose_tables(vocab, basic, positional)
     idx = vocab.require("man", "object")
     want = np.concatenate(
-        [basic.vector(idx)] + [positional[name].vector(idx) for name in GEOMETRIC_RELATIONS]
+        [basic[idx]] + [positional[name][idx] for name in GEOMETRIC_RELATIONS]
     )
-    assert np.array_equal(tables.object_vector("man"), want)
+    assert np.array_equal(_vector(tables, "man", OBJECT), want)
 
 
 def test_scene_row_layout_no_attributes():
@@ -90,23 +100,20 @@ def test_scene_row_layout_no_attributes():
     vs = scene_visual_semantics(BASE_SG, tables)
     assert vs.rows.shape == (2, 1200)
     man_row = vs.rows[0]
-    assert np.array_equal(man_row[:500], tables.object_vector("man"))
+    assert np.array_equal(man_row[:500], _vector(tables, "man", OBJECT))
     assert not man_row[500:700].any()  # man has no attributes
-    assert np.array_equal(man_row[700:], tables.relation_vector("ride"))
+    assert np.array_equal(man_row[700:], _vector(tables, "ride", RELATION))
 
 
 def test_scene_row_mean_pools_attributes():
     graph = sg(1, ["dog"], attributes=[(0, "brown"), (0, "big")])
     vocab = build_vocabulary([graph])
     rng = np.random.default_rng(1)
-    basic = EmbeddingTable.from_dense(rng.standard_normal((len(vocab), 4)))
-    positional = {
-        name: EmbeddingTable.from_dense(np.zeros((len(vocab), 2)))
-        for name in GEOMETRIC_RELATIONS
-    }
+    basic = rng.standard_normal((len(vocab), 4))
+    positional = {name: np.zeros((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
     vs = scene_visual_semantics(graph, tables)
-    want = (tables.attribute_vector("brown") + tables.attribute_vector("big")) / 2
+    want = (_vector(tables, "brown", ATTRIBUTE) + _vector(tables, "big", ATTRIBUTE)) / 2
     fw = tables.full_width
     assert np.allclose(vs.rows[0, fw : fw + 4], want)
 
@@ -120,11 +127,8 @@ def test_scene_rows_differ_for_duplicate_words_with_different_attributes():
     )
     vocab = build_vocabulary([graph])
     rng = np.random.default_rng(2)
-    basic = EmbeddingTable.from_dense(rng.standard_normal((len(vocab), 4)))
-    positional = {
-        name: EmbeddingTable.from_dense(np.zeros((len(vocab), 2)))
-        for name in GEOMETRIC_RELATIONS
-    }
+    basic = rng.standard_normal((len(vocab), 4))
+    positional = {name: np.zeros((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
     vs = scene_visual_semantics(graph, tables)
     assert not np.array_equal(vs.rows[0], vs.rows[1])
@@ -134,16 +138,13 @@ def test_scene_relation_segment_pools_both_sides():
     graph = sg(1, ["man", "horse"], relations=[(0, "ride", 1)])
     vocab = build_vocabulary([graph])
     rng = np.random.default_rng(3)
-    basic = EmbeddingTable.from_dense(rng.standard_normal((len(vocab), 4)))
-    positional = {
-        name: EmbeddingTable.from_dense(rng.standard_normal((len(vocab), 2)))
-        for name in GEOMETRIC_RELATIONS
-    }
+    basic = rng.standard_normal((len(vocab), 4))
+    positional = {name: rng.standard_normal((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
     vs = scene_visual_semantics(graph, tables)
     fw, bw = tables.full_width, tables.basic_width
     # horse is the object side of the triple; it still pools "ride"
-    assert np.array_equal(vs.rows[1, fw + bw :], tables.relation_vector("ride"))
+    assert np.array_equal(vs.rows[1, fw + bw :], _vector(tables, "ride", RELATION))
 
 
 def test_scene_empty_graph():
@@ -165,11 +166,8 @@ def test_scene_permutation_equivariant():
     )
     vocab = build_vocabulary([graph])
     rng = np.random.default_rng(4)
-    basic = EmbeddingTable.from_dense(rng.standard_normal((len(vocab), 4)))
-    positional = {
-        name: EmbeddingTable.from_dense(rng.standard_normal((len(vocab), 2)))
-        for name in GEOMETRIC_RELATIONS
-    }
+    basic = rng.standard_normal((len(vocab), 4))
+    positional = {name: rng.standard_normal((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
     a = scene_visual_semantics(graph, tables)
     b = scene_visual_semantics(flipped, tables)
@@ -240,8 +238,92 @@ def test_projection_rows_kinds():
     words, rows = projection_rows(tables, "object")
     assert words == ["horse", "man"]
     assert rows.shape == (2, 16)
-    words, rows = projection_rows(tables, "joint")
-    assert rows.shape == (4, 16)
-    assert any(w.endswith("/attribute") for w in words)
+    assert np.array_equal(rows[1], _vector(tables, "man", OBJECT))
+    words, rows = projection_rows(tables, "attribute")
+    assert words == ["brown"]
+    assert rows.shape == (1, 4)
     with pytest.raises(ValueError, match="unknown projection kind"):
         projection_rows(tables, "everything")
+
+
+# Reference: the dict-of-vectors composition that the (V + 1, width) array
+# replaced, kept to show that the array path gives bit-identical rows.
+
+def _reference_tables(vocab, basic, positional):
+    tables = [positional[name] for name in GEOMETRIC_RELATIONS]
+
+    def concat(idx):
+        return np.concatenate([basic[idx]] + [t[idx] for t in tables])
+
+    return {
+        OBJECT: {w: concat(i) for i, w in vocab.words_of_kind(OBJECT)},
+        RELATION: {w: concat(i) for i, w in vocab.words_of_kind(RELATION)},
+        ATTRIBUTE: {w: np.asarray(basic[i]) for i, w in vocab.words_of_kind(ATTRIBUTE)},
+    }
+
+
+def _reference_rows(sg, ref, bw, fw):
+    def vector(kind, word):
+        v = ref[kind].get(word)
+        return np.zeros(bw if kind == ATTRIBUTE else fw) if v is None else v
+
+    attrs_by_obj, rels_by_obj = {}, {}
+    for oid, word in sg.attributes:
+        attrs_by_obj.setdefault(oid, []).append(word)
+    for s, p, o in sg.relations:
+        rels_by_obj.setdefault(s, []).append(p)
+        rels_by_obj.setdefault(o, []).append(p)
+    rows = np.zeros((len(sg.objects), 2 * fw + bw))
+    for i, (oid, word, _) in enumerate(sg.objects):
+        rows[i, :fw] = vector(OBJECT, word)
+        if oid in attrs_by_obj:
+            rows[i, fw : fw + bw] = np.mean(
+                [vector(ATTRIBUTE, w) for w in attrs_by_obj[oid]], axis=0)
+        if oid in rels_by_obj:
+            rows[i, fw + bw :] = np.mean(
+                [vector(RELATION, w) for w in rels_by_obj[oid]], axis=0)
+    return rows
+
+
+def _random_scene_graph(rng, cid):
+    """Up to 6 objects with repeated words, attributes and predicates; the
+    pools reach past random_scene_graphs' vocabulary (obj10, rel6, attr5...)."""
+    n = int(rng.integers(0, 7))
+    objects = tuple((i, f"obj{int(rng.integers(12))}", "c") for i in range(n))
+    attributes = tuple((int(rng.integers(n)), f"attr{int(rng.integers(7))}")
+                       for _ in range(int(rng.integers(0, 8)))) if n else ()
+    relations = set()
+    for _ in range(int(rng.integers(0, 10)) if n >= 2 else 0):
+        s, o = rng.choice(n, size=2, replace=False)
+        relations.add((int(s), f"rel{int(rng.integers(8))}", int(o)))
+    return SceneGraph(caption_id=str(cid), image_id=str(cid), objects=objects,
+                      attributes=attributes, relations=tuple(sorted(relations)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_composition_matches_dict_reference(seed):
+    rng = np.random.default_rng(seed)
+    vocab = build_vocabulary(random_scene_graphs(seed, n_graphs=30))
+    b, p = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    basic = rng.standard_normal((len(vocab), b))
+    positional = {}
+    for name in GEOMETRIC_RELATIONS:
+        rows = rng.standard_normal((len(vocab), p))
+        rows[rng.random(len(vocab)) < 0.5] = 0.0  # nodes outside this graph
+        positional[name] = rows
+    tables = compose_tables(vocab, basic, positional)
+    ref = _reference_tables(vocab, basic, positional)
+
+    graphs = [_random_scene_graph(rng, cid) for cid in range(60)]
+    assert any(w not in ref[OBJECT] for sg in graphs for _, w, _ in sg.objects)
+    assert any(len(sg.attributes) > len({oid for oid, _ in sg.attributes}) for sg in graphs)
+    for sg in graphs:
+        got = scene_visual_semantics(sg, tables)
+        want = _reference_rows(sg, ref, tables.basic_width, tables.full_width)
+        assert np.array_equal(got.rows, want)
+        assert got.object_ids == [oid for oid, _, _ in sg.objects]
+    for kind in (OBJECT, RELATION, ATTRIBUTE):
+        words, rows = projection_rows(tables, kind)
+        items = sorted(ref[kind].items())
+        assert words == [w for w, _ in items]
+        assert np.array_equal(rows, np.array([v for _, v in items]))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from victr.gcn import (
-    EmbeddingTable,
     GcnModel,
     TrainConfig,
     TrainingDiverged,
@@ -181,8 +180,9 @@ def test_extract_embeddings_zero_model():
     a_hat, model, _ = _random_setup(3)
     zero = GcnModel(np.zeros_like(model.w1), np.zeros_like(model.b1),
                     np.zeros_like(model.w2), np.zeros_like(model.b2))
-    table = extract_embeddings(zero, a_hat)
-    assert not table.dense().any()
+    rows = extract_embeddings(zero, a_hat)
+    assert rows.shape == (a_hat.shape[0], model.hidden)
+    assert not rows.any()
 
 
 def test_extract_embeddings_tied_duplicate_nodes():
@@ -202,8 +202,8 @@ def test_extract_embeddings_tied_duplicate_nodes():
     w1[1] = w1[0]
     model = GcnModel(w1=w1, b1=rng.standard_normal(4),
                      w2=rng.standard_normal((4, 2)), b2=np.zeros(2))
-    table = extract_embeddings(model, a_hat)
-    assert np.allclose(table.vector(0), table.vector(1))
+    rows = extract_embeddings(model, a_hat)
+    assert np.allclose(rows[0], rows[1])
 
 
 def test_embeddings_cluster_by_clique():
@@ -211,10 +211,10 @@ def test_embeddings_cluster_by_clique():
     cfg = TrainConfig()
     model = init_model(a_hat.shape[0], 8, len(classes), cfg)
     trained, _ = train(model, a_hat, labels, cfg)
-    table = extract_embeddings(trained, a_hat)
+    rows = extract_embeddings(trained, a_hat)
     groups = {0: [], 1: []}
     for node, cls in labels.items():
-        groups[cls].append(table.vector(node))
+        groups[cls].append(rows[node])
 
     def cos(u, v):
         return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + 1e-12))
@@ -291,20 +291,14 @@ def test_model_file_round_trip(tmp_path):
 def test_embedding_file_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     dense = rng.standard_normal((5, 3)).astype(np.float32).astype(np.float64)
-    table = EmbeddingTable.from_dense(dense)
     path = tmp_path / "e.victre"
-    save_embeddings(table, path, vocab_hash="cafe")
+    save_embeddings(dense, path, vocab_hash="cafe")
     loaded, vh = load_embeddings(path)
     assert vh == "cafe"
-    assert np.array_equal(loaded.dense(), dense)
-
-
-def test_restricted_table_zero_fills(tmp_path):
-    rng = np.random.default_rng(13)
-    table = EmbeddingTable.from_dense(rng.standard_normal((4, 2)))
-    kept = table.restrict([1, 3])
-    assert not kept.vector(0).any()
-    assert np.array_equal(kept.vector(1), table.vector(1))
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, dense)
+    save_embeddings(np.zeros((0, 7)), path, vocab_hash="cafe")  # a caption with no objects
+    assert load_embeddings(path)[0].shape == (0, 7)
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +339,8 @@ def test_adjacency_operator_trains_like_dense(toy_graphs):
         got, got_history = train(model, a_hat, labels, cfg)
         want, want_history = train(model, a_hat.toarray(), labels, cfg)
         assert np.allclose(got_history, want_history, rtol=0, atol=1e-10), name
-        assert np.allclose(extract_embeddings(got, a_hat).dense(),
-                           extract_embeddings(want, a_hat.toarray()).dense(),
+        assert np.allclose(extract_embeddings(got, a_hat),
+                           extract_embeddings(want, a_hat.toarray()),
                            rtol=0, atol=1e-10), name
         assert accuracy(got, a_hat, labels) == accuracy(want, a_hat.toarray(), labels)
 
@@ -404,6 +398,6 @@ def test_class_width_propagation_matches_reference_order(toy_graphs):
         for a, b in ((got.w1, want.w1), (got.b1, want.b1),
                      (got.w2, want.w2), (got.b2, want.b2)):
             assert np.allclose(a, b, rtol=0, atol=1e-12), name
-        assert np.allclose(extract_embeddings(got, a_hat).dense(),
-                           extract_embeddings(want, a_hat).dense(),
+        assert np.allclose(extract_embeddings(got, a_hat),
+                           extract_embeddings(want, a_hat),
                            rtol=0, atol=1e-12), name
