@@ -270,6 +270,17 @@ def cmd_compose(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _fusion_parameters(cfg, weights_path: str | None, visual_dim: int) -> fus.FusionParameters:
+    if weights_path:
+        w = np.load(_require_file(weights_path, "fusion weight file"))
+        if w.shape != (cfg.text_width, visual_dim):
+            raise ValueError(
+                f"fusion weights shape {w.shape}, expected ({cfg.text_width}, {visual_dim})"
+            )
+        return fus.FusionParameters(w=w)
+    return fus.init_fusion_parameters(cfg.text_width, visual_dim, cfg.seed)
+
+
 def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
              features_dir: str | None) -> int:
     evs_dir = os.path.join(cfg.out_dir, "evs")
@@ -287,26 +298,16 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
         for g in ingest.load_conllu(cfg.conllu)
     }
 
-    first_rows, _ = gcn.load_embeddings(
-        os.path.join(evs_dir, f"{caption_ids[0]}.victre")
-    )
-    visual_dim = first_rows.shape[1]
-    if weights_path:
-        w = np.load(_require_file(weights_path, "fusion weight file"))
-        if w.shape != (cfg.text_width, visual_dim):
-            raise ValueError(
-                f"fusion weights shape {w.shape}, expected ({cfg.text_width}, {visual_dim})"
-            )
-        params = fus.FusionParameters(w=w)
-    else:
-        params = fus.init_fusion_parameters(cfg.text_width, visual_dim, cfg.seed)
-
     fused_dir = os.path.join(cfg.out_dir, "fused")
     os.makedirs(fused_dir, exist_ok=True)
+    params = None
     for cid in caption_ids:
         if cid not in tokens_by_caption:
             raise ValueError(f"caption {cid} not present in {cfg.conllu}")
         vs_rows, _ = gcn.load_embeddings(os.path.join(evs_dir, f"{cid}.victre"))
+        if params is None:  # the first caption's rows give the visual width
+            visual_dim = vs_rows.shape[1]
+            params = _fusion_parameters(cfg, weights_path, visual_dim)
         if features_dir:
             text = fus.load_text_features(
                 _require_file(os.path.join(features_dir, f"{cid}.victre"),
@@ -367,6 +368,7 @@ def cmd_project(cfg: PipelineConfig, kind: str, svg: bool) -> int:
     with open(tsv_path, "w", encoding="utf-8") as f:
         for word, (x, y) in zip(words, coords):
             f.write(f"{word}\t{kind}\t{float(x)!r}\t{float(y)!r}\n")
+    svg_path = os.path.join(proj_dir, f"{kind}.svg")
     if svg:
         super_of = {
             w: vocab.object_super_class.get(i, "other")
@@ -375,7 +377,9 @@ def cmd_project(cfg: PipelineConfig, kind: str, svg: bool) -> int:
         classes = sorted(set(super_of.values()) | {"other"})
         color_of = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(classes)}
         colors = [color_of.get(super_of.get(w, "other"), "#333333") for w in words]
-        _write_svg(os.path.join(proj_dir, f"{kind}.svg"), words, coords, colors)
+        _write_svg(svg_path, words, coords, colors)
+    elif os.path.exists(svg_path):  # an earlier run's plot of other embeddings
+        os.remove(svg_path)
     print(f"projected {len(words)} {kind} vectors to {tsv_path}")
     return 0
 

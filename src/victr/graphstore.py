@@ -1,10 +1,12 @@
 """Corpus-level relational graphs over the object/relation/attribute vocabulary.
 
-One basic graph plus six positional graphs share a vocabulary. Edge weights
-are conditional frequencies: object->relation edges normalize over the
-object's relation successors, relation->object edges over the relation's
-object successors, and object->attribute edges over the attribute's total
-occurrences (attribute-conditioned). Every node carries self-weight 1.
+One basic graph plus six positional graphs share a vocabulary. A graph is
+the array its file stores: one ``EDGE_DTYPE`` record per (src, dst), sorted
+by (src, dst). Edge weights are conditional frequencies: object->relation
+edges normalize over the object's relation successors, relation->object
+edges over the relation's object successors, and object->attribute edges
+over the attribute's total occurrences (attribute-conditioned). Every node
+carries self-weight 1.
 
 ``normalized_adjacency`` turns a graph into the GCN's propagation operator
 A_hat without a V x V array: an ``Adjacency`` is the identity on nodes that
@@ -15,8 +17,6 @@ matrix.
 """
 
 import hashlib
-import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,17 +46,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def lookup(self, word: str, kind: str) -> int | None:
-        return self.index.get((word, kind))
-
     def require(self, word: str, kind: str) -> int:
         idx = self.index.get((word, kind))
         if idx is None:
             raise KeyError(f"out-of-vocabulary {kind} word {word!r}")
         return idx
-
-    def kind_of(self, idx: int) -> str:
-        return self.nodes[idx][1]
 
     def words_of_kind(self, kind: str) -> list[tuple[int, str]]:
         return [(i, w) for i, (w, k) in enumerate(self.nodes) if k == kind]
@@ -68,25 +62,49 @@ class Vocabulary:
 
 @dataclass
 class RelationalGraph:
+    """Edges as ``EDGE_DTYPE`` records, one per (src, dst), sorted by (src, dst).
+
+    Counted edges have count > 0. A weighted graph (from ``compute_weights``)
+    also carries a count-0, weight-1 self-loop on every node.
+    """
+
     vocab: Vocabulary
     kind: str  # "basic" or one of the six geometric relations
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
+    edges: np.ndarray
 
-    def bump(self, src: int, dst: int, by: int = 1) -> None:
-        self.counts[(src, dst)] = self.counts.get((src, dst), 0) + by
+    @property
+    def weights(self) -> np.ndarray:
+        return self.edges["weight"]
 
-    def participants(self) -> list[int]:
+    def _counted(self) -> np.ndarray:
+        e = self.edges
+        return e[(e["count"] > 0) & (e["src"] != e["dst"])]
+
+    def participants(self) -> np.ndarray:
         """Nodes touching at least one counted (non-self) edge, ascending."""
-        seen = set()
-        for (s, d), c in self.counts.items():
-            if c > 0 and s != d:
-                seen.add(s)
-                seen.add(d)
-        return sorted(seen)
+        counted = self._counted()
+        return np.union1d(counted["src"], counted["dst"])
 
     def edge_count(self) -> int:
-        return sum(1 for c in self.counts.values() if c > 0)
+        return int(np.count_nonzero(self.edges["count"]))
+
+
+def _count_edges(vocab: Vocabulary, kind: str, src: list, dst: list) -> RelationalGraph:
+    """One record per distinct (src, dst) pair, its count the pair's occurrences."""
+    n = len(vocab)
+    pairs = np.array([src, dst], dtype=np.int64)
+    keys, counts = np.unique(pairs[0] * n + pairs[1], return_counts=True)
+    edges = np.zeros(len(keys), dtype=EDGE_DTYPE)
+    edges["src"], edges["dst"] = np.divmod(keys, n)
+    edges["count"] = counts
+    return RelationalGraph(vocab=vocab, kind=kind, edges=edges)
+
+
+def _families(vocab: Vocabulary, edges: np.ndarray) -> np.ndarray:
+    """Weight-family key per off-diagonal record: the source node, or V plus
+    the attribute node for object->attribute edges."""
+    is_attribute = np.array([k == ATTRIBUTE for _, k in vocab.nodes], dtype=bool)
+    return np.where(is_attribute[edges["dst"]], len(vocab) + edges["dst"], edges["src"])
 
 
 def build_vocabulary(corpus) -> Vocabulary:
@@ -137,27 +155,26 @@ def build_vocabulary(corpus) -> Vocabulary:
     return Vocabulary(nodes=nodes, index=index, object_super_class=super_class)
 
 
-def accumulate_counts(corpus, vocab: Vocabulary, kind: str = "basic") -> RelationalGraph:
-    """Sum edge occurrences over the whole corpus into one graph.
+def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
+    """Sum edge occurrences over the whole corpus into the basic graph.
 
     Attribute counts live on the display edge object->attribute; the count
     of that edge equals the number of times the attribute modified the
     object, which is exactly the attribute->object occurrence count.
     """
-    g = RelationalGraph(vocab=vocab, kind=kind)
+    src, dst = [], []
     for sg in corpus:
         words = {oid: word for oid, word, _ in sg.objects}
         for s, p, o in sg.relations:
             si = vocab.require(words[s], OBJECT)
             pi = vocab.require(p, RELATION)
             oi = vocab.require(words[o], OBJECT)
-            g.bump(si, pi)
-            g.bump(pi, oi)
+            src += (si, pi)
+            dst += (pi, oi)
         for oid, attr in sg.attributes:
-            oi = vocab.require(words[oid], OBJECT)
-            ai = vocab.require(attr, ATTRIBUTE)
-            g.bump(oi, ai)
-    return g
+            src.append(vocab.require(words[oid], OBJECT))
+            dst.append(vocab.require(attr, ATTRIBUTE))
+    return _count_edges(vocab, "basic", src, dst)
 
 
 def compute_weights(graph: RelationalGraph) -> RelationalGraph:
@@ -167,52 +184,33 @@ def compute_weights(graph: RelationalGraph) -> RelationalGraph:
     relation->object: by the relation's total over object successors;
     object->attribute: by the attribute's total over the objects it modifies.
     """
-    vocab = graph.vocab
-    out_totals: dict[int, int] = {}  # per-source totals for o->r and r->o edges
-    attr_totals: dict[int, int] = {}  # per-attribute totals for o->a edges
-    for (s, d), c in graph.counts.items():
-        if c <= 0 or s == d:
-            continue
-        dk = vocab.kind_of(d)
-        if dk == ATTRIBUTE:
-            attr_totals[d] = attr_totals.get(d, 0) + c
-        else:
-            out_totals[s] = out_totals.get(s, 0) + c
-
-    weights: dict[tuple[int, int], float] = {}
-    for (s, d), c in graph.counts.items():
-        if c <= 0 or s == d:
-            continue
-        if vocab.kind_of(d) == ATTRIBUTE:
-            weights[(s, d)] = c / attr_totals[d]
-        else:
-            weights[(s, d)] = c / out_totals[s]
-    for i in range(len(vocab)):
-        weights[(i, i)] = 1.0
-    graph.weights = weights
+    n = len(graph.vocab)
+    counted = graph._counted()
+    families = _families(graph.vocab, counted)
+    totals = np.bincount(families, weights=counted["count"])
+    counted["weight"] = counted["count"] / totals[families]
+    loops = np.array([(i, i, 0, 1.0) for i in range(n)], dtype=EDGE_DTYPE)
+    edges = np.concatenate([counted, loops])
+    graph.edges = edges[np.lexsort((edges["dst"], edges["src"]))]
     return graph
 
 
-def verify_weight_sums(graph: RelationalGraph, tol: float = WEIGHT_SUM_TOL) -> None:
+def verify_weight_sums(graph: RelationalGraph) -> None:
     """Check that every per-node weight family sums to 1; raise InvariantError."""
-    vocab = graph.vocab
-    out_sums: dict[int, float] = {}
-    attr_sums: dict[int, float] = {}
-    for (s, d), w in graph.weights.items():
-        if s == d:
-            continue
-        if vocab.kind_of(d) == ATTRIBUTE:
-            attr_sums[d] = attr_sums.get(d, 0.0) + w
-        else:
-            out_sums[s] = out_sums.get(s, 0.0) + w
-    for label, sums in (("successor", out_sums), ("attribute", attr_sums)):
-        for node, total in sums.items():
-            if abs(total - 1.0) > tol:
-                word, kind = vocab.nodes[node]
-                raise InvariantError(
-                    f"{graph.kind} graph: {label} weight family of "
-                    f"{kind} node {word!r} sums to {total!r}"
-                )
+    vocab, n = graph.vocab, len(graph.vocab)
+    off = graph.edges[graph.edges["src"] != graph.edges["dst"]]
+    families = _families(vocab, off)
+    sums = np.bincount(families, weights=off["weight"])
+    present = np.unique(families)
+    bad = present[np.abs(sums[present] - 1.0) > WEIGHT_SUM_TOL]
+    if bad.size:
+        key = bad[0]
+        word, kind = vocab.nodes[key % n]
+        label = "successor" if key < n else "attribute"
+        raise InvariantError(
+            f"{graph.kind} graph: {label} weight family of "
+            f"{kind} node {word!r} sums to {float(sums[key])!r}"
+        )
 
 
 def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
@@ -223,7 +221,7 @@ def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
     BoundingBox (may be empty). A triple contributes only when both of its
     objects have boxes, and then to exactly one graph.
     """
-    graphs = {p: RelationalGraph(vocab=vocab, kind=p) for p in GEOMETRIC_RELATIONS}
+    ids = {p: ([], []) for p in GEOMETRIC_RELATIONS}  # label -> (src ids, dst ids)
     for sg, matches in zip(corpus, box_matches):
         if not matches:
             continue
@@ -231,13 +229,13 @@ def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
         for s, p, o in sg.relations:
             if s not in matches or o not in matches:
                 continue
-            label = classify_geometric_relation(matches[s], matches[o])
-            g = graphs[label]
-            g.bump(vocab.require(words[s], OBJECT), vocab.require(p, RELATION))
-            g.bump(vocab.require(p, RELATION), vocab.require(words[o], OBJECT))
-    for g in graphs.values():
-        compute_weights(g)
-    return graphs
+            src, dst = ids[classify_geometric_relation(matches[s], matches[o])]
+            si = vocab.require(words[s], OBJECT)
+            pi = vocab.require(p, RELATION)
+            src += (si, pi)
+            dst += (pi, vocab.require(words[o], OBJECT))
+    return {p: compute_weights(_count_edges(vocab, p, *ids[p]))
+            for p in GEOMETRIC_RELATIONS}
 
 
 class Adjacency:
@@ -282,17 +280,16 @@ def normalized_adjacency(graph: RelationalGraph) -> Adjacency:
     """Degree-normalized adjacency: A_hat[i,j] = A[i,j] / sqrt(d_i * d_j).
 
     A is the weight matrix (self-loops of weight 1 included); d is the row
-    sum. Built from the weight entries alone, with no V x V intermediate:
+    sum. Built from the edge records alone, with no V x V intermediate:
     nodes without an off-diagonal edge become the identity part of the
     returned ``Adjacency``, which is exact since their only weight is the
     self-loop, so A_hat[i,i] = w_ii / d_i = 1.
     """
-    if not graph.weights:
+    e = graph.edges
+    if not e["weight"].any():
         raise ValueError("normalized_adjacency: call compute_weights first")
-    n, m = len(graph.vocab), len(graph.weights)
-    src, dst = np.fromiter(itertools.chain.from_iterable(graph.weights), dtype=np.intp,
-                           count=2 * m).reshape(m, 2).T
-    w = np.fromiter(graph.weights.values(), dtype=float, count=m)
+    n = len(graph.vocab)
+    src, dst, w = e["src"].astype(np.intp), e["dst"].astype(np.intp), e["weight"]
     deg = np.bincount(src, weights=w, minlength=n)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
@@ -311,23 +308,18 @@ def normalized_adjacency(graph: RelationalGraph) -> Adjacency:
 
 
 def serialize_graph(graph: RelationalGraph, path) -> None:
-    keys = sorted(set(graph.counts) | set(graph.weights))
-    records = np.zeros(len(keys), dtype=EDGE_DTYPE)
-    for i, (s, d) in enumerate(keys):
-        records[i] = (s, d, graph.counts.get((s, d), 0),
-                      graph.weights.get((s, d), 0.0))
     vocab = graph.vocab
     header = {
         "kind": graph.kind,
         "n": len(vocab),
-        "nnz": len(keys),
+        "nnz": len(graph.edges),
         "vocab": {
             "words": [w for w, _ in vocab.nodes],
             "kinds": [k for _, k in vocab.nodes],
             "super": {str(i): s for i, s in sorted(vocab.object_super_class.items())},
         },
     }
-    write_container(path, GRAPH_MAGIC, header, records.tobytes())
+    write_container(path, GRAPH_MAGIC, header, graph.edges.tobytes())
 
 
 def deserialize_graph(path) -> RelationalGraph:
@@ -338,15 +330,18 @@ def deserialize_graph(path) -> RelationalGraph:
     records = np.frombuffer(payload, dtype=EDGE_DTYPE)
     if len(records) != header["nnz"]:
         raise ValueError(f"{path}: expected {header['nnz']} edges, got {len(records)}")
-    outside = np.flatnonzero(np.maximum(records["src"], records["dst"]) >= len(nodes))
+    src, dst = records["src"], records["dst"]
+    outside = np.flatnonzero(np.maximum(src, dst) >= len(nodes))
     if outside.size:
         i = outside[0]
         raise ValueError(
-            f"{path}: edge {i} ({records['src'][i]}, {records['dst'][i]}) has a node "
+            f"{path}: edge {i} ({src[i]}, {dst[i]}) has a node "
             f"outside the vocabulary of {len(nodes)} nodes"
         )
-    keys = list(zip(records["src"].tolist(), records["dst"].tolist()))
-    graph = RelationalGraph(vocab=vocab, kind=header["kind"])
-    graph.counts = {k: c for k, c in zip(keys, records["count"].tolist()) if c}
-    graph.weights = {k: w for k, w in zip(keys, records["weight"].tolist()) if w}
-    return graph
+    keys = src.astype(np.int64) * len(nodes) + dst
+    unordered = np.flatnonzero(keys[1:] <= keys[:-1])
+    if unordered.size:  # a repeated record would count twice in the degree sums
+        i = unordered[0] + 1
+        raise ValueError(f"{path}: edge {i} ({src[i]}, {dst[i]}) does not follow edge "
+                         f"{i - 1}; records must be strictly ascending in (src, dst)")
+    return RelationalGraph(vocab=vocab, kind=header["kind"], edges=records)

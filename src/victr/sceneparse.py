@@ -89,15 +89,12 @@ class QuantifierLexicon:
 @dataclass
 class SuperClassLexicon:
     entries: dict[str, str]
-    fallback: str = "other"
 
     def __post_init__(self):
-        if not self.fallback:
-            raise ValueError("fallback super-class must be nonempty")
         self.entries = {k.lower(): v for k, v in self.entries.items()}
 
     def lookup(self, lemma: str) -> str:
-        return self.entries.get(lemma.lower(), self.fallback)
+        return self.entries.get(lemma.lower(), "other")
 
 
 def load_quantifier_lexicon(path, many_value=3, max_duplication=10) -> QuantifierLexicon:
@@ -130,7 +127,7 @@ def load_quantifier_lexicon(path, many_value=3, max_duplication=10) -> Quantifie
                              max_duplication=max_duplication)
 
 
-def load_superclass_lexicon(path, fallback="other") -> SuperClassLexicon:
+def load_superclass_lexicon(path) -> SuperClassLexicon:
     """TSV rows ``lemma<TAB>super_class``."""
     entries = {}
     with open(path, encoding="utf-8") as f:
@@ -142,7 +139,7 @@ def load_superclass_lexicon(path, fallback="other") -> SuperClassLexicon:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected 'lemma<TAB>super_class'")
             entries[parts[0].strip()] = parts[1].strip()
-    return SuperClassLexicon(entries, fallback=fallback)
+    return SuperClassLexicon(entries)
 
 
 def _is_plural_noun(tok: Token) -> bool:

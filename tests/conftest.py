@@ -3,7 +3,7 @@ import os
 import pytest
 
 from victr.ingest import load_conllu
-from victr.sceneparse import QuantifierLexicon, SuperClassLexicon, load_superclass_lexicon
+from victr.sceneparse import QuantifierLexicon, load_superclass_lexicon
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY = os.path.join(REPO, "data", "toy")
@@ -40,8 +40,3 @@ def qlex():
 @pytest.fixture(scope="session")
 def slex(toy_paths):
     return load_superclass_lexicon(toy_paths["superclasses"])
-
-
-@pytest.fixture(scope="session")
-def fallback_slex():
-    return SuperClassLexicon({})

@@ -7,10 +7,18 @@ import sys
 import numpy as np
 import pytest
 
+import victr.gcn
+from victr.binio import read_container
 from victr.cli import main
 from victr.fusion import load_fused
 from victr.gcn import load_embeddings, load_model
-from victr.graphstore import RelationalGraph, Vocabulary, deserialize_graph, serialize_graph
+from victr.graphstore import (
+    EDGE_DTYPE,
+    RelationalGraph,
+    Vocabulary,
+    deserialize_graph,
+    serialize_graph,
+)
 
 
 def _cfg_file(tmp_path, toy_paths, out_dir, **extra):
@@ -84,7 +92,8 @@ def test_build_graphs_writes_seven_files(toy_cfg):
     ride = basic.vocab.require("ride", "relation")
     # hand count over the toy corpus: ride triples with man subject
     # 101 contributes 4 (2x2 cross product), 102 contributes 2, 104 one
-    assert basic.counts[(man, ride)] == 7
+    edges = basic.edges
+    assert edges["count"][(edges["src"] == man) & (edges["dst"] == ride)].tolist() == [7]
 
 
 def test_build_graphs_positional_nonempty(toy_cfg):
@@ -94,7 +103,7 @@ def test_build_graphs_positional_nonempty(toy_cfg):
     edge_totals = {}
     for name in ("left_of", "right_of", "above", "below", "inside", "surrounding"):
         g = deserialize_graph(out / "graphs" / f"{name}.victrg")
-        edge_totals[name] = sum(g.counts.values())
+        edge_totals[name] = int(g.edges["count"].sum())
     # the toy boxes realize every geometric relation at least once
     assert all(total > 0 for total in edge_totals.values()), edge_totals
 
@@ -141,7 +150,7 @@ def test_train_positional_rows_outside_participants_zero(toy_cfg):
     graph = deserialize_graph(out / "graphs" / "left_of.victrg")
     inside = graph.participants()
     outside = sorted(set(range(len(graph.vocab))) - set(inside))
-    assert rows.shape[0] == len(graph.vocab) and inside and outside
+    assert rows.shape[0] == len(graph.vocab) and inside.size and outside
     assert np.array_equal(rows[outside], np.zeros((len(outside), 50)))
     assert rows[inside].any()
 
@@ -202,6 +211,32 @@ def test_fuse_deterministic(toy_cfg):
     first = (out / "fused" / "104.victrf").read_bytes()
     main(["fuse", "--config", cfg])
     assert (out / "fused" / "104.victrf").read_bytes() == first
+
+
+def test_fuse_reads_each_evs_file_once(toy_cfg, monkeypatch):
+    cfg, out = toy_cfg
+    _run_through_train(cfg)
+    main(["compose", "--config", cfg])
+    reads = []
+
+    def counting_read(path, magic):
+        reads.append(os.path.basename(path))
+        return read_container(path, magic)
+
+    monkeypatch.setattr(victr.gcn, "read_container", counting_read)
+    assert main(["fuse", "--config", cfg]) == 0
+    assert sorted(reads) == sorted(f for f in os.listdir(out / "evs") if f.endswith(".victre"))
+
+
+def test_project_without_svg_drops_earlier_svg(toy_cfg):
+    cfg, out = toy_cfg
+    _run_through_train(cfg)
+    assert main(["project", "--config", cfg, "--svg"]) == 0
+    assert (out / "projection" / "object.svg").exists()
+    assert main(["train", "--config", cfg, "--graph", "all", "--seed", "8"]) == 0
+    assert main(["project", "--config", cfg, "--seed", "8"]) == 0
+    assert (out / "projection" / "object.tsv").exists()
+    assert not (out / "projection" / "object.svg").exists()
 
 
 def test_parse_richest_after_all_drops_stale_scene_graphs(toy_cfg, tmp_path, capsys):
@@ -348,14 +383,32 @@ def test_parse_head_cycle_exit_2(tmp_path, toy_paths):
 def test_train_edge_outside_vocabulary_exit_2(tmp_path, capsys):
     vocab = Vocabulary(nodes=[("dog", "object"), ("on", "relation"), ("grass", "object")],
                        object_super_class={0: "animal", 2: "plant"})
-    graph = RelationalGraph(vocab=vocab, kind="basic", counts={(1, 5): 1},
-                            weights={(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (1, 5): 1.0})
+    edges = np.array([(0, 0, 0, 1.0), (1, 1, 0, 1.0), (1, 5, 1, 1.0), (2, 2, 0, 1.0)],
+                     dtype=EDGE_DTYPE)
+    graph = RelationalGraph(vocab=vocab, kind="basic", edges=edges)
     path = tmp_path / "out" / "graphs" / "basic.victrg"
     path.parent.mkdir(parents=True)
     serialize_graph(graph, path)
     assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
     err = capsys.readouterr().err
     assert "basic.victrg" in err and "outside the vocabulary" in err
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 1, 2, 3, 4],  # the (0, 1) record twice: its weight would count twice in d_0
+    [0, 2, 1, 3, 4],  # (1, 1) ahead of (0, 1)
+], ids=["duplicate", "swapped"])
+def test_train_unordered_graph_records_exit_2(tmp_path, capsys, order):
+    vocab = Vocabulary(nodes=[("dog", "object"), ("on", "relation"), ("grass", "object")],
+                       object_super_class={0: "animal", 2: "plant"})
+    edges = np.array([(0, 0, 0, 1.0), (0, 1, 1, 1.0), (1, 1, 0, 1.0), (1, 2, 1, 1.0),
+                      (2, 2, 0, 1.0)], dtype=EDGE_DTYPE)
+    path = tmp_path / "out" / "graphs" / "basic.victrg"
+    path.parent.mkdir(parents=True)
+    serialize_graph(RelationalGraph(vocab=vocab, kind="basic", edges=edges[order]), path)
+    assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "strictly ascending in (src, dst)" in err
 
 
 @pytest.mark.parametrize("bbox", [

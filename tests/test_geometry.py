@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from victr.geometry import (
     GEOMETRIC_RELATIONS,
@@ -69,6 +71,21 @@ def test_antisymmetry_translation_scale_randomized():
                 box(b.x * s, b.y * s, b.w * s, b.h * s),
             )
             assert scaled == rel
+
+
+# quarter units on a small grid: centres and extents are exact, and equal
+# coordinates, touching edges and |dx| == |dy| ties are common
+_corner = st.integers(0, 160).map(lambda i: i / 4)
+_side = st.integers(1, 80).map(lambda i: i / 4)
+_boxes = st.builds(BoundingBox, _corner, _corner, _side, _side)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_boxes, _boxes)
+def test_swapping_boxes_inverts_the_relation(s, o):
+    assume(s != o and s.center != o.center)
+    backward = classify_geometric_relation(o, s)
+    assert classify_geometric_relation(s, o) == INVERSE_RELATION[backward]
 
 
 def _inst(entries):

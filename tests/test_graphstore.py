@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from victr.binio import FormatError
+from victr.binio import GRAPH_MAGIC, FormatError, read_container
 from victr.errors import InvariantError
-from victr.geometry import GEOMETRIC_RELATIONS, BoundingBox
+from victr.geometry import GEOMETRIC_RELATIONS, BoundingBox, classify_geometric_relation
 from victr.graphstore import (
     ATTRIBUTE,
+    EDGE_DTYPE,
     OBJECT,
     RELATION,
     RelationalGraph,
@@ -34,6 +35,13 @@ def sg(cid, objects, relations=(), attributes=(), supers=None):
         relations=tuple(relations),
         attributes=tuple(attributes),
     )
+
+
+def edge_dict(graph, column):
+    """{(src, dst): value} over the graph's records whose ``column`` is nonzero."""
+    e = graph.edges
+    return {(s, d): v for s, d, v in
+            zip(e["src"].tolist(), e["dst"].tolist(), e[column].tolist()) if v}
 
 
 MAN_RIDE_HORSE = sg(1, ["man", "horse"], relations=[(0, "ride", 1)])
@@ -87,7 +95,7 @@ def test_counts_single_triple():
     g = accumulate_counts([MAN_RIDE_HORSE], vocab)
     man, ride, horse = (vocab.require(*n) for n in
                         [("man", OBJECT), ("ride", RELATION), ("horse", OBJECT)])
-    assert g.counts == {(man, ride): 1, (ride, horse): 1}
+    assert edge_dict(g, "count") == {(man, ride): 1, (ride, horse): 1}
 
 
 def test_counts_hand_tallied_toy_corpus():
@@ -96,8 +104,8 @@ def test_counts_hand_tallied_toy_corpus():
     man = vocab.require("man", OBJECT)
     ride = vocab.require("ride", RELATION)
     hold = vocab.require("hold", RELATION)
-    assert g.counts[(man, ride)] == 2
-    assert g.counts[(man, hold)] == 1
+    assert edge_dict(g, "count")[(man, ride)] == 2
+    assert edge_dict(g, "count")[(man, hold)] == 1
 
 
 def test_attribute_counts_hand_tallied():
@@ -112,8 +120,8 @@ def test_attribute_counts_hand_tallied():
     horse = vocab.require("horse", OBJECT)
     brown = vocab.require("brown", ATTRIBUTE)
     # display edge object->attribute carries the attribute->object tally
-    assert g.counts[(dog, brown)] == 2
-    assert g.counts[(horse, brown)] == 1
+    assert edge_dict(g, "count")[(dog, brown)] == 2
+    assert edge_dict(g, "count")[(horse, brown)] == 1
 
 
 def test_out_of_vocabulary_errors():
@@ -128,8 +136,8 @@ def test_weights_eq1_hand_computed():
     man = vocab.require("man", OBJECT)
     ride = vocab.require("ride", RELATION)
     hold = vocab.require("hold", RELATION)
-    assert g.weights[(man, ride)] == pytest.approx(2 / 3, abs=1e-12)
-    assert g.weights[(man, hold)] == pytest.approx(1 / 3, abs=1e-12)
+    assert edge_dict(g, "weight")[(man, ride)] == pytest.approx(2 / 3, abs=1e-12)
+    assert edge_dict(g, "weight")[(man, hold)] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_weights_singleton_successor_is_one():
@@ -137,7 +145,7 @@ def test_weights_singleton_successor_is_one():
     g = compute_weights(accumulate_counts([MAN_RIDE_HORSE], vocab))
     ride = vocab.require("ride", RELATION)
     horse = vocab.require("horse", OBJECT)
-    assert g.weights[(ride, horse)] == 1.0
+    assert edge_dict(g, "weight")[(ride, horse)] == 1.0
 
 
 def test_weights_eq3_attribute_conditioned():
@@ -151,16 +159,17 @@ def test_weights_eq3_attribute_conditioned():
     dog = vocab.require("dog", OBJECT)
     horse = vocab.require("horse", OBJECT)
     brown = vocab.require("brown", ATTRIBUTE)
-    assert g.weights[(dog, brown)] == pytest.approx(2 / 3, abs=1e-12)
-    assert g.weights[(horse, brown)] == pytest.approx(1 / 3, abs=1e-12)
+    assert edge_dict(g, "weight")[(dog, brown)] == pytest.approx(2 / 3, abs=1e-12)
+    assert edge_dict(g, "weight")[(horse, brown)] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_self_weights_present_and_in_range():
     vocab = build_vocabulary(TOY_CORPUS)
     g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    weights = edge_dict(g, "weight")
     for i in range(len(vocab)):
-        assert g.weights[(i, i)] == 1.0
-    assert all(0 < w <= 1 for w in g.weights.values())
+        assert weights[(i, i)] == 1.0
+    assert all(0 < w <= 1 for w in g.weights)
 
 
 def test_weight_families_sum_to_one_randomized():
@@ -176,7 +185,7 @@ def test_verify_weight_sums_catches_breakage():
     g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
     man = vocab.require("man", OBJECT)
     ride = vocab.require("ride", RELATION)
-    g.weights[(man, ride)] += 0.5
+    g.weights[(g.edges["src"] == man) & (g.edges["dst"] == ride)] += 0.5
     with pytest.raises(InvariantError):
         verify_weight_sums(g)
 
@@ -185,10 +194,10 @@ def test_counts_additive_split_merge():
     corpus = random_scene_graphs(7, n_graphs=10)
     vocab = build_vocabulary(corpus)
     whole = accumulate_counts(corpus, vocab)
-    merged = dict(accumulate_counts(corpus[:4], vocab).counts)
-    for key, c in accumulate_counts(corpus[4:], vocab).counts.items():
+    merged = edge_dict(accumulate_counts(corpus[:4], vocab), "count")
+    for key, c in edge_dict(accumulate_counts(corpus[4:], vocab), "count").items():
         merged[key] = merged.get(key, 0) + c
-    assert whole.counts == merged
+    assert edge_dict(whole, "count") == merged
 
 
 def _boxes(rel):
@@ -208,16 +217,16 @@ def test_positional_single_assignment():
     man = vocab.require("man", OBJECT)
     ride = vocab.require("ride", RELATION)
     horse = vocab.require("horse", OBJECT)
-    assert graphs["left_of"].counts == {(man, ride): 1, (ride, horse): 1}
+    assert edge_dict(graphs["left_of"], "count") == {(man, ride): 1, (ride, horse): 1}
     for name in GEOMETRIC_RELATIONS:
         if name != "left_of":
-            assert graphs[name].counts == {}
+            assert edge_dict(graphs[name], "count") == {}
 
 
 def test_positional_empty_matches():
     vocab = build_vocabulary([MAN_RIDE_HORSE])
     graphs = build_positional_graphs([MAN_RIDE_HORSE], vocab, [{}])
-    assert all(g.counts == {} for g in graphs.values())
+    assert all(edge_dict(g, "count") == {} for g in graphs.values())
 
 
 def test_positional_same_pair_two_images():
@@ -233,8 +242,8 @@ def test_positional_same_pair_two_images():
     )
     cup = vocab.require("cup", OBJECT)
     on = vocab.require("on", RELATION)
-    assert graphs["inside"].counts[(cup, on)] == 1
-    assert graphs["above"].counts[(cup, on)] == 1
+    assert edge_dict(graphs["inside"], "count")[(cup, on)] == 1
+    assert edge_dict(graphs["above"], "count")[(cup, on)] == 1
 
 
 def test_positional_partition_exactly_one_graph():
@@ -252,8 +261,95 @@ def test_positional_partition_exactly_one_graph():
     graphs = build_positional_graphs(corpus, vocab, matches)
     total_triples = sum(len(g.relations) for g in corpus)
     # each triple contributes one o->r and one r->o count somewhere
-    total_counts = sum(sum(g.counts.values()) for g in graphs.values())
+    total_counts = sum(sum(edge_dict(g, "count").values()) for g in graphs.values())
     assert total_counts == 2 * total_triples
+
+
+# Dict-based reference: graph building as it was while edges were held in
+# {(src, dst): value} maps. The record-based code must match it bit for bit.
+
+def _ref_bump(counts, *edges):
+    for key in edges:
+        counts[key] = counts.get(key, 0) + 1
+
+
+def _ref_basic_counts(corpus, vocab):
+    counts = {}
+    for sg in corpus:
+        words = {oid: word for oid, word, _ in sg.objects}
+        for s, p, o in sg.relations:
+            si = vocab.require(words[s], OBJECT)
+            pi = vocab.require(p, RELATION)
+            oi = vocab.require(words[o], OBJECT)
+            _ref_bump(counts, (si, pi), (pi, oi))
+        for oid, attr in sg.attributes:
+            oi = vocab.require(words[oid], OBJECT)
+            _ref_bump(counts, (oi, vocab.require(attr, ATTRIBUTE)))
+    return counts
+
+
+def _ref_positional_counts(corpus, vocab, box_matches):
+    graphs = {name: {} for name in GEOMETRIC_RELATIONS}
+    for sg, matches in zip(corpus, box_matches):
+        words = {oid: word for oid, word, _ in sg.objects}
+        for s, p, o in sg.relations:
+            if s in matches and o in matches:
+                si = vocab.require(words[s], OBJECT)
+                pi = vocab.require(p, RELATION)
+                oi = vocab.require(words[o], OBJECT)
+                label = classify_geometric_relation(matches[s], matches[o])
+                _ref_bump(graphs[label], (si, pi), (pi, oi))
+    return graphs
+
+
+def _ref_weights(counts, vocab):
+    def family(s, d):
+        return ("attribute", d) if vocab.nodes[d][1] == ATTRIBUTE else ("successor", s)
+
+    totals = {}
+    for (s, d), c in counts.items():
+        totals[family(s, d)] = totals.get(family(s, d), 0) + c
+    weights = {(s, d): c / totals[family(s, d)] for (s, d), c in counts.items()}
+    weights.update({(i, i): 1.0 for i in range(len(vocab))})
+    return weights
+
+
+def _ref_records(counts, weights):
+    keys = sorted(set(counts) | set(weights))
+    records = np.zeros(len(keys), dtype=EDGE_DTYPE)
+    for i, (s, d) in enumerate(keys):
+        records[i] = (s, d, counts.get((s, d), 0), weights.get((s, d), 0.0))
+    return records
+
+
+@st.composite
+def _corpus_with_boxes(draw):
+    corpus = random_scene_graphs(draw(st.integers(0, 10**6)), n_graphs=draw(st.integers(1, 8)))
+    # a small grid, so touching, nested, equal and same-centre boxes all occur
+    coord, side = st.integers(0, 40).map(float), st.integers(1, 20).map(float)
+    box = st.builds(BoundingBox, coord, coord, side, side)
+    matches = [draw(st.dictionaries(st.sampled_from([oid for oid, _, _ in sg.objects]), box))
+               for sg in corpus]
+    return corpus, matches
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpus_with_boxes())
+def test_record_graphs_match_dict_reference(tmp_path_factory, case):
+    corpus, matches = case
+    vocab = build_vocabulary(corpus)
+    want = {"basic": _ref_basic_counts(corpus, vocab),
+            **_ref_positional_counts(corpus, vocab, matches)}
+    got = {"basic": compute_weights(accumulate_counts(corpus, vocab)),
+           **build_positional_graphs(corpus, vocab, matches)}
+    path = tmp_path_factory.mktemp("graphs") / "graph.victrg"
+    for name, g in got.items():
+        counts, weights = want[name], _ref_weights(want[name], vocab)
+        assert edge_dict(g, "count") == counts, name
+        assert edge_dict(g, "weight") == weights, name  # floats bit for bit
+        verify_weight_sums(g)
+        serialize_graph(g, path)
+        assert read_container(path, GRAPH_MAGIC)[1] == _ref_records(counts, weights).tobytes()
 
 
 def test_normalized_adjacency_isolated_node():
@@ -271,8 +367,7 @@ def test_normalized_adjacency_isolated_node():
 def test_normalized_adjacency_hand_example():
     # A = [[1, 1], [0, 1]] -> D = diag(2, 1) -> A_hat = [[1/2, 1/sqrt(2)], [0, 1]]
     vocab = build_vocabulary([MAN_RIDE_HORSE])
-    g = RelationalGraph(vocab=vocab, kind="basic")
-    g.weights = {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0, (2, 2): 1.0}
+    g = _graph(vocab, {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0, (2, 2): 1.0})
     a_hat = normalized_adjacency(g).toarray()
     assert a_hat[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert a_hat[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -289,7 +384,7 @@ def test_normalized_adjacency_entrywise_oracle():
         a_hat = normalized_adjacency(g).toarray()
         n = len(vocab)
         a = np.zeros((n, n))
-        for (s, d), w in g.weights.items():
+        for (s, d), w in edge_dict(g, "weight").items():
             a[s, d] = w
         deg = a.sum(axis=1)
         for i in range(n):
@@ -309,11 +404,10 @@ def test_serialize_round_trip(tmp_path):
     assert loaded.kind == g.kind
     assert loaded.vocab.nodes == vocab.nodes
     assert loaded.vocab.object_super_class == vocab.object_super_class
-    assert loaded.counts == g.counts
-    assert loaded.weights == g.weights
-    assert {type(i) for key in loaded.weights for i in key} == {int}
-    assert {type(c) for c in loaded.counts.values()} == {int}
-    assert {type(w) for w in loaded.weights.values()} == {float}
+    assert edge_dict(loaded, "count") == edge_dict(g, "count")
+    assert edge_dict(loaded, "weight") == edge_dict(g, "weight")
+    assert loaded.edges.dtype == EDGE_DTYPE
+    assert loaded.edges.tobytes() == g.edges.tobytes()
 
 
 def test_serialize_deterministic_bytes(tmp_path):
@@ -344,15 +438,29 @@ def test_corrupted_payload_rejected(tmp_path):
         deserialize_graph(path)
 
 
+def test_truncated_graph_file_rejected(tmp_path):
+    # Cut after the header plus 4 bytes, the file is a well-formed container of
+    # an empty payload: those bytes are the first record's src, node 0, which
+    # equals the CRC-32 of nothing. The edge count in the header catches it.
+    vocab = build_vocabulary(TOY_CORPUS)
+    path = tmp_path / "basic.victrg"
+    serialize_graph(compute_weights(accumulate_counts(TOY_CORPUS, vocab)), path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            deserialize_graph(path)
+
+
 def test_deserialize_then_compute_weights_noop(tmp_path):
     vocab = build_vocabulary(TOY_CORPUS)
     g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
     path = tmp_path / "basic.victrg"
     serialize_graph(g, path)
     loaded = deserialize_graph(path)
-    before = dict(loaded.weights)
+    before = loaded.edges.tobytes()
     compute_weights(loaded)
-    assert loaded.weights == before
+    assert loaded.edges.tobytes() == before
 
 
 def _dense_reference(n, weights):
@@ -363,10 +471,17 @@ def _dense_reference(n, weights):
     return a / np.sqrt(np.outer(deg, deg))
 
 
+def _graph(vocab, weights):
+    """A graph whose records are exactly the {(src, dst): weight} given, count 0."""
+    edges = np.zeros(len(weights), dtype=EDGE_DTYPE)
+    for i, ((s, d), w) in enumerate(sorted(weights.items())):
+        edges[i] = (s, d, 0, w)
+    return RelationalGraph(vocab=vocab, kind="basic", edges=edges)
+
+
 def _weight_graph(n, weights):
     vocab = Vocabulary(nodes=[(f"w{i}", OBJECT) for i in range(n)])
-    return RelationalGraph(vocab=vocab, kind="basic",
-                           weights={**{(i, i): 1.0 for i in range(n)}, **weights})
+    return _graph(vocab, {**{(i, i): 1.0 for i in range(n)}, **weights})
 
 
 @st.composite
@@ -389,10 +504,11 @@ def test_adjacency_operator_matches_dense_reference(case):
     dense = a_hat.toarray()
     assert a_hat.shape == (n, n) and a_hat.size == n * n
     assert a_hat.T.shape == (n, n)
-    assert np.allclose(dense, _dense_reference(n, g.weights), rtol=0, atol=1e-12)
+    assert np.allclose(dense, _dense_reference(n, edge_dict(g, "weight")),
+                       rtol=0, atol=1e-12)
     assert np.allclose(a_hat @ x, dense @ x, rtol=0, atol=1e-12)
     assert np.allclose(a_hat.T @ x, dense.T @ x, rtol=0, atol=1e-12)
-    connected = {i for s, d in g.weights if s != d for i in (s, d)}
+    connected = {i for s, d in edge_dict(g, "weight") if s != d for i in (s, d)}
     isolated = sorted(set(range(n)) - connected)
     assert np.array_equal((a_hat @ x)[isolated], x[isolated])
     assert np.array_equal((a_hat.T @ x)[isolated], x[isolated])
@@ -414,7 +530,8 @@ def test_adjacency_all_connected_is_one_block():
     a_hat = normalized_adjacency(g)
     assert np.array_equal(a_hat.nodes, np.arange(4))
     assert np.array_equal(a_hat.toarray(), a_hat.block)
-    assert np.allclose(a_hat.block, _dense_reference(4, g.weights), rtol=0, atol=1e-12)
+    assert np.allclose(a_hat.block, _dense_reference(4, edge_dict(g, "weight")),
+                       rtol=0, atol=1e-12)
     x = np.random.default_rng(3).standard_normal((4, 2))
     assert np.array_equal(a_hat @ x, a_hat.block @ x)
     assert np.array_equal(a_hat.T @ x, a_hat.block.T @ x)
@@ -432,7 +549,7 @@ def test_adjacency_holds_only_the_block():
 
 
 def test_adjacency_missing_self_weight_rejected():
-    g = _weight_graph(3, {(0, 1): 1.0})
-    del g.weights[(2, 2)]
+    vocab = Vocabulary(nodes=[(f"w{i}", OBJECT) for i in range(3)])
+    g = _graph(vocab, {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0})  # node 2 has no self-weight
     with pytest.raises(InvariantError, match="non-finite"):
         normalized_adjacency(g)
