@@ -107,14 +107,19 @@ def masked_cross_entropy(logits: np.ndarray, labels: dict[int, int]) -> float:
     for node, cls in labels.items():
         if not 0 <= cls < n_classes:
             raise ValueError(f"node {node}: label {cls} out of range 0..{n_classes - 1}")
-    rows = np.fromiter(labels.keys(), dtype=int)
-    cols = np.fromiter(labels.values(), dtype=int)
+    rows, cols = _label_arrays(labels)
     logp = _log_softmax(logits[rows])
     return float(-logp[np.arange(len(rows)), cols].mean())
 
 
-def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int]):
-    """Masked cross-entropy and its gradients for (W1, b1, W2, b2).
+def _label_arrays(labels: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The labelled nodes and their classes, as two aligned index arrays."""
+    return np.fromiter(labels.keys(), dtype=int), np.fromiter(labels.values(), dtype=int)
+
+
+def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Masked cross-entropy and its gradients for (W1, b1, W2, b2), over the
+    labelled nodes ``rows`` and their classes ``cols`` (see ``_label_arrays``).
 
     Per epoch this multiplies by A_hat four times: A_hat W1 and
     A_hat^T dPre1 at the hidden width H, A_hat (H1 W2) and U = A_hat^T G at
@@ -123,9 +128,6 @@ def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int]):
     dH1 = U W2^T.
     """
     h1, logits = forward(model, a_hat)
-
-    rows = np.fromiter(labels.keys(), dtype=int)
-    cols = np.fromiter(labels.values(), dtype=int)
     logp = _log_softmax(logits[rows])
     loss = float(-logp[np.arange(len(rows)), cols].mean())
 
@@ -149,8 +151,9 @@ def train(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
     """Full-batch gradient descent; returns the trained model and loss history."""
     model = model.copy()
     history = []
+    rows, cols = _label_arrays(labels)
     for epoch in range(cfg.epochs):
-        loss, (dw1, db1, dw2, db2) = _loss_and_grads(model, a_hat, labels)
+        loss, (dw1, db1, dw2, db2) = _loss_and_grads(model, a_hat, rows, cols)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {loss}")
         history.append(loss)
@@ -163,8 +166,7 @@ def train(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
 
 def accuracy(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int]) -> float:
     _, logits = forward(model, a_hat)
-    rows = np.fromiter(labels.keys(), dtype=int)
-    cols = np.fromiter(labels.values(), dtype=int)
+    rows, cols = _label_arrays(labels)
     return float((logits[rows].argmax(axis=1) == cols).mean())
 
 
@@ -183,7 +185,8 @@ def gradient_check(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    _, grads = _loss_and_grads(model, a_hat, labels)
+    rows, cols = _label_arrays(labels)
+    _, grads = _loss_and_grads(model, a_hat, rows, cols)
     params = [model.w1, model.b1, model.w2, model.b2]
     sizes = [p.size for p in params]
     total = sum(sizes)
@@ -199,9 +202,9 @@ def gradient_check(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
         p = params[pi]
         orig = p.flat[offset]
         p.flat[offset] = orig + epsilon
-        lo_plus = _loss_and_grads(model, a_hat, labels)[0]
+        lo_plus = _loss_and_grads(model, a_hat, rows, cols)[0]
         p.flat[offset] = orig - epsilon
-        lo_minus = _loss_and_grads(model, a_hat, labels)[0]
+        lo_minus = _loss_and_grads(model, a_hat, rows, cols)[0]
         p.flat[offset] = orig
         numeric = (lo_plus - lo_minus) / (2 * epsilon)
         analytic = grads[pi].flat[offset]

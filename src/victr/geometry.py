@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from .ingest import tsv_pairs
+
 GEOMETRIC_RELATIONS = ("left_of", "right_of", "above", "below", "inside", "surrounding")
 
 INVERSE_RELATION = {
@@ -97,14 +99,5 @@ def match_objects_to_boxes(sg, inst, image_id,
 
 def load_alias_table(path) -> dict[str, str]:
     """TSV rows ``caption_lemma<TAB>category_name``."""
-    aliases = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'lemma<TAB>category'")
-            aliases[parts[0].strip().lower()] = parts[1].strip()
-    return aliases
+    return {lemma.lower(): category
+            for _, lemma, category in tsv_pairs(path, "lemma<TAB>category")}

@@ -7,30 +7,22 @@ Captions arrive already dependency-parsed (CoNLL-U with ``# caption_id`` /
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from sys import intern
+from typing import NamedTuple
 
 
 class ConlluError(ValueError):
     """Raised when a CoNLL-U file violates the expected format."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     index: int  # 1-based position within the sentence
     surface: str
     lemma: str
     upos: str
     head: int  # 0 = sentence root
     deprel: str
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ConlluError(f"token index {self.index} < 1")
-        if self.head < 0:
-            raise ConlluError(f"token {self.index}: negative head {self.head}")
-        if self.head == self.index:
-            raise ConlluError(f"token {self.index}: head points to itself")
-        if not self.deprel:
-            raise ConlluError(f"token {self.index}: empty deprel")
 
     @property
     def base_deprel(self) -> str:
@@ -52,11 +44,13 @@ class DependencyGraph:
                     f"caption {self.caption_id}: token indices not contiguous "
                     f"(expected {i}, got {tok.index})"
                 )
-            if tok.head > n:
+            if not 0 <= tok.head <= n:
                 raise ConlluError(
                     f"caption {self.caption_id}: token {tok.index} head "
                     f"{tok.head} out of range 0..{n}"
                 )
+            if not tok.deprel:
+                raise ConlluError(f"caption {self.caption_id}: token {i}: empty deprel")
             heads[i] = tok.head
         # The heads must form a tree under the root 0, since later stages walk
         # up them. Walk up from each token until a token already seen: one
@@ -74,6 +68,18 @@ class DependencyGraph:
                     f"caption {self.caption_id}: token {i} is on a head cycle "
                     "(heads do not form a tree)"
                 )
+
+    @cached_property
+    def children(self) -> list[list[Token] | tuple[()]]:
+        """Each token's dependents in token order, indexed by token (0 is the
+        root). Leaves, most tokens, share one empty tuple."""
+        kids: list[list[Token] | tuple[()]] = [()] * (len(self.tokens) + 1)
+        for t in self.tokens:
+            if kids[t.head]:
+                kids[t.head].append(t)
+            else:
+                kids[t.head] = [t]
+        return kids
 
 
 @dataclass(frozen=True)
@@ -119,22 +125,14 @@ def load_conllu(path) -> list[DependencyGraph]:
         tokens = []
         for ln, cols in rows:
             try:
-                head = int(cols[6])
+                index, head = int(cols[0]), int(cols[6])
             except ValueError:
-                raise ConlluError(f"{path}:{ln}: non-integer head {cols[6]!r}")
-            try:
-                tokens.append(
-                    Token(
-                        index=int(cols[0]),
-                        surface=cols[1],
-                        lemma=cols[2],
-                        upos=cols[3],
-                        head=head,
-                        deprel=cols[7],
-                    )
-                )
-            except ConlluError as e:
-                raise ConlluError(f"{path}:{ln}: {e}")
+                raise ConlluError(
+                    f"{path}:{ln}: non-integer token id {cols[0]!r} or head {cols[6]!r}"
+                ) from None
+            # the same few words and tags recur on every line: keep one copy of each
+            tokens.append(Token(index, intern(cols[1]), intern(cols[2]), intern(cols[3]),
+                                head, intern(cols[7])))
         try:
             graphs.append(
                 DependencyGraph(
@@ -204,18 +202,30 @@ def to_conllu(graphs) -> str:
     return "\n\n".join(chunks) + ("\n" if chunks else "")
 
 
+def _entries(doc, key: str, what: str, fields: tuple[str, ...], path) -> list[dict]:
+    """doc[key], checked to be a list of JSON objects that each hold ``fields``."""
+    if type(doc) is not dict or key not in doc:
+        raise ValueError(f"{path}: missing '{key}' list")
+    items = doc[key]
+    if type(items) is not list:
+        raise ValueError(f"{path}: '{key}' must be a list, got {type(items).__name__}")
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise ValueError(f"{path}: {what} {i}: must be an object, got {item!r}")
+        for name in fields:
+            if name not in item:
+                raise ValueError(f"{path}: {what} {i}: missing field '{name}'")
+    return items
+
+
 def load_captions(path) -> CaptionSet:
     """Load a COCO-style captions JSON (``annotations`` with image_id/id/caption)."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if "annotations" not in doc:
-        raise ValueError(f"{path}: missing 'annotations' list")
     captions: dict[str, list[tuple[str, str]]] = {}
     seen: set[str] = set()
-    for i, ann in enumerate(doc["annotations"]):
-        for fieldname in ("image_id", "id", "caption"):
-            if fieldname not in ann:
-                raise ValueError(f"{path}: annotation {i}: missing field '{fieldname}'")
+    annotations = _entries(doc, "annotations", "annotation", ("image_id", "id", "caption"), path)
+    for i, ann in enumerate(annotations):
         cid = str(ann["id"])
         if cid in seen:
             raise ValueError(f"{path}: annotation {i}: duplicate caption_id {cid}")
@@ -228,34 +238,30 @@ def load_instances(path) -> InstanceSet:
     """Load a COCO-style instances JSON: bounding boxes plus category table."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    for key in ("annotations", "categories"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing '{key}' list")
+    annotations = _entries(doc, "annotations", "annotation",
+                           ("image_id", "category_id", "bbox"), path)
+    categories = _entries(doc, "categories", "category", ("id", "name", "supercategory"), path)
     cat_name: dict[int, str] = {}
     cat_super: dict[str, str] = {}
-    for i, cat in enumerate(doc["categories"]):
-        for fieldname in ("id", "name", "supercategory"):
-            if fieldname not in cat:
-                raise ValueError(f"{path}: category {i}: missing field '{fieldname}'")
+    for i, cat in enumerate(categories):
         name = cat["name"]
         if name in cat_super and cat_super[name] != cat["supercategory"]:
             raise ValueError(
                 f"{path}: category {name!r} mapped to two super-classes"
             )
+        if isinstance(cat["id"], (list, dict)):  # not a dict key
+            raise ValueError(f"{path}: category {i}: id {cat['id']!r} is not a number or string")
         cat_name[cat["id"]] = name
         cat_super[name] = cat["supercategory"]
     boxes: dict[str, list] = {}
-    for i, ann in enumerate(doc["annotations"]):
-        for fieldname in ("image_id", "category_id", "bbox"):
-            if fieldname not in ann:
-                raise ValueError(f"{path}: annotation {i}: missing field '{fieldname}'")
-        if ann["category_id"] not in cat_name:
-            raise ValueError(
-                f"{path}: annotation {i}: unknown category_id {ann['category_id']}"
-            )
-        name = cat_name[ann["category_id"]]
+    for i, ann in enumerate(annotations):
+        where = f"{path}: annotation {i}"
+        category_id = ann["category_id"]
+        if isinstance(category_id, (list, dict)) or category_id not in cat_name:
+            raise ValueError(f"{where}: unknown category_id {category_id}")
+        name = cat_name[category_id]
         boxes.setdefault(str(ann["image_id"]), []).append(
-            (name, cat_super[name], _bbox(ann["bbox"], f"{path}: annotation {i}"))
+            (name, cat_super[name], _bbox(ann["bbox"], where))
         )
     return InstanceSet(boxes=boxes, categories=cat_super)
 
@@ -274,6 +280,20 @@ def _bbox(value, where: str) -> tuple[float, float, float, float]:
     if w <= 0 or h <= 0:
         raise ValueError(f"{where}: non-positive bbox size {w:g}x{h:g}")
     return x, y, w, h
+
+
+def tsv_pairs(path, row_format: str):
+    """Yield (line_no, key, value) per row of a two-column TSV file, both
+    stripped; blank and ``#`` lines are skipped, other widths raise."""
+    with open(path, encoding="utf-8") as f:
+        for ln, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{ln}: expected '{row_format}'")
+            yield ln, parts[0].strip(), parts[1].strip()
 
 
 def _id_sort_key(cid: str):

@@ -6,10 +6,11 @@ extraction of objects (nouns), attributes (adjectives) and relations
 """
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from operator import itemgetter
 
-from .ingest import DependencyGraph, Token
+from .ingest import DependencyGraph, Token, tsv_pairs
 
 NOUN_TAGS = {"NOUN", "PROPN"}
 SUBJECT_RELS = {"nsubj", "nsubjpass"}
@@ -57,6 +58,15 @@ class QuantifierLexicon:
         if self.many_value < 1 or self.max_duplication < 1:
             raise ValueError("many_value and max_duplication must be >= 1")
         self.phrase_map = {k.lower(): v for k, v in self.phrase_map.items()}
+        if any(self.resolve(v) < 1 for v in (*self.numeral_map.values(),
+                                             *self.phrase_map.values())):
+            raise ValueError("quantifier counts must be >= 1")
+        # each phrase as (words, count) under its first word, longest first
+        self.phrases_by_first_word: dict[str, list[tuple[list[str], int]]] = {}
+        for key, value in sorted(self.phrase_map.items(), key=lambda kv: -kv[0].count(" ")):
+            words = key.split(" ")
+            entry = (words, self.resolve(value))
+            self.phrases_by_first_word.setdefault(words[0], []).append(entry)
 
     def resolve(self, value: int | str) -> int:
         return self.many_value if value == MANY else int(value)
@@ -102,44 +112,29 @@ def load_quantifier_lexicon(path, many_value=3, max_duplication=10) -> Quantifie
     Multi-word entries become phrase rules."""
     numerals: dict[str, int] = {}
     phrases: dict[str, int | str] = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'word<TAB>value'")
-            word, value = parts[0].strip().lower(), parts[1].strip()
-            if value.upper() == MANY:
-                parsed: int | str = MANY
-            else:
-                parsed = int(value)
-                if parsed < 1:
-                    raise ValueError(f"{path}:{ln}: value must be >= 1")
-            if " " in word:
-                phrases[word] = parsed
-            else:
-                if parsed == MANY:
-                    raise ValueError(f"{path}:{ln}: MANY is only valid for phrases")
-                numerals[word] = parsed
+    for ln, word, value in tsv_pairs(path, "word<TAB>value"):
+        word = word.lower()
+        if value.upper() == MANY:
+            parsed: int | str = MANY
+        else:
+            parsed = int(value)
+            if parsed < 1:
+                raise ValueError(f"{path}:{ln}: value must be >= 1")
+        if " " in word:
+            phrases[word] = parsed
+        else:
+            if parsed == MANY:
+                raise ValueError(f"{path}:{ln}: MANY is only valid for phrases")
+            numerals[word] = parsed
     return QuantifierLexicon(numerals, phrases, many_value=many_value,
                              max_duplication=max_duplication)
 
 
 def load_superclass_lexicon(path) -> SuperClassLexicon:
     """TSV rows ``lemma<TAB>super_class``."""
-    entries = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'lemma<TAB>super_class'")
-            entries[parts[0].strip()] = parts[1].strip()
-    return SuperClassLexicon(entries)
+    return SuperClassLexicon(
+        {lemma: sup for _, lemma, sup in tsv_pairs(path, "lemma<TAB>super_class")}
+    )
 
 
 def _is_plural_noun(tok: Token) -> bool:
@@ -148,155 +143,133 @@ def _is_plural_noun(tok: Token) -> bool:
 
 
 def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> DependencyGraph:
-    """Duplicate counted noun nodes (with their adjective dependents).
+    """Duplicate counted nouns, consuming the words that count them. The rules, in order:
 
-    Quantifier words and phrases are consumed, so the operation is
-    idempotent. A bare plural direct object inherits its subject's count.
+    - Phrase: left to right, a quantifier phrase (longest first, lower-cased)
+      counts the first noun after it that no earlier phrase counted; its
+      words are consumed. A phrase with no such noun is left alone.
+    - Numeral: a noun's first unconsumed ``nummod``/``det`` dependent found in
+      the numeral map, or a ``nummod`` that is a decimal >= 1, counts it
+      (replacing a phrase's count) and is consumed. Other numerals stay.
+    - Splicing: dependents of consumed tokens attach to the nearest kept
+      ancestor; a counted noun takes over the deprel of the topmost consumed
+      one ("lots of dogs run": ``dogs`` becomes the subject ``lots`` was).
+    - Subject -> object: a bare plural object of a verb takes the count of
+      the verb's first counted subject.
+    - Adjectives: a counted noun's ``amod`` adjectives precede each copy.
+    - Cap: a counted noun is laid out min(count, ``max_duplication``) times.
+    - First copy: its other dependents attach to its first copy only.
+
+    Expanding the output again changes nothing, unless a count word stayed: a
+    phrase whose noun an earlier phrase took, or a numeral that reaches a
+    counted noun only once its own head is spliced out.
     """
-    toks = list(g.tokens)
+    toks = g.tokens
     n = len(toks)
-    by_index = {t.index: t for t in toks}
-    pending: dict[int, int] = {}  # noun token index -> raw count
+    kids = g.children
+    count: dict[int, int] = {}  # counted noun -> count
     consumed: set[int] = set()
 
-    # phrase pass: longest surface match wins at each position
+    # phrase pass: targets only move right, so the next one is the first noun
+    # past both the phrase and the previous target
+    phrases = lex.phrases_by_first_word
     lowered = [t.surface.lower() for t in toks]
-    phrase_words = sorted(
-        ((k.split(" "), v) for k, v in lex.phrase_map.items()),
-        key=lambda kv: -len(kv[0]),
-    )
-    i = 0
+    nouns = [t.index for t in toks if t.upos in NOUN_TAGS]
+    i = last = 0  # i: 0-based scan position; last: the previous target
     while i < n:
-        matched = False
-        for words, value in phrase_words:
-            k = len(words)
-            if i + k > n or lowered[i : i + k] != words:
+        for words, value in phrases.get(lowered[i], ()):
+            end = i + len(words)
+            if lowered[i:end] != words:
                 continue
-            span = {toks[j].index for j in range(i, i + k)}
-            if span & consumed:
-                continue
-            target = next(
-                (t for t in toks[i + k :] if t.upos in NOUN_TAGS
-                 and t.index not in consumed and t.index not in pending),
-                None,
-            )
-            if target is None:
-                continue
-            pending[target.index] = lex.resolve(value)
-            consumed |= span
-            i += k
-            matched = True
-            break
-        if not matched:
+            j = bisect_left(nouns, max(end, last) + 1)
+            if j < len(nouns):
+                last = nouns[j]
+                count[last] = value
+                consumed.update(range(i + 1, end + 1))
+                i = end
+                break
+        else:
             i += 1
 
-    # numeral pass: nummod/det children drawn from the numeral map
+    # numeral pass
     for t in toks:
-        if t.upos not in NOUN_TAGS or t.index in pending or t.index in consumed:
+        if t.upos not in NOUN_TAGS or t.index in consumed:
             continue
-        for c in toks:
-            if c.head != t.index or c.index in consumed:
-                continue
+        for c in kids[t.index]:
             rel = c.base_deprel
-            if rel not in ("nummod", "det"):
+            if c.index in consumed or rel not in ("nummod", "det"):
                 continue
             value = lex.numeral_map.get(c.lemma.lower())
             if value is None:
                 value = lex.numeral_map.get(c.surface.lower())
-            if value is None and rel == "nummod" and c.surface.isdigit():
-                value = int(c.surface)
-            if value is None:
-                continue  # unknown quantifier words are ignored
-            pending[t.index] = value
-            consumed.add(c.index)
-            break
-
-    # effective structure once consumed tokens are spliced out
-    eff_head: dict[int, int] = {}
-    eff_rel: dict[int, str] = {}
-    for t in toks:
-        if t.index in consumed:
-            continue
-        head, rel = t.head, t.deprel
-        while head != 0 and head in consumed:
-            anc = by_index[head]
-            if t.index in pending:
-                rel = anc.deprel  # the counted noun takes over its governor's role
-            head = anc.head
-        eff_head[t.index] = head
-        eff_rel[t.index] = rel
-
-    # a plural direct object inherits the count of its verb's counted subject
-    for v in toks:
-        if v.upos != "VERB" or v.index in consumed:
-            continue
-        subj_count = None
-        for t in toks:
-            if (t.index in eff_head and eff_head[t.index] == v.index
-                    and eff_rel[t.index].split(":", 1)[0] in SUBJECT_RELS
-                    and t.index in pending):
-                subj_count = pending[t.index]
+            if value is None and rel == "nummod" and c.surface.isdecimal():
+                value = int(c.surface) or None
+            if value is not None:
+                count[t.index] = value
+                consumed.add(c.index)
                 break
-        if subj_count is None:
+    if not count:  # nothing counted, so nothing consumed: the parse stays as it is
+        return g
+
+    # splice the consumed tokens out, top down: spliced[i] is token i with
+    # its effective head and deprel, None once consumed
+    spliced: list[Token | None] = [None] * (n + 1)
+    stack = [(t, 0, None) for t in kids[0]]  # (token, effective head, taken-over deprel)
+    while stack:
+        t, head, over = stack.pop()
+        if t.index in consumed:
+            stack += [(c, head, over or t.deprel) for c in kids[t.index]]
             continue
-        for t in toks:
-            if (t.index in eff_head and eff_head[t.index] == v.index
-                    and eff_rel[t.index].split(":", 1)[0] in OBJECT_RELS
-                    and _is_plural_noun(t) and t.index not in pending):
-                pending[t.index] = subj_count
+        rel = over if over and t.index in count else t.deprel
+        spliced[t.index] = (t if head == t.head and rel == t.deprel
+                            else Token(t.index, t.surface, t.lemma, t.upos, head, rel))
+        stack += [(c, t.index, None) for c in kids[t.index]]
+    kept = [t for t in spliced if t is not None]
+    eff_kids: list[list[Token]] = [[] for _ in range(n + 1)]
+    for t in kept:
+        eff_kids[t.head].append(t)
 
-    # adjective dependents ride along with each copy of their noun
-    deferred: dict[int, list[Token]] = {idx: [] for idx in pending}
-    deferred_ids: set[int] = set()
-    for t in toks:
-        if t.index in consumed or t.upos != "ADJ":
+    # subject -> object count
+    for v in kept:
+        if v.upos != "VERB":
             continue
-        head = eff_head.get(t.index, 0)
-        if head in pending and eff_rel[t.index].split(":", 1)[0] == "amod":
-            deferred[head].append(t)
-            deferred_ids.add(t.index)
-
-    # emit: (surface, lemma, upos, deprel, head_ref); head_ref is an original
-    # token index, 0 for root, or ("new", i) pointing at an emitted position
-    emitted: list[tuple] = []
-    first_pos: dict[int, int] = {}
-
-    def emit(tok: Token, rel: str, head_ref):
-        emitted.append((tok.surface, tok.lemma, tok.upos, rel, head_ref))
-        if tok.index not in first_pos:
-            first_pos[tok.index] = len(emitted) - 1
-
-    for t in toks:
-        if t.index in consumed or t.index in deferred_ids:
+        subject = next((t.index for t in eff_kids[v.index]
+                        if t.index in count and t.base_deprel in SUBJECT_RELS), None)
+        if subject is None:
             continue
-        if t.index in pending:
-            copies = min(pending[t.index], lex.max_duplication)
-            for _ in range(copies):
-                for adj in deferred[t.index]:
-                    emit(adj, eff_rel[adj.index], ("new", None))  # fixed up below
-                noun_pos = len(emitted)
-                emit(t, eff_rel[t.index], eff_head[t.index])
-                for back in range(len(deferred[t.index])):
-                    pos = noun_pos - 1 - back
-                    surface, lemma, upos, rel, _ = emitted[pos]
-                    emitted[pos] = (surface, lemma, upos, rel, ("new", noun_pos))
+        for t in eff_kids[v.index]:
+            if t.base_deprel in OBJECT_RELS and _is_plural_noun(t) and t.index not in count:
+                count[t.index] = count[subject]
+
+    # adjectives copied with their noun ride along; the rest are laid out once
+    riders: dict[int, list[Token]] = {}
+    laid_out = []
+    for t in kept:
+        if t.upos == "ADJ" and t.head in count and t.base_deprel == "amod":
+            riders.setdefault(t.head, []).append(t)
         else:
-            emit(t, eff_rel[t.index], eff_head[t.index])
+            laid_out.append(t)
 
-    tokens = []
-    for pos, (surface, lemma, upos, rel, head_ref) in enumerate(emitted):
-        if isinstance(head_ref, tuple):
-            head = head_ref[1] + 1
-        elif head_ref == 0:
-            head = 0
-        else:
-            head = first_pos[head_ref] + 1
-        tokens.append(
-            Token(index=pos + 1, surface=surface, lemma=lemma, upos=upos,
-                  head=head, deprel=rel)
-        )
-    return DependencyGraph(caption_id=g.caption_id, image_id=g.image_id,
-                           tokens=tuple(tokens))
+    # lay out: first the output position of each token's first copy, since
+    # heads may point forward, then the tokens
+    copies = {i: min(c, lex.max_duplication) for i, c in count.items()}
+    first = [0] * (n + 1)
+    pos = 0
+    for t in laid_out:
+        adjs = riders.get(t.index, ())
+        for k, a in enumerate(adjs, start=pos + 1):
+            first[a.index] = k
+        first[t.index] = pos + len(adjs) + 1
+        pos += (len(adjs) + 1) * copies.get(t.index, 1)
+    out = []
+    for t in laid_out:
+        adjs = riders.get(t.index, ())
+        for _ in range(copies.get(t.index, 1)):
+            noun = len(out) + len(adjs) + 1
+            out += [Token(k, a.surface, a.lemma, a.upos, noun, a.deprel)
+                    for k, a in enumerate(adjs, start=len(out) + 1)]
+            out.append(Token(noun, t.surface, t.lemma, t.upos, first[t.head], t.deprel))
+    return DependencyGraph(caption_id=g.caption_id, image_id=g.image_id, tokens=tuple(out))
 
 
 def _case_marker(tok_children: list[Token]) -> Token | None:
@@ -322,12 +295,8 @@ def extract_scene_graph(g: DependencyGraph) -> SceneGraph:
     of) an object; relations come from verb frames (subject + object),
     noun-noun preposition links, and verb + oblique ("sit on") frames.
     """
-    toks = list(g.tokens)
-    children: dict[int, list[Token]] = {t.index: [] for t in toks}
-    by_index = {t.index: t for t in toks}
-    for t in toks:
-        if t.head in children:
-            children[t.head].append(t)
+    toks = g.tokens
+    children = g.children
 
     object_id: dict[int, int] = {}
     objects = []

@@ -411,6 +411,47 @@ def test_train_unordered_graph_records_exit_2(tmp_path, capsys, order):
     assert str(path) in err and "strictly ascending in (src, dst)" in err
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("captions", '{"annotations": 5}', ": 'annotations' must be a list"),
+    ("captions", '{"annotations": [5]}', ": annotation 0: must be an object"),
+    ("conllu", "# caption_id = 101\n# image_id = 1\nx\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n",
+     ":3: non-integer token id 'x'"),
+], ids=["annotations_int", "annotation_int", "conllu_token_id"])
+def test_parse_malformed_input_exit_2(tmp_path, toy_paths, capsys, key, text, message):
+    bad = tmp_path / f"bad_{key}"
+    bad.write_text(text, encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**toy_paths, key: str(bad)}, tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 2
+    assert f"{bad}{message}" in capsys.readouterr().err
+
+
+def _build_graphs_with_instances(toy_cfg, tmp_path, toy_paths, corrupt) -> tuple[int, str]:
+    """Run parse, then build-graphs on the toy instances as ``corrupt`` left them."""
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    with open(toy_paths["instances"], encoding="utf-8") as f:
+        doc = json.load(f)
+    corrupt(doc)
+    bad = tmp_path / "bad_instances.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**toy_paths, "instances": str(bad)}, out)
+    return main(["build-graphs", "--config", cfg]), str(bad)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc.update(annotations=3), ": 'annotations' must be a list"),
+    (lambda doc: doc.update(categories=[5]), ": category 0: must be an object"),
+    (lambda doc: doc["annotations"][3].update(category_id=[1]),
+     ": annotation 3: unknown category_id [1]"),
+    (lambda doc: doc["categories"][0].update(id=[1]), ": category 0: id [1] is not a number"),
+], ids=["annotations_int", "category_int", "category_id_list", "category_list_id"])
+def test_build_graphs_malformed_instances_exit_2(toy_cfg, tmp_path, toy_paths, capsys,
+                                                corrupt, message):
+    code, bad = _build_graphs_with_instances(toy_cfg, tmp_path, toy_paths, corrupt)
+    assert code == 2
+    assert f"{bad}{message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bbox", [
     [10, 20, float("nan"), 40],
     [10, float("inf"), 30, 40],
@@ -420,14 +461,7 @@ def test_train_unordered_graph_records_exit_2(tmp_path, capsys, order):
     [10, 20, 10**400, 40],
 ], ids=["nan", "inf", "string", "three_numbers", "null", "huge_integer"])
 def test_build_graphs_malformed_bbox_exit_2(toy_cfg, tmp_path, toy_paths, capsys, bbox):
-    cfg, out = toy_cfg
-    assert main(["parse", "--config", cfg]) == 0
-    with open(toy_paths["instances"], encoding="utf-8") as f:
-        doc = json.load(f)
-    doc["annotations"][3]["bbox"] = bbox
-    bad = tmp_path / "bad_instances.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
-    cfg = _cfg_file(tmp_path, {**toy_paths, "instances": str(bad)}, out)
-    capsys.readouterr()
-    assert main(["build-graphs", "--config", cfg]) == 2
+    code, bad = _build_graphs_with_instances(
+        toy_cfg, tmp_path, toy_paths, lambda doc: doc["annotations"][3].update(bbox=bbox))
+    assert code == 2
     assert f"{bad}: annotation 3: " in capsys.readouterr().err

@@ -254,3 +254,13 @@ def test_head_forest_under_root_accepted(tmp_path):
     # two root tokens still form one tree under the virtual root 0
     text = MINIMAL.replace("2\tobj", "0\tobj")
     assert len(load_conllu(_write(tmp_path, text))[0].tokens) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL.replace("2\tobj", "-1\tobj"), "head -1 out of range"),
+    (MINIMAL.replace("\tobj\t", "\t\t"), "token 3: empty deprel"),
+    (MINIMAL.replace("3\thorses", "0\thorses"), "not contiguous"),
+], ids=["negative_head", "empty_deprel", "index_zero"])
+def test_token_rejected_with_line(tmp_path, text, message):
+    with pytest.raises(ConlluError, match=rf"x\.conllu:\d+: .*{message}"):
+        load_conllu(_write(tmp_path, text))

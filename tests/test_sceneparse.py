@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from victr.ingest import DependencyGraph, Token
 from victr.sceneparse import (
+    NOUN_TAGS,
+    OBJECT_RELS,
+    SUBJECT_RELS,
     QuantifierLexicon,
     SuperClassLexicon,
     assign_super_classes,
@@ -11,6 +16,7 @@ from victr.sceneparse import (
     scene_graph_from_json,
     scene_graph_to_json,
 )
+from victr.sceneparse import _is_plural_noun
 
 
 def _dep(rows, cid="1", iid="1"):
@@ -229,3 +235,360 @@ def test_scene_graph_json_round_trip(toy_dep_by_caption, qlex, slex):
         extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex)), slex
     )
     assert scene_graph_from_json(scene_graph_to_json(sg)) == sg
+
+
+@pytest.mark.parametrize("numeral", ["0", "00", "\u00b2"])
+def test_digit_numeral_below_one_is_ignored(numeral):
+    # "0 dogs on the grass": the noun and its relation stay, and so does the
+    # numeral, like any other word that is not a count ("²" is a digit that
+    # is not a decimal number)
+    g = _dep(
+        [
+            (numeral, numeral, "NUM", 2, "nummod"),
+            ("dogs", "dog", "NOUN", 0, "root"),
+            ("on", "on", "ADP", 5, "case"),
+            ("the", "the", "DET", 5, "det"),
+            ("grass", "grass", "NOUN", 2, "nmod"),
+        ]
+    )
+    out = expand_quantifiers(g, QuantifierLexicon.default())
+    assert out == g
+    sg = extract_scene_graph(out)
+    assert sg.objects == ((0, "dog", ""), (1, "grass", "")) and sg.relations == ((0, "on", 1),)
+
+
+def test_numeral_replaces_phrase_count():
+    # "a group of five dogs run": five dogs, not MANY = 3, and nothing is
+    # left for a second expansion to count again
+    g = _dep(
+        [
+            ("a", "a", "DET", 2, "det"),
+            ("group", "group", "NOUN", 6, "nsubj"),
+            ("of", "of", "ADP", 5, "case"),
+            ("five", "five", "NUM", 5, "nummod"),
+            ("dogs", "dog", "NOUN", 2, "nmod"),
+            ("run", "run", "VERB", 0, "root"),
+        ]
+    )
+    lex = QuantifierLexicon.default()
+    out = expand_quantifiers(g, lex)
+    assert [(t.lemma, t.head, t.deprel) for t in out.tokens] == [("dog", 6, "nsubj")] * 5 + [
+        ("run", 0, "root")
+    ]
+    assert expand_quantifiers(out, lex) == out
+
+
+@pytest.mark.parametrize("numerals, phrases", [({"zero": 0}, {}), ({}, {"no more": 0})])
+def test_lexicon_counts_below_one_rejected(numerals, phrases):
+    with pytest.raises(ValueError, match=">= 1"):
+        QuantifierLexicon(numerals, phrases)
+
+
+def test_children_index_in_token_order(toy_dep_by_caption):
+    g = toy_dep_by_caption["105"]  # "a dozen of eggs on a table"
+    assert [[t.index for t in kids] for kids in g.children] == [
+        [2], [], [1, 4], [], [3, 7], [], [], [5, 6],
+    ]
+
+
+# random token trees: chunks that are a quantifier phrase or a single word,
+# in a random order, each head drawn from the tokens earlier in that order
+_PHRASE_UPOS = {"a": "DET", "of": "ADP", "few": "ADJ", "both": "DET"}  # the rest are nouns
+_PHRASES = [[(w, w, _PHRASE_UPOS.get(w, "NOUN")) for w in key.split(" ")]
+            for key in QuantifierLexicon.default().phrase_map]
+_NOUNS = [("dog", "dog"), ("dogs", "dog"), ("man", "man"), ("men", "man"), ("kites", "kite"),
+          ("grass", "grass")]
+_ADJECTIVES = ["brown", "small"]
+_NUMERALS = ["two", "five", "dozen", "pair", "3", "12", "0", "\u00b2", "umpteen"]
+_WORDS = (
+    [(s, l, "NOUN") for s, l in _NOUNS]
+    + [(a, a, "ADJ") for a in _ADJECTIVES]
+    + [(w, w, "NUM") for w in _NUMERALS]
+    + [(v, v, "VERB") for v in ("run", "hold")]
+    + [(p, p, "ADP") for p in ("on", "with")]
+    + [("the", "the", "DET")]
+)
+_DEPRELS = ["root", "nsubj", "nsubj:pass", "nsubjpass", "obj", "dobj", "iobj", "obl", "obl:on",
+            "nmod", "nmod:on", "amod", "nummod", "det", "case", "conj"]
+
+
+@st.composite
+def _token_trees(draw):
+    chunks = draw(st.lists(st.one_of(st.sampled_from(_PHRASES),
+                                     st.sampled_from(_WORDS).map(lambda w: [w])),
+                           min_size=1, max_size=10))
+    words = [w for chunk in chunks for w in chunk]
+    order = draw(st.permutations(range(len(words))))
+    heads = [0] * len(words)
+    for k, i in enumerate(order[1:], start=1):
+        j = draw(st.integers(-1, k - 1))  # -1: a further root
+        heads[i] = 0 if j < 0 else order[j] + 1
+    rels = draw(st.lists(st.sampled_from(_DEPRELS), min_size=len(words), max_size=len(words)))
+    return DependencyGraph("1", "1", tuple(
+        Token(i + 1, s, l, u, h, r) for i, ((s, l, u), h, r) in enumerate(zip(words, heads, rels))
+    ))
+
+
+def _phrase_targets(g, lex):
+    """The nouns that quantifier phrases count: the phrase pass, written plainly."""
+    words = [t.surface.lower() for t in g.tokens]
+    phrases = sorted((key.split(" ") for key in lex.phrase_map), key=lambda p: -len(p))
+    targets, i = set(), 0
+    while i < len(words):
+        for phrase in phrases:
+            end = i + len(phrase)
+            target = next((t.index for t in g.tokens[end:]
+                           if t.upos in NOUN_TAGS and t.index not in targets), None)
+            if words[i:end] == phrase and target is not None:
+                targets.add(target)
+                i = end
+                break
+        else:
+            i += 1
+    return targets
+
+
+def _changed_by_count_fixes(g, lex):
+    """True for the inputs where the two count fixes part from the reference:
+    a digit nummod of a noun that is not a decimal >= 1, or any numeral on a
+    noun that a phrase counts."""
+    nouns = {t.index for t in g.tokens if t.upos in NOUN_TAGS}
+    targets = _phrase_targets(g, lex)
+    for c in g.tokens:
+        rel = c.base_deprel
+        if rel == "nummod" and c.head in nouns and c.surface.isdigit() and not (
+                c.surface.isdecimal() and int(c.surface) >= 1):
+            return True
+        numeral = (c.lemma.lower() in lex.numeral_map or c.surface.lower() in lex.numeral_map
+                   or rel == "nummod" and c.surface.isdigit())
+        if rel in ("nummod", "det") and numeral and c.head in targets:
+            return True
+    return False
+
+
+def _check_valid(out):
+    # both constructors validate: a tree of contiguous tokens, then object ids,
+    # attribute and relation references
+    DependencyGraph(out.caption_id, out.image_id, out.tokens)
+    extract_scene_graph(out)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_token_trees(), st.sampled_from([1, 2, 10]))
+def test_expansion_matches_reference_on_random_trees(g, cap):
+    lex = QuantifierLexicon.default(max_duplication=cap)
+    assume(not _changed_by_count_fixes(g, lex))
+    out = expand_quantifiers(g, lex)
+    assert out == reference_expand_quantifiers(g, lex)
+    _check_valid(out)
+
+
+@st.composite
+def _noun_phrase_trees(draw):
+    """Noun phrases (at most one quantifier phrase or numeral, adjectives, a
+    noun) joined by verbs and prepositions."""
+    rows = []  # [surface, lemma, upos, head row (None: root), deprel]
+
+    def noun_phrase(head, rel):  # returns the row that carries the phrase's role
+        quantifier = draw(st.sampled_from([None, *QuantifierLexicon.default().phrase_map,
+                                           *_NUMERALS]))
+        adjectives = draw(st.lists(st.sampled_from(_ADJECTIVES), max_size=2))
+        words = quantifier.split(" ") if quantifier else []
+        noun = len(rows) + len(words) + len(adjectives)
+        holder, noun_head, noun_rel = noun, head, rel
+        if words[-1:] == ["of"]:  # "a lot of dogs": "lot" carries the role
+            holder = noun_head = len(rows) + len(words) - 2
+            noun_rel = "nmod"
+            rows.extend([w, w, "DET", holder, "det"] for w in words[:-2])
+            rows.append([words[-2], words[-2], "NOUN", head, rel])
+            rows.append(["of", "of", "ADP", noun, "case"])
+        else:
+            rel_of = "nummod" if len(words) == 1 else "det"
+            rows.extend([w, w, "NUM" if len(words) == 1 else "DET", noun, rel_of] for w in words)
+        rows.extend([a, a, "ADJ", noun, "amod"] for a in adjectives)
+        rows.append([*draw(st.sampled_from(_NOUNS)), "NOUN", noun_head, noun_rel])
+        return holder
+
+    last = first = noun_phrase(None, "root")
+    verb = None
+    for link in draw(st.lists(st.sampled_from(["verb", "on", "with"]), max_size=3)):
+        if link == "verb":
+            v = len(rows)
+            rows.append(["hold", "hold", "VERB", verb, "conj" if verb is not None else "root"])
+            if verb is None:
+                rows[first][3:] = [v, "nsubj"]
+                verb = v
+            last = noun_phrase(v, "obj")
+        else:
+            case = len(rows)
+            rows.append([link, link, "ADP", None, "case"])
+            attach, rel = (verb, "obl") if verb is not None else (last, "nmod")
+            last = noun_phrase(attach, rel)
+            rows[case][3] = last
+    return DependencyGraph("1", "1", tuple(
+        Token(i + 1, s, l, u, 0 if h is None else h + 1, r)
+        for i, (s, l, u, h, r) in enumerate(rows)
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_noun_phrase_trees())
+def test_expansion_idempotent_on_noun_phrase_trees(g):
+    lex = QuantifierLexicon.default()
+    once = expand_quantifiers(g, lex)
+    assert expand_quantifiers(once, lex) == once
+    _check_valid(once)
+
+
+# The quadratic implementation that the linear one replaced, kept verbatim
+# (only renamed) as the reference its outputs are compared against.
+def reference_expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> DependencyGraph:
+    """Duplicate counted noun nodes (with their adjective dependents).
+
+    Quantifier words and phrases are consumed, so the operation is
+    idempotent. A bare plural direct object inherits its subject's count.
+    """
+    toks = list(g.tokens)
+    n = len(toks)
+    by_index = {t.index: t for t in toks}
+    pending: dict[int, int] = {}  # noun token index -> raw count
+    consumed: set[int] = set()
+
+    # phrase pass: longest surface match wins at each position
+    lowered = [t.surface.lower() for t in toks]
+    phrase_words = sorted(
+        ((k.split(" "), v) for k, v in lex.phrase_map.items()),
+        key=lambda kv: -len(kv[0]),
+    )
+    i = 0
+    while i < n:
+        matched = False
+        for words, value in phrase_words:
+            k = len(words)
+            if i + k > n or lowered[i : i + k] != words:
+                continue
+            span = {toks[j].index for j in range(i, i + k)}
+            if span & consumed:
+                continue
+            target = next(
+                (t for t in toks[i + k :] if t.upos in NOUN_TAGS
+                 and t.index not in consumed and t.index not in pending),
+                None,
+            )
+            if target is None:
+                continue
+            pending[target.index] = lex.resolve(value)
+            consumed |= span
+            i += k
+            matched = True
+            break
+        if not matched:
+            i += 1
+
+    # numeral pass: nummod/det children drawn from the numeral map
+    for t in toks:
+        if t.upos not in NOUN_TAGS or t.index in pending or t.index in consumed:
+            continue
+        for c in toks:
+            if c.head != t.index or c.index in consumed:
+                continue
+            rel = c.base_deprel
+            if rel not in ("nummod", "det"):
+                continue
+            value = lex.numeral_map.get(c.lemma.lower())
+            if value is None:
+                value = lex.numeral_map.get(c.surface.lower())
+            if value is None and rel == "nummod" and c.surface.isdigit():
+                value = int(c.surface)
+            if value is None:
+                continue  # unknown quantifier words are ignored
+            pending[t.index] = value
+            consumed.add(c.index)
+            break
+
+    # effective structure once consumed tokens are spliced out
+    eff_head: dict[int, int] = {}
+    eff_rel: dict[int, str] = {}
+    for t in toks:
+        if t.index in consumed:
+            continue
+        head, rel = t.head, t.deprel
+        while head != 0 and head in consumed:
+            anc = by_index[head]
+            if t.index in pending:
+                rel = anc.deprel  # the counted noun takes over its governor's role
+            head = anc.head
+        eff_head[t.index] = head
+        eff_rel[t.index] = rel
+
+    # a plural direct object inherits the count of its verb's counted subject
+    for v in toks:
+        if v.upos != "VERB" or v.index in consumed:
+            continue
+        subj_count = None
+        for t in toks:
+            if (t.index in eff_head and eff_head[t.index] == v.index
+                    and eff_rel[t.index].split(":", 1)[0] in SUBJECT_RELS
+                    and t.index in pending):
+                subj_count = pending[t.index]
+                break
+        if subj_count is None:
+            continue
+        for t in toks:
+            if (t.index in eff_head and eff_head[t.index] == v.index
+                    and eff_rel[t.index].split(":", 1)[0] in OBJECT_RELS
+                    and _is_plural_noun(t) and t.index not in pending):
+                pending[t.index] = subj_count
+
+    # adjective dependents ride along with each copy of their noun
+    deferred: dict[int, list[Token]] = {idx: [] for idx in pending}
+    deferred_ids: set[int] = set()
+    for t in toks:
+        if t.index in consumed or t.upos != "ADJ":
+            continue
+        head = eff_head.get(t.index, 0)
+        if head in pending and eff_rel[t.index].split(":", 1)[0] == "amod":
+            deferred[head].append(t)
+            deferred_ids.add(t.index)
+
+    # emit: (surface, lemma, upos, deprel, head_ref); head_ref is an original
+    # token index, 0 for root, or ("new", i) pointing at an emitted position
+    emitted: list[tuple] = []
+    first_pos: dict[int, int] = {}
+
+    def emit(tok: Token, rel: str, head_ref):
+        emitted.append((tok.surface, tok.lemma, tok.upos, rel, head_ref))
+        if tok.index not in first_pos:
+            first_pos[tok.index] = len(emitted) - 1
+
+    for t in toks:
+        if t.index in consumed or t.index in deferred_ids:
+            continue
+        if t.index in pending:
+            copies = min(pending[t.index], lex.max_duplication)
+            for _ in range(copies):
+                for adj in deferred[t.index]:
+                    emit(adj, eff_rel[adj.index], ("new", None))  # fixed up below
+                noun_pos = len(emitted)
+                emit(t, eff_rel[t.index], eff_head[t.index])
+                for back in range(len(deferred[t.index])):
+                    pos = noun_pos - 1 - back
+                    surface, lemma, upos, rel, _ = emitted[pos]
+                    emitted[pos] = (surface, lemma, upos, rel, ("new", noun_pos))
+        else:
+            emit(t, eff_rel[t.index], eff_head[t.index])
+
+    tokens = []
+    for pos, (surface, lemma, upos, rel, head_ref) in enumerate(emitted):
+        if isinstance(head_ref, tuple):
+            head = head_ref[1] + 1
+        elif head_ref == 0:
+            head = 0
+        else:
+            head = first_pos[head_ref] + 1
+        tokens.append(
+            Token(index=pos + 1, surface=surface, lemma=lemma, upos=upos,
+                  head=head, deprel=rel)
+        )
+    return DependencyGraph(caption_id=g.caption_id, image_id=g.image_id,
+                           tokens=tuple(tokens))
