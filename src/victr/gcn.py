@@ -7,17 +7,17 @@ The hidden activations H1 are the node embeddings: a plain (V, H) array,
 one row per vocabulary node, which ``save_embeddings`` writes as float32.
 
 ``a_hat`` is anything with ``shape``, ``@`` on 2-D arrays and ``.T``: a
-dense ndarray, or the ``graphstore.Adjacency`` that ``normalized_adjacency``
-returns, whose products cost k² per column for the k nodes that have an
-edge, rather than V².
+dense ndarray, or the ``graphstore.Adjacency`` of ``normalized_adjacency``,
+a diagonal plus two kind blocks B1 and B2 whose products cost
+|B1| + |B2| + k per column for the k nodes that have an edge, not V².
 
 The second layer is computed as A_hat (H1 W2), not (A_hat H1) W2, so that
 its propagation runs at the class width C rather than the hidden width H.
 A training epoch therefore multiplies by A_hat four times: twice at width
 H (A_hat W1 forward, A_hat^T dPre1 backward) and twice at width C (A_hat
-(H1 W2) forward, A_hat^T G backward), each costing k² per column on an
-``Adjacency`` block. C is the number of object super-classes, a few, where
-H is 50 or 200.
+(H1 W2) forward, A_hat^T G backward), each costing |B1| + |B2| + k per
+column on an ``Adjacency``. C is the number of object super-classes, a few,
+where H is 50 or 200.
 """
 
 from dataclasses import dataclass
@@ -123,8 +123,8 @@ def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, rows: np.ndarray, cols: 
 
     Per epoch this multiplies by A_hat four times: A_hat W1 and
     A_hat^T dPre1 at the hidden width H, A_hat (H1 W2) and U = A_hat^T G at
-    the class width C. Each costs k² per column on an ``Adjacency`` block of
-    k connected nodes (V² on a dense array). U serves both dW2 = H1^T U and
+    the class width C. Each costs |B1| + |B2| + k per column on an
+    ``Adjacency`` (V² on a dense array). U serves both dW2 = H1^T U and
     dH1 = U W2^T.
     """
     h1, logits = forward(model, a_hat)

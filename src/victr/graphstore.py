@@ -8,16 +8,16 @@ edges over the relation's object successors, and object->attribute edges
 over the attribute's total occurrences (attribute-conditioned). Every node
 carries self-weight 1.
 
-``normalized_adjacency`` turns a graph into the GCN's propagation operator
-A_hat without a V x V array: an ``Adjacency`` is the identity on nodes that
-have no edge besides their self-loop, plus a dense block over the rest.
-Positional graphs touch only a part of the shared vocabulary, so their
-block is much smaller than V x V; the basic graph's block is the whole
-matrix.
+The only off-diagonal edges are object->relation, relation->object and
+object->attribute. ``normalized_adjacency`` therefore holds the GCN's A_hat
+as an ``Adjacency``: its diagonal on the k nodes that have an edge, ordered
+by kind, plus two dense blocks, objects x (relations, attributes) and
+relations x objects. A product costs |B1| + |B2| + k per column, not V².
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .errors import InvariantError
 from .geometry import GEOMETRIC_RELATIONS, classify_geometric_relation
 
 OBJECT, RELATION, ATTRIBUTE = "object", "relation", "attribute"
+KINDS = (OBJECT, RELATION, ATTRIBUTE)  # ``Vocabulary.kind_codes`` index this
+# off-diagonal edges a graph may hold, by (source kind code, target kind code)
+EDGE_KINDS = np.array([[False, True, True], [True, False, False], [False, False, False]])
 WEIGHT_SUM_TOL = 1e-9
 
 EDGE_DTYPE = np.dtype(
@@ -51,6 +54,11 @@ class Vocabulary:
         if idx is None:
             raise KeyError(f"out-of-vocabulary {kind} word {word!r}")
         return idx
+
+    @cached_property
+    def kind_codes(self) -> np.ndarray:
+        """Each node's kind as its int8 position in ``KINDS``."""
+        return np.array([KINDS.index(k) for _, k in self.nodes], dtype=np.int8)
 
     def words_of_kind(self, kind: str) -> list[tuple[int, str]]:
         return [(i, w) for i, (w, k) in enumerate(self.nodes) if k == kind]
@@ -103,8 +111,13 @@ def _count_edges(vocab: Vocabulary, kind: str, src: list, dst: list) -> Relation
 def _families(vocab: Vocabulary, edges: np.ndarray) -> np.ndarray:
     """Weight-family key per off-diagonal record: the source node, or V plus
     the attribute node for object->attribute edges."""
-    is_attribute = np.array([k == ATTRIBUTE for _, k in vocab.nodes], dtype=bool)
-    return np.where(is_attribute[edges["dst"]], len(vocab) + edges["dst"], edges["src"])
+    is_attribute = vocab.kind_codes[edges["dst"]] == KINDS.index(ATTRIBUTE)
+    return np.where(is_attribute, len(vocab) + edges["dst"], edges["src"])
+
+
+def _misplaced(vocab: Vocabulary, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Indices of the off-diagonal records whose kinds ``EDGE_KINDS`` forbids."""
+    return np.flatnonzero((src != dst) & ~EDGE_KINDS[vocab.kind_codes[src], vocab.kind_codes[dst]])
 
 
 def build_vocabulary(corpus) -> Vocabulary:
@@ -239,72 +252,87 @@ def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
 
 
 class Adjacency:
-    """A V x V normalized adjacency held as identity plus one dense block.
+    """A V x V normalized adjacency held as a diagonal plus two kind blocks.
 
-    ``nodes`` (ascending) are the nodes with at least one off-diagonal
-    weight; ``block`` is A_hat restricted to them. Every other node has only
-    its self-loop, so its row and column of A_hat are the unit vector e_i and
-    ``A @ X`` leaves its row of X unchanged. Supports ``@`` on 2-D arrays and
-    ``.T``, and reports ``shape``, ``size`` (V * V) and ``nbytes`` (bytes
-    actually held) like an ndarray; ``toarray()`` gives the dense matrix.
+    ``nodes`` are the k nodes with an off-diagonal weight, in kind order:
+    objects with only out-edges, with both, with only in-edges, relations,
+    attributes. ``diag`` is A_hat's (k, 1) diagonal on them; ``blocks`` are
+    (rows, cols, matrix) for A_hat on two slices of that order: B1 (objects
+    with out-edges x relations and attributes), B2 (relations x objects with
+    in-edges). Other nodes have only a self-loop: ``A @ X`` keeps their rows.
+    ``@`` takes 2-D float arrays; ``.T`` is built once; ``shape``, ``size``
+    (V * V) and ``nbytes`` (bytes held) are as on an ndarray.
     """
 
-    def __init__(self, n: int, nodes: np.ndarray, block: np.ndarray):
-        self.nodes = nodes
-        self.block = block
-        self.shape = (n, n)
-        self.size = n * n
+    def __init__(self, n: int, nodes: np.ndarray, diag: np.ndarray, blocks: tuple):
+        self.nodes, self.diag, self.blocks = nodes, diag, blocks
+        self.shape, self.size = (n, n), n * n
 
     @property
     def nbytes(self) -> int:
-        return self.nodes.nbytes + self.block.nbytes
+        return self.nodes.nbytes + self.diag.nbytes + sum(b.nbytes for _, _, b in self.blocks)
 
-    @property
+    @cached_property
     def T(self) -> "Adjacency":
-        return Adjacency(self.shape[0], self.nodes, self.block.T)
+        t = Adjacency(self.shape[0], self.nodes, self.diag,
+                      tuple((cols, rows, b.T) for rows, cols, b in self.blocks))
+        t.T = self
+        return t
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if len(self.nodes) == self.shape[0]:  # every node has an edge: nothing to skip
-            return self.block @ x
-        out = x.astype(float)  # a copy: rows of edgeless nodes pass through
-        out[self.nodes] = self.block @ x[self.nodes]
+        xc = x.take(self.nodes, axis=0)
+        products = [(rows, b @ xc[cols]) for rows, cols, b in self.blocks]
+        xc *= self.diag  # in place, once the blocks have read it
+        for rows, p in products:
+            xc[rows] += p
+        out = x.copy()  # rows of edgeless nodes pass through
+        out[self.nodes] = xc
         return out
 
     def toarray(self) -> np.ndarray:
-        dense = np.eye(self.shape[0])
-        dense[np.ix_(self.nodes, self.nodes)] = self.block
-        return dense
+        return self @ np.eye(self.shape[0])  # exact: each entry is one product by 1
 
 
 def normalized_adjacency(graph: RelationalGraph) -> Adjacency:
     """Degree-normalized adjacency: A_hat[i,j] = A[i,j] / sqrt(d_i * d_j).
 
     A is the weight matrix (self-loops of weight 1 included); d is the row
-    sum. Built from the edge records alone, with no V x V intermediate:
-    nodes without an off-diagonal edge become the identity part of the
-    returned ``Adjacency``, which is exact since their only weight is the
-    self-loop, so A_hat[i,i] = w_ii / d_i = 1.
+    sum. Built from the edge records alone, scattered straight into the kind
+    blocks. Nodes without an off-diagonal edge stay out of them, which is
+    exact since their only weight is the self-loop, so A_hat[i,i] = w_ii / d_i = 1.
     """
     e = graph.edges
     if not e["weight"].any():
         raise ValueError("normalized_adjacency: call compute_weights first")
-    n = len(graph.vocab)
+    n, kinds = len(graph.vocab), graph.vocab.kind_codes
     src, dst, w = e["src"].astype(np.intp), e["dst"].astype(np.intp), e["weight"]
     deg = np.bincount(src, weights=w, minlength=n)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
-    off = src != dst
-    nodes = np.unique(np.concatenate([src[off], dst[off]]))
-    pos = np.full(n, -1)
-    pos[nodes] = np.arange(len(nodes))
-    inside = pos[src] >= 0  # off-diagonal entries and the self-loops of block nodes
-    block = np.zeros((len(nodes), len(nodes)))
-    block[pos[src[inside]], pos[dst[inside]]] = (
-        w[inside] * inv_sqrt[src[inside]] * inv_sqrt[dst[inside]]
-    )
-    if not (np.all(np.isfinite(inv_sqrt)) and np.all(np.isfinite(block))):
+        value = w * inv_sqrt[src] * inv_sqrt[dst]
+    if not (np.all(np.isfinite(inv_sqrt)) and np.all(np.isfinite(value))):
         raise InvariantError("normalized adjacency has non-finite entries")
-    return Adjacency(n, nodes, block)
+    if _misplaced(graph.vocab, src, dst).size:
+        raise InvariantError(f"{graph.kind} graph has an edge outside the kind blocks")
+    off = src != dst
+    has_out, has_in = (np.minimum(np.bincount(v[off], minlength=n), 1) for v in (src, dst))
+    # 0-2: objects with only out-, both, only in-edges; 3: relations; 4: attributes;
+    # 5: nodes with no off-diagonal edge, left out of the blocks
+    group = np.where(kinds == KINDS.index(OBJECT), 1 + has_in - has_out, 2 + kinds)
+    group[(has_out | has_in) == 0] = 5
+    order = np.argsort(group, kind="stable")
+    o = np.searchsorted(group[order], np.arange(6)).tolist()  # group g is o[g]:o[g + 1]
+    nodes, pos = order[:o[5]], np.argsort(order)
+    diag = np.bincount(src[~off], weights=value[~off], minlength=n)[nodes, None]
+    row, col, val = pos[src[off]], pos[dst[off]], value[off]
+    from_object = kinds[src[off]] == KINDS.index(OBJECT)
+    blocks = []
+    for rows, cols, inside in ((slice(0, o[2]), slice(o[3], o[5]), from_object),
+                               (slice(o[3], o[4]), slice(o[1], o[3]), ~from_object)):
+        block = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+        block[row[inside] - rows.start, col[inside] - cols.start] = val[inside]
+        blocks.append((rows, cols, block))
+    return Adjacency(n, nodes, diag, tuple(blocks))
 
 
 def serialize_graph(graph: RelationalGraph, path) -> None:
@@ -330,6 +358,9 @@ def deserialize_graph(path) -> RelationalGraph:
     records = np.frombuffer(payload, dtype=EDGE_DTYPE)
     if len(records) != header["nnz"]:
         raise ValueError(f"{path}: expected {header['nnz']} edges, got {len(records)}")
+    unknown = [k for k in header["vocab"]["kinds"] if k not in KINDS]
+    if unknown:
+        raise ValueError(f"{path}: unknown node kind {unknown[0]!r}")
     src, dst = records["src"], records["dst"]
     outside = np.flatnonzero(np.maximum(src, dst) >= len(nodes))
     if outside.size:
@@ -344,4 +375,10 @@ def deserialize_graph(path) -> RelationalGraph:
         i = unordered[0] + 1
         raise ValueError(f"{path}: edge {i} ({src[i]}, {dst[i]}) does not follow edge "
                          f"{i - 1}; records must be strictly ascending in (src, dst)")
+    misplaced = _misplaced(vocab, src, dst)
+    if misplaced.size:
+        i = misplaced[0]
+        raise ValueError(f"{path}: edge {i} ({src[i]}, {dst[i]}) is {nodes[src[i]][1]}->"
+                         f"{nodes[dst[i]][1]}, not object->relation, relation->object or "
+                         "object->attribute")
     return RelationalGraph(vocab=vocab, kind=header["kind"], edges=records)

@@ -117,7 +117,10 @@ def load_quantifier_lexicon(path, many_value=3, max_duplication=10) -> Quantifie
         if value.upper() == MANY:
             parsed: int | str = MANY
         else:
-            parsed = int(value)
+            try:
+                parsed = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: {value!r} is not an integer or {MANY}") from None
             if parsed < 1:
                 raise ValueError(f"{path}:{ln}: value must be >= 1")
         if " " in word:

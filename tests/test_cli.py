@@ -394,6 +394,24 @@ def test_train_edge_outside_vocabulary_exit_2(tmp_path, capsys):
     assert "basic.victrg" in err and "outside the vocabulary" in err
 
 
+@pytest.mark.parametrize("bad, kinds", [
+    ((0, 2), "object->object"), ((1, 3), "relation->attribute"), ((3, 0), "attribute->object"),
+], ids=["object_object", "relation_attribute", "attribute_object"])
+def test_train_edge_breaking_kind_structure_exit_2(tmp_path, capsys, bad, kinds):
+    vocab = Vocabulary(nodes=[("dog", "object"), ("on", "relation"), ("grass", "object"),
+                              ("green", "attribute")],
+                       object_super_class={0: "animal", 2: "plant"})
+    records = {(0, 1): 1, (1, 2): 1, (2, 3): 1, bad: 1} | {(i, i): 0 for i in range(4)}
+    edges = np.array([(s, d, c, 1.0) for (s, d), c in sorted(records.items())],
+                     dtype=EDGE_DTYPE)
+    path = tmp_path / "out" / "graphs" / "basic.victrg"
+    path.parent.mkdir(parents=True)
+    serialize_graph(RelationalGraph(vocab=vocab, kind="basic", edges=edges), path)
+    assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: edge" in err and f"{bad} is {kinds}, not" in err
+
+
 @pytest.mark.parametrize("order", [
     [0, 1, 1, 2, 3, 4],  # the (0, 1) record twice: its weight would count twice in d_0
     [0, 2, 1, 3, 4],  # (1, 1) ahead of (0, 1)
@@ -416,7 +434,8 @@ def test_train_unordered_graph_records_exit_2(tmp_path, capsys, order):
     ("captions", '{"annotations": [5]}', ": annotation 0: must be an object"),
     ("conllu", "# caption_id = 101\n# image_id = 1\nx\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n",
      ":3: non-integer token id 'x'"),
-], ids=["annotations_int", "annotation_int", "conllu_token_id"])
+    ("quantifiers", "two\tx\n", ":1: 'x' is not an integer or MANY"),
+], ids=["annotations_int", "annotation_int", "conllu_token_id", "quantifier_value"])
 def test_parse_malformed_input_exit_2(tmp_path, toy_paths, capsys, key, text, message):
     bad = tmp_path / f"bad_{key}"
     bad.write_text(text, encoding="utf-8")

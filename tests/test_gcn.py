@@ -22,7 +22,12 @@ from victr.gcn import (
 )
 from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import (
-    Adjacency,
+    ATTRIBUTE,
+    EDGE_DTYPE,
+    OBJECT,
+    RELATION,
+    RelationalGraph,
+    Vocabulary,
     accumulate_counts,
     build_vocabulary,
     compute_weights,
@@ -236,13 +241,25 @@ def test_gradient_check_small_error():
     assert err < 1e-4
 
 
+def _isolated_kind_graph(seed):
+    """Eight nodes: 1 -> 2 -> 6 -> 4 -> 1 object/relation cycle, attribute 5 on
+    objects 1 and 6, and isolated nodes 0, 3 and 7; random weights."""
+    kinds = [OBJECT, OBJECT, RELATION, OBJECT, RELATION, ATTRIBUTE, OBJECT, OBJECT]
+    pairs = [(1, 2), (2, 6), (6, 4), (4, 1), (1, 5), (6, 5)] + [(i, i) for i in range(8)]
+    edges = np.zeros(len(pairs), dtype=EDGE_DTYPE)
+    edges["src"], edges["dst"] = np.array(sorted(pairs)).T
+    edges["weight"] = np.random.default_rng(seed).uniform(0.1, 1.0, len(pairs))
+    vocab = Vocabulary(nodes=[(f"w{i}", k) for i, k in enumerate(kinds)])
+    return RelationalGraph(vocab=vocab, kind="basic", edges=edges)
+
+
 @pytest.mark.parametrize("operator", [False, True], ids=["dense", "adjacency"])
 def test_gradient_check_few_classes_wide_hidden(operator):
     # C << H, as in the pipeline, where the second layer propagates at width C
     a_hat, model, labels = _random_setup(15, n=8, hidden=32, mu=3)
     if operator:  # nodes 0, 3 and 7 are isolated: identity rows of the operator
-        nodes = np.array([1, 2, 4, 5, 6])
-        a_hat = Adjacency(8, nodes, a_hat[np.ix_(nodes, nodes)])
+        a_hat = normalized_adjacency(_isolated_kind_graph(16))
+        assert sorted(a_hat.nodes.tolist()) == [1, 2, 4, 5, 6]
         assert np.array_equal(a_hat.toarray()[[0, 3, 7]], np.eye(8)[[0, 3, 7]])
     labels[7] = 1
     err = gradient_check(model, a_hat, labels, epsilon=1e-5, n_coords=200, seed=4)
@@ -327,7 +344,7 @@ def toy_graphs(tmp_path_factory, toy_paths):
 
 
 def test_adjacency_operator_trains_like_dense(toy_graphs):
-    # the positional graphs exercise the identity rows, the basic graph the full block
+    # the positional graphs exercise the identity rows, the basic graph every kind block
     assert any(len(normalized_adjacency(g).nodes) < len(g.vocab)
                for g in toy_graphs.values())
     cfg = TrainConfig()
@@ -338,10 +355,10 @@ def test_adjacency_operator_trains_like_dense(toy_graphs):
         model = init_model(len(graph.vocab), hidden, len(classes), cfg)
         got, got_history = train(model, a_hat, labels, cfg)
         want, want_history = train(model, a_hat.toarray(), labels, cfg)
-        assert np.allclose(got_history, want_history, rtol=0, atol=1e-10), name
+        assert np.allclose(got_history, want_history, rtol=0, atol=1e-12), name
         assert np.allclose(extract_embeddings(got, a_hat),
                            extract_embeddings(want, a_hat.toarray()),
-                           rtol=0, atol=1e-10), name
+                           rtol=0, atol=1e-12), name
         assert accuracy(got, a_hat, labels) == accuracy(want, a_hat.toarray(), labels)
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from victr.binio import GRAPH_MAGIC, FormatError, read_container
 from victr.errors import InvariantError
@@ -10,6 +9,8 @@ from victr.geometry import GEOMETRIC_RELATIONS, BoundingBox, classify_geometric_
 from victr.graphstore import (
     ATTRIBUTE,
     EDGE_DTYPE,
+    EDGE_KINDS,
+    KINDS,
     OBJECT,
     RELATION,
     RelationalGraph,
@@ -463,6 +464,16 @@ def test_deserialize_then_compute_weights_noop(tmp_path):
     assert loaded.edges.tobytes() == before
 
 
+def test_deserialize_unknown_node_kind_rejected(tmp_path):
+    g = compute_weights(accumulate_counts(TOY_CORPUS, build_vocabulary(TOY_CORPUS)))
+    g.vocab = Vocabulary(nodes=[(w, "colour" if i == 1 else k)
+                                for i, (w, k) in enumerate(g.vocab.nodes)])
+    path = tmp_path / "basic.victrg"
+    serialize_graph(g, path)
+    with pytest.raises(ValueError, match=f"{path}: unknown node kind 'colour'"):
+        deserialize_graph(path)
+
+
 def _dense_reference(n, weights):
     a = np.zeros((n, n))
     for (s, d), w in weights.items():
@@ -479,77 +490,125 @@ def _graph(vocab, weights):
     return RelationalGraph(vocab=vocab, kind="basic", edges=edges)
 
 
-def _weight_graph(n, weights):
-    vocab = Vocabulary(nodes=[(f"w{i}", OBJECT) for i in range(n)])
-    return _graph(vocab, {**{(i, i): 1.0 for i in range(n)}, **weights})
+def _weight_graph(kinds, weights):
+    """Nodes of the given kinds, self-weight 1 on each, plus the weights given."""
+    vocab = Vocabulary(nodes=[(f"w{i}", k) for i, k in enumerate(kinds)])
+    return _graph(vocab, {**{(i, i): 1.0 for i in range(len(kinds))}, **weights})
+
+
+def _kind_case(seed, n, mix, density, width):
+    """A graph whose n nodes draw their kinds from ``mix`` and whose edges
+    join only the kind pairs ``EDGE_KINDS`` allows, each present with
+    probability ``density``; and a (n, width) input."""
+    rng = np.random.default_rng(seed)
+    kinds = [mix[i] for i in rng.integers(len(mix), size=n)]
+    codes = np.array([KINDS.index(k) for k in kinds])
+    present = EDGE_KINDS[codes[:, None], codes[None, :]] & (rng.random((n, n)) < density)
+    weights = {(s, d): rng.uniform(0.01, 1.0) for s, d in zip(*np.nonzero(present))}
+    return _weight_graph(kinds, weights), rng.uniform(-10, 10, size=(n, width))
+
+
+_MIXES = [KINDS, (OBJECT, RELATION), (OBJECT, ATTRIBUTE), (RELATION, ATTRIBUTE), (OBJECT,)]
 
 
 @st.composite
 def _weighted_graphs(draw):
-    n = draw(st.integers(1, 12))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1])
-    weights = draw(st.dictionaries(pairs, st.floats(0.01, 1.0), max_size=3 * n))
-    width = draw(st.integers(1, 4))
-    x = draw(arrays(np.float64, (n, width), elements=st.floats(-10, 10)))
-    return _weight_graph(n, weights), x
+    return _kind_case(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40)),
+                      draw(st.sampled_from(_MIXES)),
+                      draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0])),
+                      draw(st.integers(1, 4)))
+
+
+def _connected(g):
+    return {i for s, d in edge_dict(g, "weight") if s != d for i in (s, d)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weighted_graphs())
+@example(_kind_case(1, 220, KINDS, 0.05, 3))
+@example(_kind_case(2, 180, (OBJECT, RELATION), 0.1, 2))
+@example(_kind_case(3, 30, KINDS, 0.0, 2))
 def test_adjacency_operator_matches_dense_reference(case):
     g, x = case
     n = len(g.vocab)
     a_hat = normalized_adjacency(g)
     dense = a_hat.toarray()
     assert a_hat.shape == (n, n) and a_hat.size == n * n
-    assert a_hat.T.shape == (n, n)
+    assert a_hat.T.shape == (n, n) and a_hat.T.T is a_hat
     assert np.allclose(dense, _dense_reference(n, edge_dict(g, "weight")),
                        rtol=0, atol=1e-12)
     assert np.allclose(a_hat @ x, dense @ x, rtol=0, atol=1e-12)
     assert np.allclose(a_hat.T @ x, dense.T @ x, rtol=0, atol=1e-12)
-    connected = {i for s, d in edge_dict(g, "weight") if s != d for i in (s, d)}
-    isolated = sorted(set(range(n)) - connected)
+    assert np.array_equal(a_hat.T.toarray(), dense.T)
+    assert sorted(a_hat.nodes.tolist()) == sorted(_connected(g))
+    isolated = sorted(set(range(n)) - _connected(g))
     assert np.array_equal((a_hat @ x)[isolated], x[isolated])
     assert np.array_equal((a_hat.T @ x)[isolated], x[isolated])
 
 
+def test_adjacency_dense_reference_reaches_wide_graphs():
+    # the explicit examples above cover more than 150 connected nodes
+    assert len(_connected(_kind_case(1, 220, KINDS, 0.05, 3)[0])) > 150
+    assert len(_connected(_kind_case(2, 180, (OBJECT, RELATION), 0.1, 2)[0])) > 150
+
+
 def test_adjacency_edgeless_graph_is_identity():
-    g = _weight_graph(5, {})
+    g = _weight_graph([OBJECT, RELATION, ATTRIBUTE, OBJECT, RELATION], {})
     a_hat = normalized_adjacency(g)
     x = np.arange(15.0).reshape(5, 3)
-    assert len(a_hat.nodes) == 0 and a_hat.block.shape == (0, 0)
+    assert len(a_hat.nodes) == 0 and a_hat.diag.shape == (0, 1)
+    assert [b.shape for _, _, b in a_hat.blocks] == [(0, 0), (0, 0)]
     assert np.array_equal(a_hat.toarray(), np.eye(5))
     assert np.array_equal(a_hat @ x, x) and np.array_equal(a_hat.T @ x, x)
     assert a_hat @ x is not x
 
 
-def test_adjacency_all_connected_is_one_block():
-    weights = {(0, 1): 0.5, (1, 2): 1.0, (2, 0): 0.25, (3, 2): 1.0}
-    g = _weight_graph(4, weights)
+def test_adjacency_all_connected_is_two_kind_blocks():
+    # 0 man -> 1 ride -> 2 horse; 3 dog -> 1 ride; 2 horse -> 4 brown; 3 dog -> 4 brown
+    kinds = [OBJECT, RELATION, OBJECT, OBJECT, ATTRIBUTE]
+    weights = {(0, 1): 1.0, (1, 2): 1.0, (3, 1): 1.0, (2, 4): 0.5, (3, 4): 0.5}
+    g = _weight_graph(kinds, weights)
     a_hat = normalized_adjacency(g)
-    assert np.array_equal(a_hat.nodes, np.arange(4))
-    assert np.array_equal(a_hat.toarray(), a_hat.block)
-    assert np.allclose(a_hat.block, _dense_reference(4, edge_dict(g, "weight")),
-                       rtol=0, atol=1e-12)
-    x = np.random.default_rng(3).standard_normal((4, 2))
-    assert np.array_equal(a_hat @ x, a_hat.block @ x)
-    assert np.array_equal(a_hat.T @ x, a_hat.block.T @ x)
+    # out-only objects man and dog, then horse (in and out), then ride, then brown
+    assert a_hat.nodes.tolist() == [0, 3, 2, 1, 4]
+    (rows1, cols1, b1), (rows2, cols2, b2) = a_hat.blocks
+    assert (rows1, cols1) == (slice(0, 3), slice(3, 5))  # man, dog, horse x ride, brown
+    assert (rows2, cols2) == (slice(3, 4), slice(2, 3))  # ride x horse
+    ref = _dense_reference(5, edge_dict(g, "weight"))
+    assert np.allclose(b1, ref[np.ix_([0, 3, 2], [1, 4])], rtol=0, atol=1e-15)
+    assert np.allclose(b2, ref[np.ix_([1], [2])], rtol=0, atol=1e-15)
+    assert np.allclose(a_hat.diag[:, 0], np.diag(ref)[[0, 3, 2, 1, 4]], rtol=0, atol=1e-15)
+    assert np.allclose(a_hat.toarray(), ref, rtol=0, atol=1e-15)
+    x = np.random.default_rng(3).standard_normal((5, 2))
+    assert np.allclose(a_hat @ x, ref @ x, rtol=0, atol=1e-12)
+    assert np.allclose(a_hat.T @ x, ref.T @ x, rtol=0, atol=1e-12)
 
 
-def test_adjacency_holds_only_the_block():
-    corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)]),
+def test_adjacency_holds_only_the_kind_blocks():
+    corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)], attributes=[(1, "brown")]),
               sg(2, ["rock", "tree", "sky"])]
     vocab = build_vocabulary(corpus)
     a_hat = normalized_adjacency(compute_weights(accumulate_counts(corpus, vocab)))
     assert list(a_hat.nodes) == [vocab.require(w, k) for w, k in
-                                 (("man", OBJECT), ("ride", RELATION), ("horse", OBJECT))]
-    assert a_hat.nbytes == a_hat.block.nbytes + a_hat.nodes.nbytes
+                                 (("man", OBJECT), ("horse", OBJECT), ("ride", RELATION),
+                                  ("brown", ATTRIBUTE))]
+    # B1: man and horse x ride and brown; B2: ride x horse
+    assert [b.shape for _, _, b in a_hat.blocks] == [(2, 2), (1, 1)]
+    assert a_hat.nbytes == (a_hat.nodes.nbytes + a_hat.diag.nbytes
+                            + sum(b.nbytes for _, _, b in a_hat.blocks))
     assert a_hat.nbytes < a_hat.toarray().nbytes
 
 
 def test_adjacency_missing_self_weight_rejected():
-    vocab = Vocabulary(nodes=[(f"w{i}", OBJECT) for i in range(3)])
+    vocab = Vocabulary(nodes=[("man", OBJECT), ("ride", RELATION), ("horse", OBJECT)])
     g = _graph(vocab, {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0})  # node 2 has no self-weight
     with pytest.raises(InvariantError, match="non-finite"):
+        normalized_adjacency(g)
+
+
+@pytest.mark.parametrize("edge", [(0, 2), (1, 3), (3, 0)],
+                         ids=["object_object", "relation_attribute", "attribute_object"])
+def test_adjacency_edge_outside_kind_blocks_rejected(edge):
+    g = _weight_graph([OBJECT, RELATION, OBJECT, ATTRIBUTE], {edge: 1.0})
+    with pytest.raises(InvariantError, match="outside the kind blocks"):
         normalized_adjacency(g)
