@@ -270,14 +270,19 @@ def cmd_compose(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _fusion_parameters(cfg, weights_path: str | None, visual_dim: int) -> fus.FusionParameters:
+def _fusion_weights(cfg, weights_path: str | None, visual_dim: int) -> np.ndarray:
     if weights_path:
-        w = np.load(_require_file(weights_path, "fusion weight file"))
+        try:
+            w = np.asarray(np.load(_require_file(weights_path, "fusion weight file")), float)
+        except (ValueError, EOFError) as e:
+            raise ValueError(f"{weights_path}: not a numeric .npy matrix ({e})") from None
         if w.shape != (cfg.text_width, visual_dim):
             raise ValueError(
                 f"fusion weights shape {w.shape}, expected ({cfg.text_width}, {visual_dim})"
             )
-        return fus.FusionParameters(w=w)
+        if not np.isfinite(w).all():
+            raise ValueError(f"{weights_path}: fusion weights hold non-finite values")
+        return w
     return fus.init_fusion_parameters(cfg.text_width, visual_dim, cfg.seed)
 
 
@@ -297,28 +302,34 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
         g.caption_id: [t.surface for t in g.tokens]
         for g in ingest.load_conllu(cfg.conllu)
     }
-
-    fused_dir = os.path.join(cfg.out_dir, "fused")
-    os.makedirs(fused_dir, exist_ok=True)
-    params = None
     for cid in caption_ids:
         if cid not in tokens_by_caption:
             raise ValueError(f"caption {cid} not present in {cfg.conllu}")
+        if not (features_dir or tokens_by_caption[cid]):
+            raise ValueError(f"caption {cid} has no tokens in {cfg.conllu}")
+    if not features_dir:  # built-in features and queries: one row per distinct token
+        tokens, token_ids = fus.distinct_tokens(tokens_by_caption[cid] for cid in caption_ids)
+        table = fus.builtin_text_features(tokens, seed=cfg.seed, dim=cfg.text_width).words
+
+    fused_dir = os.path.join(cfg.out_dir, "fused")
+    os.makedirs(fused_dir, exist_ok=True)
+    w = None
+    for i, cid in enumerate(caption_ids):
         vs_rows, _ = gcn.load_embeddings(os.path.join(evs_dir, f"{cid}.victre"))
-        if params is None:  # the first caption's rows give the visual width
+        if w is None:  # the first caption's rows give the visual width
             visual_dim = vs_rows.shape[1]
-            params = _fusion_parameters(cfg, weights_path, visual_dim)
+            w = _fusion_weights(cfg, weights_path, visual_dim)
+            queries = None if features_dir else table @ w
         if features_dir:
             text = fus.load_text_features(
                 _require_file(os.path.join(features_dir, f"{cid}.victre"),
                               f"text features for caption {cid}"),
                 expect_dim=cfg.text_width,
             )
+            query = text.words @ w
         else:
-            text = fus.builtin_text_features(
-                tokens_by_caption[cid], seed=cfg.seed, dim=cfg.text_width
-            )
-        fused = fus.fuse(text, vs_rows, params)
+            text, query = fus.TextFeatures(table[token_ids[i]]), queries[token_ids[i]]
+        fused = fus.fuse(text, query, vs_rows)
         fus.save_fused(
             fused, os.path.join(fused_dir, f"{cid}.victrf"),
             caption_id=cid, text_dim=cfg.text_width, visual_dim=visual_dim,

@@ -1,8 +1,9 @@
 """Attention fusion of text features with per-object visual semantic vectors.
 
 Word features attend over the scene's visual semantic rows (queries are the
-words; keys and values are the visual rows) and the attended result is
-concatenated back onto word and sentence features.
+words @ W; keys and values are the visual rows) and the attended result is
+concatenated back onto word and sentence features. The built-in features and
+their queries are evaluated once per distinct token and gathered per caption.
 """
 
 import hashlib
@@ -16,11 +17,13 @@ from .binio import EMBED_MAGIC, FUSED_MAGIC, read_container, write_container
 @dataclass
 class TextFeatures:
     words: np.ndarray  # (length, dim)
-    sentence: np.ndarray  # (dim,)
+    sentence: np.ndarray | None = None  # (dim,); the mean word when not given
 
     def __post_init__(self):
         if self.words.ndim != 2 or self.words.shape[0] < 1:
             raise ValueError(f"word matrix must be (L, D) with L >= 1, got {self.words.shape}")
+        if self.sentence is None:
+            self.sentence = self.words.mean(axis=0)
         if self.sentence.shape != (self.words.shape[1],):
             raise ValueError(
                 f"sentence width {self.sentence.shape} does not match words {self.words.shape}"
@@ -36,47 +39,34 @@ class TextFeatures:
 
 
 @dataclass
-class FusionParameters:
-    w: np.ndarray  # (text_dim, visual_dim)
-
-
-@dataclass
 class FusedRepresentation:
     word_repr: np.ndarray  # (L, D + V)
     sentence_repr: np.ndarray  # (D + V,)
     attention: np.ndarray  # (L, n_objects)
 
 
-def init_fusion_parameters(text_dim: int, visual_dim: int, seed: int) -> FusionParameters:
+def init_fusion_parameters(text_dim: int, visual_dim: int, seed: int) -> np.ndarray:
+    """The default fusion weight matrix W, (text_dim, visual_dim), Glorot-uniform."""
     rng = np.random.default_rng(seed)
     lim = np.sqrt(6.0 / (text_dim + visual_dim))
-    return FusionParameters(w=rng.uniform(-lim, lim, size=(text_dim, visual_dim)))
+    return rng.uniform(-lim, lim, size=(text_dim, visual_dim))
 
 
-def _row_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def attend(text: TextFeatures, vs_rows: np.ndarray,
-           params: FusionParameters) -> tuple[np.ndarray, np.ndarray]:
+def attend(queries: np.ndarray, vs_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attention-pool the visual rows per word.
 
-    scores = (words @ W) @ vs_rows.T, row-softmaxed into weights, then
-    weights @ vs_rows. With no objects the pooled matrix is zero and the
-    attention matrix is empty.
+    queries are the words' rows of words @ W. scores = queries @ vs_rows.T,
+    row-softmaxed into weights, then weights @ vs_rows. With no objects the
+    pooled matrix is zero and the attention matrix is empty.
     """
-    d = text.dim
-    if params.w.shape[0] != d:
-        raise ValueError(f"W maps width {params.w.shape[0]}, text width is {d}")
-    v = params.w.shape[1]
+    length, v = queries.shape
     if vs_rows.size == 0:
-        return np.zeros((text.length, v)), np.zeros((text.length, 0))
+        return np.zeros((length, v)), np.zeros((length, 0))
     if vs_rows.ndim != 2 or vs_rows.shape[1] != v:
         raise ValueError(f"visual rows width {vs_rows.shape} does not match W width {v}")
-    scores = (text.words @ params.w) @ vs_rows.T
-    attention = _row_softmax(scores)
+    scores = queries @ vs_rows.T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attention = e / e.sum(axis=1, keepdims=True)
     return attention @ vs_rows, attention
 
 
@@ -94,9 +84,8 @@ def victr_sentence(text: TextFeatures, attended: np.ndarray) -> np.ndarray:
     return np.concatenate([text.sentence, attended.sum(axis=0)])
 
 
-def fuse(text: TextFeatures, vs_rows: np.ndarray,
-         params: FusionParameters) -> FusedRepresentation:
-    attended, attention = attend(text, vs_rows, params)
+def fuse(text: TextFeatures, queries: np.ndarray, vs_rows: np.ndarray) -> FusedRepresentation:
+    attended, attention = attend(queries, vs_rows)
     return FusedRepresentation(
         word_repr=victr_word(text, attended),
         sentence_repr=victr_sentence(text, attended),
@@ -109,7 +98,7 @@ def builtin_text_features(tokens, seed: int, dim: int) -> TextFeatures:
 
     The sentence feature is the mean of the word vectors. Same tokens and
     seed always produce identical features (hash-derived, not process-
-    dependent).
+    dependent), so the fuse stage evaluates it once per distinct token.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -122,7 +111,15 @@ def builtin_text_features(tokens, seed: int, dim: int) -> TextFeatures:
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         v = rng.standard_normal(dim)
         rows[i] = v / np.linalg.norm(v)
-    return TextFeatures(words=rows, sentence=rows.mean(axis=0))
+    return TextFeatures(rows)
+
+
+def distinct_tokens(token_lists) -> tuple[list[str], list[np.ndarray]]:
+    """The distinct tokens in first-seen order, and per list its tokens' rows in that order."""
+    index: dict[str, int] = {}
+    ids = [np.array([index.setdefault(t, len(index)) for t in tokens], dtype=np.intp)
+           for tokens in token_lists]
+    return list(index), ids
 
 
 def save_text_features(text: TextFeatures, path) -> None:
@@ -146,6 +143,8 @@ def load_text_features(path, expect_dim: int | None = None) -> TextFeatures:
     if len(payload) != expected:
         raise ValueError(f"{path}: payload size {len(payload)}, expected {expected}")
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: text features hold non-finite values")
     return TextFeatures(
         words=flat[: length * dim].reshape(length, dim),
         sentence=flat[length * dim :],

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -10,7 +11,13 @@ import pytest
 import victr.gcn
 from victr.binio import read_container
 from victr.cli import main
-from victr.fusion import load_fused
+from victr.fusion import (
+    TextFeatures,
+    builtin_text_features,
+    init_fusion_parameters,
+    load_fused,
+    save_text_features,
+)
 from victr.gcn import load_embeddings, load_model
 from victr.graphstore import (
     EDGE_DTYPE,
@@ -315,6 +322,129 @@ def test_fuse_before_compose_exit_2(toy_cfg, capsys):
     cfg, _ = toy_cfg
     assert main(["fuse", "--config", cfg]) == 2
     assert "compose" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def composed_out(tmp_path_factory, toy_paths):
+    """A toy run through compose, made once; each fuse test copies it."""
+    base = tmp_path_factory.mktemp("composed")
+    cfg = _cfg_file(base, toy_paths, base / "out")
+    _run_through_train(cfg)
+    assert main(["compose", "--config", cfg]) == 0
+    return base / "out"
+
+
+@pytest.fixture()
+def fuse_cfg(tmp_path, toy_paths, composed_out):
+    out = tmp_path / "out"
+    shutil.copytree(composed_out, out)
+    return _cfg_file(tmp_path, toy_paths, out), out
+
+
+def _fused_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted((out / "fused").iterdir())}
+
+
+def _write_text_features(directory, toy_dep_graphs, dim=256):
+    directory.mkdir()
+    for g in toy_dep_graphs:
+        text = builtin_text_features([t.surface for t in g.tokens], seed=7, dim=dim)
+        save_text_features(text, directory / f"{g.caption_id}.victre")
+
+
+def test_fuse_default_weights_file_byte_identical(fuse_cfg, tmp_path):
+    cfg, out = fuse_cfg
+    assert main(["fuse", "--config", cfg]) == 0
+    builtin = _fused_bytes(out)
+    weights = tmp_path / "w.npy"
+    np.save(weights, init_fusion_parameters(256, 1200, seed=7))
+    assert main(["fuse", "--config", cfg, "--weights", str(weights)]) == 0
+    assert len(builtin) == 20 and _fused_bytes(out) == builtin
+
+
+def test_fuse_text_features_files_match_builtin(fuse_cfg, tmp_path, toy_dep_graphs):
+    cfg, out = fuse_cfg
+    assert main(["fuse", "--config", cfg]) == 0
+    builtin = {p.name: load_fused(p)[0] for p in (out / "fused").iterdir()}
+    _write_text_features(tmp_path / "text", toy_dep_graphs)
+    assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 0
+    assert len(builtin) == 20
+    for name, want in builtin.items():
+        got, _ = load_fused(out / "fused" / name)
+        for a, b in ((got.word_repr, want.word_repr), (got.sentence_repr, want.sentence_repr),
+                     (got.attention, want.attention)):
+            assert np.allclose(a, b, rtol=1e-6), name
+
+
+def test_fuse_text_features_missing_file_exit_2(fuse_cfg, tmp_path, toy_dep_graphs, capsys):
+    cfg, _ = fuse_cfg
+    _write_text_features(tmp_path / "text", toy_dep_graphs)
+    (tmp_path / "text" / "103.victre").unlink()
+    assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
+    assert "text features for caption 103 not found" in capsys.readouterr().err
+
+
+def test_fuse_text_features_wrong_width_exit_2(fuse_cfg, tmp_path, toy_dep_graphs, capsys):
+    cfg, _ = fuse_cfg
+    _write_text_features(tmp_path / "text", toy_dep_graphs, dim=128)
+    assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
+    assert re.search(r"\.victre: file width 128 != configured width 256", capsys.readouterr().err)
+
+
+def test_fuse_non_finite_text_features_exit_2(fuse_cfg, tmp_path, toy_dep_graphs, capsys):
+    cfg, _ = fuse_cfg
+    _write_text_features(tmp_path / "text", toy_dep_graphs)
+    path = tmp_path / "text" / "104.victre"
+    words = builtin_text_features(["a", "dog"], seed=7, dim=256).words
+    words[1, 5] = np.nan
+    save_text_features(TextFeatures(words), path)
+    assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
+    assert f"{path}: text features hold non-finite values" in capsys.readouterr().err
+
+
+def _nan_weights(path):
+    w = init_fusion_parameters(256, 1200, seed=7)
+    w[3, 4] = np.nan
+    np.save(path, w)
+
+
+def _object_weights(path):
+    np.save(path, np.array([1, "a", None], dtype=object))
+
+
+def _text_weights(path):
+    path.write_text("0.5 0.5\n", encoding="utf-8")
+
+
+def _wrong_shape_weights(path):
+    np.save(path, np.zeros((256, 12)))
+
+
+@pytest.mark.parametrize("write, message", [
+    (_nan_weights, "{path}: fusion weights hold non-finite values"),
+    (_object_weights, "{path}: not a numeric .npy matrix"),
+    (_text_weights, "{path}: not a numeric .npy matrix"),
+    (_wrong_shape_weights, "fusion weights shape (256, 12), expected (256, 1200)"),
+], ids=["nan", "object_array", "not_npy", "wrong_shape"])
+def test_fuse_bad_weights_exit_2(fuse_cfg, tmp_path, capsys, write, message):
+    cfg, out = fuse_cfg
+    path = tmp_path / "w.npy"
+    write(path)
+    assert main(["fuse", "--config", cfg, "--weights", str(path)]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (out / "fused").exists() or not any((out / "fused").iterdir())
+
+
+def test_fuse_caption_without_tokens_exit_2(fuse_cfg, tmp_path, toy_paths, capsys):
+    _, out = fuse_cfg
+    conllu = tmp_path / "no_tokens.conllu"
+    text = open(toy_paths["conllu"], encoding="utf-8").read()
+    head, _, rest = text.partition("# caption_id = 102\n# image_id = 1\n")
+    conllu.write_text(head + "# caption_id = 102\n# image_id = 1\n\n"
+                      + rest[rest.index("\n\n") + 2:], encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**toy_paths, "conllu": str(conllu)}, out)
+    assert main(["fuse", "--config", cfg]) == 2
+    assert f"caption 102 has no tokens in {conllu}" in capsys.readouterr().err
 
 
 def test_project_requires_two_vectors(tmp_path, toy_paths, capsys):

@@ -1,13 +1,17 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from victr.fusion import (
-    FusionParameters,
+    FusedRepresentation,
     TextFeatures,
     attend,
     builtin_text_features,
+    distinct_tokens,
     fuse,
     init_fusion_parameters,
     load_fused,
@@ -25,11 +29,125 @@ def _text(l=3, d=4, seed=0):
     return TextFeatures(words=words, sentence=words.mean(axis=0))
 
 
+# The per-caption attention the distinct-token path replaced, kept verbatim
+# as the reference it must reproduce: built-in features evaluated per caption,
+# queries as words @ W per caption.
+
+@dataclass
+class ReferenceParameters:
+    w: np.ndarray  # (text_dim, visual_dim)
+
+
+def reference_row_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_attend(text: TextFeatures, vs_rows: np.ndarray,
+                     params: ReferenceParameters) -> tuple[np.ndarray, np.ndarray]:
+    d = text.dim
+    if params.w.shape[0] != d:
+        raise ValueError(f"W maps width {params.w.shape[0]}, text width is {d}")
+    v = params.w.shape[1]
+    if vs_rows.size == 0:
+        return np.zeros((text.length, v)), np.zeros((text.length, 0))
+    if vs_rows.ndim != 2 or vs_rows.shape[1] != v:
+        raise ValueError(f"visual rows width {vs_rows.shape} does not match W width {v}")
+    scores = (text.words @ params.w) @ vs_rows.T
+    attention = reference_row_softmax(scores)
+    return attention @ vs_rows, attention
+
+
+def reference_fuse(text: TextFeatures, vs_rows: np.ndarray,
+                   params: ReferenceParameters) -> FusedRepresentation:
+    attended, attention = reference_attend(text, vs_rows, params)
+    return FusedRepresentation(
+        word_repr=victr_word(text, attended),
+        sentence_repr=victr_sentence(text, attended),
+        attention=attention,
+    )
+
+
+def distinct_token_fuse(captions, w, seed, dim):
+    """The fuse stage's built-in path: features and queries once per distinct token."""
+    tokens, ids = distinct_tokens(tokens for tokens, _ in captions)
+    table = builtin_text_features(tokens, seed=seed, dim=dim).words
+    queries = table @ w
+    return [fuse(TextFeatures(table[rows]), queries[rows], vs_rows)
+            for rows, (_, vs_rows) in zip(ids, captions)]
+
+
+@st.composite
+def _captions(draw):
+    """Captions over a small alphabet, so tokens repeat within and across
+    captions, each with its visual rows; some captions have no objects."""
+    dim = draw(st.integers(1, 12))
+    visual = draw(st.integers(1, 10))
+    alphabet = [f"w{i}" for i in range(draw(st.integers(1, 8)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    captions = [
+        (draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=9)),
+         rng.standard_normal((draw(st.integers(0, 4)), visual)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return captions, dim, visual, rng
+
+
+def _assert_fused_equal(got, want):
+    assert np.array_equal(got.word_repr, want.word_repr)
+    assert np.array_equal(got.sentence_repr, want.sentence_repr)
+    assert np.array_equal(got.attention, want.attention)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_captions(), st.integers(0, 5))
+def test_distinct_token_path_equals_per_caption_path(drawn, seed):
+    # BLAS picks its kernel by matrix size, so F @ W and F[ids] @ W may round
+    # differently in the last bit. A W with one +-2**k per column makes every
+    # query an exact product, so any difference left is a wrong row or mean.
+    captions, dim, visual, rng = drawn
+    w = np.zeros((dim, visual))
+    w[rng.integers(0, dim, visual), np.arange(visual)] = (
+        rng.choice([-1.0, 1.0], visual) * 2.0 ** rng.integers(-2, 3, visual))
+    got = distinct_token_fuse(captions, w, seed, dim)
+    for (tokens, vs_rows), fused in zip(captions, got):
+        text = builtin_text_features(tokens, seed=seed, dim=dim)
+        _assert_fused_equal(fused, reference_fuse(text, vs_rows, ReferenceParameters(w=w)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_captions(), st.integers(0, 5))
+def test_distinct_token_path_matches_per_caption_path_any_w(drawn, seed):
+    captions, dim, visual, rng = drawn
+    w = init_fusion_parameters(dim, visual, seed=int(rng.integers(100)))
+    got = distinct_token_fuse(captions, w, seed, dim)
+    for (tokens, vs_rows), fused in zip(captions, got):
+        text = builtin_text_features(tokens, seed=seed, dim=dim)
+        want = reference_fuse(text, vs_rows, ReferenceParameters(w=w))
+        assert np.array_equal(fused.word_repr[:, :dim], want.word_repr[:, :dim])
+        assert np.array_equal(fused.sentence_repr[:dim], want.sentence_repr[:dim])
+        for a, b in ((fused.word_repr, want.word_repr), (fused.sentence_repr, want.sentence_repr),
+                     (fused.attention, want.attention)):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_distinct_tokens_first_seen_order():
+    tokens, ids = distinct_tokens([["a", "dog", "a"], [], ["cat", "dog"]])
+    assert tokens == ["a", "dog", "cat"]
+    assert [r.tolist() for r in ids] == [[0, 1, 0], [], [2, 1]]
+
+
+def test_text_features_sentence_defaults_to_mean_word():
+    words = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(TextFeatures(words).sentence, words.mean(axis=0))
+
+
 def test_attend_singleton_object():
     text = _text(l=4, d=3, seed=1)
     vs = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
-    params = init_fusion_parameters(3, 5, seed=2)
-    attended, attention = attend(text, vs, params)
+    w = init_fusion_parameters(3, 5, seed=2)
+    attended, attention = attend(text.words @ w, vs)
     assert attention.shape == (4, 1)
     assert np.allclose(attention, 1.0)
     assert np.allclose(attended, np.tile(vs, (4, 1)))
@@ -39,8 +157,7 @@ def test_attend_zero_weight_gives_uniform_attention():
     text = _text(l=2, d=3, seed=3)
     rng = np.random.default_rng(4)
     vs = rng.standard_normal((5, 6))
-    params = FusionParameters(w=np.zeros((3, 6)))
-    attended, attention = attend(text, vs, params)
+    attended, attention = attend(text.words @ np.zeros((3, 6)), vs)
     assert np.allclose(attention, 1.0 / 5)
     assert np.allclose(attended, np.tile(vs.mean(axis=0), (2, 1)))
 
@@ -48,12 +165,10 @@ def test_attend_zero_weight_gives_uniform_attention():
 def test_attend_matches_hand_oracle():
     # L=2, N_obj=2, tiny numbers worked through softmax by hand
     words = np.array([[1.0, 0.0], [0.0, 2.0]])
-    text = TextFeatures(words=words, sentence=words.mean(axis=0))
     w = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     vs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-    params = FusionParameters(w=w)
-    attended, attention = attend(text, vs, params)
     q = words @ w  # [[1,0,1],[0,2,0]]
+    attended, attention = attend(q, vs)
     scores = q @ vs.T  # [[1,1],[0,2]]
     for row in range(2):
         exps = [math.exp(v) for v in scores[row]]
@@ -66,19 +181,20 @@ def test_attend_matches_hand_oracle():
 
 def test_attend_no_objects_degenerate():
     text = _text(l=3, d=4, seed=5)
-    params = init_fusion_parameters(4, 7, seed=6)
-    attended, attention = attend(text, np.zeros((0, 7)), params)
+    w = init_fusion_parameters(4, 7, seed=6)
+    attended, attention = attend(text.words @ w, np.zeros((0, 7)))
     assert attended.shape == (3, 7) and not attended.any()
     assert attention.shape == (3, 0)
 
 
 def test_attend_width_mismatch():
     text = _text(l=2, d=3, seed=7)
-    params = init_fusion_parameters(3, 5, seed=8)
+    w = init_fusion_parameters(3, 5, seed=8)
     with pytest.raises(ValueError, match="width"):
-        attend(text, np.zeros((2, 4)), params)
-    with pytest.raises(ValueError, match="W maps"):
-        attend(_text(l=2, d=6, seed=9), np.zeros((2, 5)), params)
+        attend(text.words @ w, np.zeros((2, 4)))
+    # query rows of another caption: one per word is required
+    with pytest.raises(ValueError, match="rows"):
+        fuse(text, _text(l=3, d=3, seed=9).words @ w, np.ones((2, 5)))
 
 
 def test_victr_word_width():
@@ -177,10 +293,8 @@ def test_attention_rows_sum_to_one_randomized():
         l, d, n, v = (int(rng.integers(1, 6)) for _ in range(4))
         v += 1
         words = rng.standard_normal((l, d))
-        text = TextFeatures(words=words, sentence=words.mean(axis=0))
         vs = rng.standard_normal((n, v))
-        params = FusionParameters(w=rng.standard_normal((d, v)))
-        _, attention = attend(text, vs, params)
+        _, attention = attend(words @ rng.standard_normal((d, v)), vs)
         assert np.allclose(attention.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(attention > 0) and np.all(attention < 1 + 1e-12)
 
@@ -189,11 +303,11 @@ def test_softmax_shift_invariance():
     text = _text(l=2, d=3, seed=21)
     rng = np.random.default_rng(22)
     vs = rng.standard_normal((4, 5))
-    params = FusionParameters(w=rng.standard_normal((3, 5)))
-    _, attention = attend(text, vs, params)
+    w = rng.standard_normal((3, 5))
+    _, attention = attend(text.words @ w, vs)
     # shifting every score in a row is equivalent to translating all keys
     # along a direction orthogonal to nothing; emulate by direct computation
-    scores = (text.words @ params.w) @ vs.T + 123.456
+    scores = (text.words @ w) @ vs.T + 123.456
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     shifted /= shifted.sum(axis=1, keepdims=True)
     assert np.allclose(attention, shifted, atol=1e-9)
@@ -203,13 +317,11 @@ def test_argmax_object_invariant_under_word_scaling():
     rng = np.random.default_rng(23)
     for _ in range(20):
         words = rng.standard_normal((4, 6))
-        text = TextFeatures(words=words, sentence=words.mean(axis=0))
         vs = rng.standard_normal((5, 7))
-        params = FusionParameters(w=rng.standard_normal((6, 7)))
-        _, att = attend(text, vs, params)
+        w = rng.standard_normal((6, 7))
+        _, att = attend(words @ w, vs)
         for c in (0.5, 2.0, 10.0):
-            scaled = TextFeatures(words=c * words, sentence=c * words.mean(axis=0))
-            _, att_c = attend(scaled, vs, params)
+            _, att_c = attend((c * words) @ w, vs)
             assert np.array_equal(att.argmax(axis=1), att_c.argmax(axis=1))
 
 
@@ -217,8 +329,8 @@ def test_fused_file_round_trip(tmp_path):
     text = _text(l=3, d=4, seed=24)
     rng = np.random.default_rng(25)
     vs = rng.standard_normal((2, 6))
-    params = FusionParameters(w=rng.standard_normal((4, 6)))
-    fused = fuse(text, vs, params)
+    w = rng.standard_normal((4, 6))
+    fused = fuse(text, text.words @ w, vs)
     path = tmp_path / "f.victrf"
     save_fused(fused, path, caption_id="77", text_dim=4, visual_dim=6)
     loaded, header = load_fused(path)
