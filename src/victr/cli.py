@@ -7,7 +7,6 @@ so stages can be rerun and tested in isolation. Exit codes: 0 success,
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -39,16 +38,15 @@ def _require_file(path, what: str, hint: str = ""):
     return path
 
 
-def _remove_stale(directory, suffixes: tuple[str, ...], caption_ids: set[str]) -> None:
+def _remove_stale(directory, suffix: str, caption_ids: set[str]) -> None:
     """Delete the <caption id><suffix> files in directory of captions not in caption_ids.
 
     A stage rewrites its files in place, then drops those an earlier run
     left, so later stages read only this run's outputs.
     """
     for name in os.listdir(directory):
-        for suffix in suffixes:
-            if name.endswith(suffix) and name[: -len(suffix)] not in caption_ids:
-                os.remove(os.path.join(directory, name))
+        if name.endswith(suffix) and name[: -len(suffix)] not in caption_ids:
+            os.remove(os.path.join(directory, name))
 
 
 def _scene_graph_dir(cfg) -> str:
@@ -132,7 +130,7 @@ def cmd_parse(cfg: PipelineConfig) -> int:
         n_obj += len(sg.objects)
         n_rel += len(sg.relations)
         n_attr += len(sg.attributes)
-    _remove_stale(sg_dir, (".json",), {sg.caption_id for _, sg in parsed})
+    _remove_stale(sg_dir, ".json", {sg.caption_id for _, sg in parsed})
     print(
         f"parsed {len(parsed)} captions: {n_obj} objects, "
         f"{n_rel} relations, {n_attr} attributes"
@@ -240,29 +238,24 @@ def _load_tables(cfg):
 
 
 def cmd_compose(cfg: PipelineConfig) -> int:
+    """Write each scene graph's E_vs matrix to evs/<caption id>.victre.
+
+    Row i of that file is object i of scene_graphs/<caption id>.json, which
+    holds the object's id and word; no other file repeats them.
+    """
     corpus = _load_scene_graphs(cfg)
     vocab, tables = _load_tables(cfg)
     vocab_hash = vocab.content_hash()
     evs_dir = os.path.join(cfg.out_dir, "evs")
     os.makedirs(evs_dir, exist_ok=True)
     for sg in corpus:
-        vs = emb.scene_visual_semantics(sg, tables)
         gcn.save_embeddings(
-            vs.rows, os.path.join(evs_dir, f"{sg.caption_id}.victre"),
-            vocab_hash=vocab_hash,
+            emb.scene_visual_semantics(sg, tables).rows,
+            os.path.join(evs_dir, f"{sg.caption_id}.victre"), vocab_hash=vocab_hash,
         )
-        manifest = {
-            "caption_id": sg.caption_id,
-            "image_id": sg.image_id,
-            "object_ids": vs.object_ids,
-            "words": [w for _, w, _ in sg.objects],
-            "width": tables.scene_width,
-        }
-        with open(os.path.join(evs_dir, f"{sg.caption_id}.manifest.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2)
-            f.write("\n")
-    _remove_stale(evs_dir, (".victre", ".manifest.json"), {sg.caption_id for sg in corpus})
+    _remove_stale(evs_dir, ".victre", {sg.caption_id for sg in corpus})
+    # earlier versions wrote a manifest per caption; its content is in the scene graph
+    _remove_stale(evs_dir, ".manifest.json", set())
     print(
         f"composed visual semantic matrices for {len(corpus)} captions "
         f"(width {tables.scene_width})"
@@ -334,7 +327,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             fused, os.path.join(fused_dir, f"{cid}.victrf"),
             caption_id=cid, text_dim=cfg.text_width, visual_dim=visual_dim,
         )
-    _remove_stale(fused_dir, (".victrf",), set(caption_ids))
+    _remove_stale(fused_dir, ".victrf", set(caption_ids))
     print(
         f"fused {len(caption_ids)} captions "
         f"(word width {cfg.text_width + visual_dim}, visual width {visual_dim})"

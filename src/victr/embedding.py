@@ -39,8 +39,7 @@ class ComposedTables:
 
 @dataclass
 class VisualSemanticMatrix:
-    rows: np.ndarray  # (n_objects, scene_width)
-    object_ids: list[int]
+    rows: np.ndarray  # (n_objects, scene_width); row i is sg.objects[i]
 
 
 def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> ComposedTables:
@@ -64,8 +63,10 @@ def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> Composed
 def scene_visual_semantics(sg, tables: ComposedTables) -> VisualSemanticMatrix:
     """One row per scene-graph object: E_o || mean E_a || mean E_r.
 
-    Attribute and relation segments are zero when the object has none;
-    relations count whether the object is subject or object of the triple.
+    Row i is sg.objects[i]; the rows carry no ids, so the scene graph says
+    which object and word each row stands for. Attribute and relation segments
+    are zero when the object has none; relations count whether the object is
+    subject or object of the triple.
     """
     fw, bw = tables.full_width, tables.basic_width
     vectors, row_of = tables.vectors, tables.row_of
@@ -80,7 +81,6 @@ def scene_visual_semantics(sg, tables: ComposedTables) -> VisualSemanticMatrix:
 
     rows = np.zeros((len(sg.objects), tables.scene_width))
     rows[:, :fw] = vectors[[row_of(word, OBJECT) for _, word, _ in sg.objects]]
-    ids = []
     for i, (oid, _, _) in enumerate(sg.objects):
         # a gathered (n, width) block sums its rows in order, as np.mean over
         # a list of vectors does, so the segment means do not change by a bit
@@ -90,8 +90,7 @@ def scene_visual_semantics(sg, tables: ComposedTables) -> VisualSemanticMatrix:
         rel_rows = rels_by_obj.get(oid)
         if rel_rows:
             rows[i, fw + bw :] = vectors[rel_rows].mean(axis=0)
-        ids.append(oid)
-    return VisualSemanticMatrix(rows=rows, object_ids=ids)
+    return VisualSemanticMatrix(rows=rows)
 
 
 def pca_project(vectors, out_dim: int = 2) -> np.ndarray:

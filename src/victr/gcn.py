@@ -176,43 +176,6 @@ def extract_embeddings(model: GcnModel, a_hat: np.ndarray) -> np.ndarray:
     return h1
 
 
-def gradient_check(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
-                   epsilon: float, n_coords: int = 120, seed: int = 0) -> float:
-    """Central finite differences vs analytic gradients on random coordinates.
-
-    Returns the max relative error, floored at 1e-12 in the denominator so
-    dead-relu coordinates (both gradients ~0) do not blow up.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    rows, cols = _label_arrays(labels)
-    _, grads = _loss_and_grads(model, a_hat, rows, cols)
-    params = [model.w1, model.b1, model.w2, model.b2]
-    sizes = [p.size for p in params]
-    total = sum(sizes)
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(n_coords, total), replace=False)
-
-    worst = 0.0
-    for flat in np.sort(picks):
-        pi, offset = 0, int(flat)
-        while offset >= sizes[pi]:
-            offset -= sizes[pi]
-            pi += 1
-        p = params[pi]
-        orig = p.flat[offset]
-        p.flat[offset] = orig + epsilon
-        lo_plus = _loss_and_grads(model, a_hat, rows, cols)[0]
-        p.flat[offset] = orig - epsilon
-        lo_minus = _loss_and_grads(model, a_hat, rows, cols)[0]
-        p.flat[offset] = orig
-        numeric = (lo_plus - lo_minus) / (2 * epsilon)
-        analytic = grads[pi].flat[offset]
-        rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-12)
-        worst = max(worst, rel)
-    return worst
-
-
 def object_labels(vocab: Vocabulary) -> tuple[dict[int, int], list[str]]:
     """Super-class training labels for the object nodes of a vocabulary."""
     classes = sorted(set(vocab.object_super_class.values()))
@@ -260,10 +223,15 @@ def save_embeddings(rows: np.ndarray, path, vocab_hash: str) -> None:
 
 
 def load_embeddings(path) -> tuple[np.ndarray, str]:
-    """The (n, h) float64 rows and the vocabulary hash saved with them."""
+    """The (n, h) float64 rows and the vocabulary hash saved with them.
+
+    ValueError naming the path when a row holds a NaN or an infinity.
+    """
     header, payload = read_container(path, EMBED_MAGIC)
     n, h = header["n"], header["h"]
     if len(payload) != n * h * 4:
         raise ValueError(f"{path}: payload size {len(payload)}, expected {n * h * 4}")
     rows = np.frombuffer(payload, dtype="<f4").reshape(n, h).astype(np.float64)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: embedding rows hold non-finite values")
     return rows, header.get("vocab_hash", "")

@@ -172,36 +172,6 @@ def load_conllu(path) -> list[DependencyGraph]:
     return graphs
 
 
-def to_conllu(graphs) -> str:
-    """Serialize DependencyGraphs back to CoNLL-U (unused columns as '_').
-
-    The pipeline never writes CoNLL-U; this is kept as the inverse that the
-    load_conllu round-trip tests check the reader against.
-    """
-    chunks = []
-    for g in graphs:
-        lines = [f"# caption_id = {g.caption_id}", f"# image_id = {g.image_id}"]
-        for t in g.tokens:
-            lines.append(
-                "\t".join(
-                    [
-                        str(t.index),
-                        t.surface,
-                        t.lemma,
-                        t.upos,
-                        "_",
-                        "_",
-                        str(t.head),
-                        t.deprel,
-                        "_",
-                        "_",
-                    ]
-                )
-            )
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + ("\n" if chunks else "")
-
-
 def _entries(doc, key: str, what: str, fields: tuple[str, ...], path) -> list[dict]:
     """doc[key], checked to be a list of JSON objects that each hold ``fields``."""
     if type(doc) is not dict or key not in doc:

@@ -398,6 +398,11 @@ def parse_caption(g: DependencyGraph, qlex: QuantifierLexicon,
 
 
 def scene_graph_to_json(sg: SceneGraph) -> str:
+    """The scene graph as one line of compact JSON.
+
+    Compact because any ``indent`` makes json.dumps fall back from its C
+    encoder to the pure-Python one, several times slower on every caption.
+    """
     doc = {
         "caption_id": sg.caption_id,
         "image_id": sg.image_id,
@@ -412,7 +417,7 @@ def scene_graph_to_json(sg: SceneGraph) -> str:
             {"subject": s, "predicate": p, "object": o} for s, p, o in sg.relations
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 # list key -> the fields of each of its entries and their JSON types

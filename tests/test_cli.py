@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from victr.fusion import (
     load_fused,
     save_text_features,
 )
-from victr.gcn import load_embeddings, load_model
+from victr.gcn import load_embeddings, load_model, save_embeddings
 from victr.graphstore import (
     EDGE_DTYPE,
     RelationalGraph,
@@ -71,10 +72,10 @@ def test_parse_richest_keeps_one_per_image(toy_cfg):
 def test_parse_missing_captions_file_exit_2(tmp_path, toy_paths, capsys):
     out_dir = tmp_path / "out"
     cfg = _cfg_file(tmp_path, toy_paths, out_dir)
-    text = open(cfg, encoding="utf-8").read().replace(
+    text = Path(cfg).read_text(encoding="utf-8").replace(
         toy_paths["captions"], str(tmp_path / "gone.json")
     )
-    open(cfg, "w", encoding="utf-8").write(text)
+    Path(cfg).write_text(text, encoding="utf-8")
     assert main(["parse", "--config", cfg]) == 2
     assert "gone.json" in capsys.readouterr().err
 
@@ -190,10 +191,10 @@ def test_compose_fuse_project_chain(toy_cfg, capsys):
     assert main(["compose", "--config", cfg]) == 0
     evs_files = [f for f in os.listdir(out / "evs") if f.endswith(".victre")]
     assert len(evs_files) == 20
-    with open(out / "evs" / "101.manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    assert manifest["width"] == 1200
-    assert manifest["words"] == ["man", "man", "horse", "horse"]
+    doc = json.loads((out / "scene_graphs" / "101.json").read_text(encoding="utf-8"))
+    assert [o["word"] for o in doc["objects"]] == ["man", "man", "horse", "horse"]
+    rows, _ = load_embeddings(out / "evs" / "101.victre")
+    assert rows.shape == (len(doc["objects"]), 1200)  # row i is object i
 
     assert main(["fuse", "--config", cfg]) == 0
     fused, header = load_fused(out / "fused" / "101.victrf")
@@ -277,7 +278,7 @@ def test_compose_and_fuse_drop_foreign_outputs(toy_cfg):
     assert main(["fuse", "--config", cfg]) == 0
     assert not any(path.exists() for path in foreign)
     assert keep.exists()
-    assert len(os.listdir(out / "evs")) == 2 * 20 + 1
+    assert len(os.listdir(out / "evs")) == 20 + 1
     assert len(os.listdir(out / "fused")) == 20
 
 
@@ -402,6 +403,30 @@ def test_fuse_non_finite_text_features_exit_2(fuse_cfg, tmp_path, toy_dep_graphs
     assert f"{path}: text features hold non-finite values" in capsys.readouterr().err
 
 
+def _plant_nan(path):
+    rows, vocab_hash = load_embeddings(path)
+    rows[1, 5] = np.nan
+    save_embeddings(rows, path, vocab_hash=vocab_hash)
+
+
+def test_fuse_non_finite_evs_exit_2(fuse_cfg, capsys):
+    cfg, out = fuse_cfg
+    path = out / "evs" / "101.victre"
+    _plant_nan(path)
+    assert main(["fuse", "--config", cfg]) == 2
+    assert f"{path}: embedding rows hold non-finite values" in capsys.readouterr().err
+    assert not (out / "fused" / "101.victrf").exists()
+
+
+def test_compose_and_project_non_finite_embeddings_exit_2(fuse_cfg, capsys):
+    cfg, out = fuse_cfg
+    path = out / "embeddings" / "basic.victre"
+    _plant_nan(path)
+    for stage in ("compose", "project"):
+        assert main([stage, "--config", cfg]) == 2, stage
+        assert f"{path}: embedding rows hold non-finite values" in capsys.readouterr().err
+
+
 def _nan_weights(path):
     w = init_fusion_parameters(256, 1200, seed=7)
     w[3, 4] = np.nan
@@ -438,7 +463,7 @@ def test_fuse_bad_weights_exit_2(fuse_cfg, tmp_path, capsys, write, message):
 def test_fuse_caption_without_tokens_exit_2(fuse_cfg, tmp_path, toy_paths, capsys):
     _, out = fuse_cfg
     conllu = tmp_path / "no_tokens.conllu"
-    text = open(toy_paths["conllu"], encoding="utf-8").read()
+    text = Path(toy_paths["conllu"]).read_text(encoding="utf-8")
     head, _, rest = text.partition("# caption_id = 102\n# image_id = 1\n")
     conllu.write_text(head + "# caption_id = 102\n# image_id = 1\n\n"
                       + rest[rest.index("\n\n") + 2:], encoding="utf-8")

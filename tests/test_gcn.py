@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import gradient_check, two_clique_scene_graphs
 
 from victr.gcn import (
     GcnModel,
@@ -10,7 +11,6 @@ from victr.gcn import (
     accuracy,
     extract_embeddings,
     forward,
-    gradient_check,
     init_model,
     load_embeddings,
     load_model,
@@ -34,7 +34,6 @@ from victr.graphstore import (
     deserialize_graph,
     normalized_adjacency,
 )
-from victr.synthetic import two_clique_scene_graphs
 
 
 def _random_setup(seed, n=6, hidden=5, mu=3):

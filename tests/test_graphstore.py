@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import random_scene_graphs
 
 from victr.binio import GRAPH_MAGIC, FormatError, read_container
 from victr.errors import InvariantError
@@ -25,7 +26,6 @@ from victr.graphstore import (
     verify_weight_sums,
 )
 from victr.sceneparse import SceneGraph
-from victr.synthetic import random_scene_graphs
 
 
 def sg(cid, objects, relations=(), attributes=(), supers=None):

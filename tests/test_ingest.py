@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from helpers import to_conllu
 
 from victr.ingest import (
     ConlluError,
@@ -9,7 +10,6 @@ from victr.ingest import (
     load_conllu,
     load_instances,
     select_richest_caption,
-    to_conllu,
 )
 from victr.sceneparse import SceneGraph
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from victr.sceneparse import (
     OBJECT_RELS,
     SUBJECT_RELS,
     QuantifierLexicon,
+    SceneGraph,
     SuperClassLexicon,
     assign_super_classes,
     expand_quantifiers,
@@ -235,6 +238,56 @@ def test_scene_graph_json_round_trip(toy_dep_by_caption, qlex, slex):
         extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex)), slex
     )
     assert scene_graph_from_json(scene_graph_to_json(sg)) == sg
+
+
+# words that JSON must escape or that fall outside ASCII, mixed with any others
+_ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f é漢\u2028\U0001f40e'
+_JSON_WORDS = st.text(st.one_of(st.sampled_from(_ESCAPED), st.characters()), max_size=6)
+
+
+@st.composite
+def _scene_graphs(draw):
+    ids = draw(st.lists(st.integers(-3, 10**12), unique=True, max_size=4))
+    objects = tuple((oid, draw(_JSON_WORDS), draw(_JSON_WORDS)) for oid in ids)
+    attributes = relations = ()
+    if ids:
+        attributes = tuple(draw(st.lists(st.tuples(st.sampled_from(ids), _JSON_WORDS),
+                                         max_size=3)))
+    if len(ids) >= 2:
+        triple = st.tuples(st.permutations(ids), _JSON_WORDS).map(
+            lambda t: (t[0][0], t[1], t[0][1]))  # two distinct objects
+        relations = tuple(draw(st.lists(triple, unique=True, max_size=3)))
+    return SceneGraph(caption_id=draw(_JSON_WORDS), image_id=draw(_JSON_WORDS),
+                      objects=objects, attributes=attributes, relations=relations)
+
+
+def _indented_json(sg):
+    """The earlier two-space-indented rendering, kept to pin the document."""
+    doc = {
+        "caption_id": sg.caption_id,
+        "image_id": sg.image_id,
+        "objects": [{"id": oid, "word": word, "super_class": sup}
+                    for oid, word, sup in sg.objects],
+        "attributes": [{"object_id": oid, "word": word} for oid, word in sg.attributes],
+        "relations": [{"subject": s, "predicate": p, "object": o}
+                      for s, p, o in sg.relations],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@given(_scene_graphs())
+def test_scene_graph_json_round_trip_any_words(sg):
+    assert scene_graph_from_json(scene_graph_to_json(sg)) == sg
+
+
+@given(_scene_graphs())
+def test_scene_graph_json_is_one_ascii_line_of_the_indented_document(sg):
+    text = scene_graph_to_json(sg)
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert text.isascii()
+    # object_pairs_hook=list keeps key order, which dict equality ignores
+    assert (json.loads(text, object_pairs_hook=list)
+            == json.loads(_indented_json(sg), object_pairs_hook=list))
 
 
 @pytest.mark.parametrize("numeral", ["0", "00", "\u00b2"])
