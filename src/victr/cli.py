@@ -100,12 +100,16 @@ def cmd_parse(cfg: PipelineConfig) -> int:
     _require_file(cfg.conllu, "CoNLL-U file")
     _require_file(cfg.captions, "captions file")
     dep_graphs = ingest.load_conllu(cfg.conllu)
-    caption_set = ingest.load_captions(cfg.captions)
-    known = set(caption_set.caption_ids())
+    image_of = ingest.load_captions(cfg.captions)
     for g in dep_graphs:
-        if g.caption_id not in known:
+        if g.caption_id not in image_of:
             raise ValueError(
                 f"caption {g.caption_id} from {cfg.conllu} missing in {cfg.captions}"
+            )
+        if g.image_id != image_of[g.caption_id]:
+            raise ValueError(
+                f"{cfg.conllu}: caption {g.caption_id}: image_id {g.image_id}, "
+                f"but {cfg.captions} gives {image_of[g.caption_id]}"
             )
     qlex = _quantifier_lexicon(cfg)
     slex = _superclass_lexicon(cfg)
@@ -183,11 +187,8 @@ def cmd_train(cfg: PipelineConfig, graph_name: str) -> int:
             raise ValueError(f"{name} graph has no labeled object nodes")
         hidden = cfg.basic_width if name == "basic" else cfg.positional_width
         a_hat = gs.normalized_adjacency(graph)
-        train_cfg = gcn.TrainConfig(
-            learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed,
-        )
-        model = gcn.init_model(len(graph.vocab), hidden, len(classes), train_cfg)
-        model, history = gcn.train(model, a_hat, labels, train_cfg)
+        model = gcn.init_model(len(graph.vocab), hidden, len(classes), cfg.seed)
+        model, history = gcn.train(model, a_hat, labels, cfg)
         rows = gcn.extract_embeddings(model, a_hat)
         if name != "basic":  # a positional graph embeds only the nodes it links
             outside = np.ones(len(graph.vocab), dtype=bool)
@@ -302,7 +303,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             raise ValueError(f"caption {cid} has no tokens in {cfg.conllu}")
     if not features_dir:  # built-in features and queries: one row per distinct token
         tokens, token_ids = fus.distinct_tokens(tokens_by_caption[cid] for cid in caption_ids)
-        table = fus.builtin_text_features(tokens, seed=cfg.seed, dim=cfg.text_width).words
+        table = fus.builtin_text_features(tokens, seed=cfg.seed, dim=cfg.text_width)
 
     fused_dir = os.path.join(cfg.out_dir, "fused")
     os.makedirs(fused_dir, exist_ok=True)
@@ -314,15 +315,16 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             w = _fusion_weights(cfg, weights_path, visual_dim)
             queries = None if features_dir else table @ w
         if features_dir:
-            text = fus.load_text_features(
+            words, sentence = fus.load_text_features(
                 _require_file(os.path.join(features_dir, f"{cid}.victre"),
                               f"text features for caption {cid}"),
                 expect_dim=cfg.text_width,
             )
-            query = text.words @ w
-        else:
-            text, query = fus.TextFeatures(table[token_ids[i]]), queries[token_ids[i]]
-        fused = fus.fuse(text, query, vs_rows)
+            query = words @ w
+        else:  # rows of table @ W: table[ids] @ W may round differently in the last bit
+            words, query = table[token_ids[i]], queries[token_ids[i]]
+            sentence = words.mean(axis=0)
+        fused = fus.fuse(words, sentence, query, vs_rows)
         fus.save_fused(
             fused, os.path.join(fused_dir, f"{cid}.victrf"),
             caption_id=cid, text_dim=cfg.text_width, visual_dim=visual_dim,

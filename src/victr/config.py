@@ -1,5 +1,6 @@
 """Pipeline configuration: key = value text files with CLI overrides."""
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -27,8 +28,8 @@ class PipelineConfig:
                      "epochs", "max_duplication", "many_value"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.caption_mode not in ("all", "richest"):
             raise ValueError(
                 f"caption_mode must be 'all' or 'richest', got {self.caption_mode!r}"
@@ -44,10 +45,13 @@ _FIELD_TYPES = {f.name: _type_name(f.type) for f in fields(PipelineConfig)}
 
 def _coerce(name: str, raw: str):
     ftype = _FIELD_TYPES[name]
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
+    try:
+        if ftype == "int":
+            return int(raw)
+        if ftype == "float":
+            return float(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {ftype}, got {raw!r}") from None
     return raw
 
 
@@ -64,5 +68,9 @@ def load_config(path) -> PipelineConfig:
             key, value = key.strip(), value.strip()
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-            values[key] = _coerce(key, value)
+            try:
+                values[key] = _coerce(key, value)
+                PipelineConfig(**{key: values[key]})  # each check reads one key
+            except ValueError as e:
+                raise ValueError(f"{path}:{ln}: {e}") from None
     return PipelineConfig(**values)

@@ -1,9 +1,12 @@
 """Attention fusion of text features with per-object visual semantic vectors.
 
-Word features attend over the scene's visual semantic rows (queries are the
-words @ W; keys and values are the visual rows) and the attended result is
-concatenated back onto word and sentence features. The built-in features and
-their queries are evaluated once per distinct token and gathered per caption.
+A caption's text features are an (L, D) word matrix and a (D,) sentence
+vector. Word features attend over the scene's visual semantic rows (queries
+are the words @ W; keys and values are the visual rows). Each VICTR word is
+its feature concatenated with its attended visual vector, (L, D + V), and
+the VICTR sentence is the sentence feature concatenated with the sum of
+those vectors, (D + V,). The built-in features and their queries are
+evaluated once per distinct token and gathered per caption.
 """
 
 import hashlib
@@ -12,30 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import EMBED_MAGIC, FUSED_MAGIC, read_container, write_container
-
-
-@dataclass
-class TextFeatures:
-    words: np.ndarray  # (length, dim)
-    sentence: np.ndarray | None = None  # (dim,); the mean word when not given
-
-    def __post_init__(self):
-        if self.words.ndim != 2 or self.words.shape[0] < 1:
-            raise ValueError(f"word matrix must be (L, D) with L >= 1, got {self.words.shape}")
-        if self.sentence is None:
-            self.sentence = self.words.mean(axis=0)
-        if self.sentence.shape != (self.words.shape[1],):
-            raise ValueError(
-                f"sentence width {self.sentence.shape} does not match words {self.words.shape}"
-            )
-
-    @property
-    def length(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.words.shape[1]
 
 
 @dataclass
@@ -70,35 +49,23 @@ def attend(queries: np.ndarray, vs_rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return attention @ vs_rows, attention
 
 
-def victr_word(text: TextFeatures, attended: np.ndarray) -> np.ndarray:
-    """Concatenate each word feature with its attended visual vector."""
-    if attended.shape[0] != text.length:
-        raise ValueError(
-            f"attended rows {attended.shape[0]} != sequence length {text.length}"
-        )
-    return np.concatenate([text.words, attended], axis=1)
-
-
-def victr_sentence(text: TextFeatures, attended: np.ndarray) -> np.ndarray:
-    """Concatenate the sentence feature with the summed attended vectors."""
-    return np.concatenate([text.sentence, attended.sum(axis=0)])
-
-
-def fuse(text: TextFeatures, queries: np.ndarray, vs_rows: np.ndarray) -> FusedRepresentation:
+def fuse(words: np.ndarray, sentence: np.ndarray, queries: np.ndarray,
+         vs_rows: np.ndarray) -> FusedRepresentation:
+    """Fuse a caption's (L, D) words and (D,) sentence with its visual rows."""
     attended, attention = attend(queries, vs_rows)
     return FusedRepresentation(
-        word_repr=victr_word(text, attended),
-        sentence_repr=victr_sentence(text, attended),
+        word_repr=np.concatenate([words, attended], axis=1),
+        sentence_repr=np.concatenate([sentence, attended.sum(axis=0)]),
         attention=attention,
     )
 
 
-def builtin_text_features(tokens, seed: int, dim: int) -> TextFeatures:
-    """Deterministic stand-in encoder: per-token seeded unit vectors.
+def builtin_text_features(tokens, seed: int, dim: int) -> np.ndarray:
+    """Deterministic stand-in encoder: per-token seeded unit vectors, (L, dim).
 
-    The sentence feature is the mean of the word vectors. Same tokens and
-    seed always produce identical features (hash-derived, not process-
-    dependent), so the fuse stage evaluates it once per distinct token.
+    Same tokens and seed always produce identical rows (hash-derived, not
+    process-dependent), so the fuse stage evaluates it once per distinct
+    token; a caption's sentence feature is the mean of its word rows.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -111,7 +78,7 @@ def builtin_text_features(tokens, seed: int, dim: int) -> TextFeatures:
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         v = rng.standard_normal(dim)
         rows[i] = v / np.linalg.norm(v)
-    return TextFeatures(rows)
+    return rows
 
 
 def distinct_tokens(token_lists) -> tuple[list[str], list[np.ndarray]]:
@@ -122,22 +89,34 @@ def distinct_tokens(token_lists) -> tuple[list[str], list[np.ndarray]]:
     return list(index), ids
 
 
-def save_text_features(text: TextFeatures, path) -> None:
-    """Write the per-caption file that fuse --text-features reads; its only writer."""
-    header = {"kind": "text_features", "l": text.length, "d": text.dim}
+def save_text_features(words: np.ndarray, sentence: np.ndarray, path) -> None:
+    """Write the per-caption file that fuse --text-features reads; its only writer.
+
+    The file holds the caption's (L, D) word features, L >= 1, then its
+    (D,) sentence feature, both as float32 in row order.
+    """
+    if words.ndim != 2 or words.shape[0] < 1 or sentence.shape != (words.shape[1],):
+        raise ValueError(
+            f"text features must be (L, D) words with L >= 1 and a (D,) sentence, "
+            f"got {words.shape} and {sentence.shape}"
+        )
+    header = {"kind": "text_features", "l": words.shape[0], "d": words.shape[1]}
     payload = (
-        np.ascontiguousarray(text.words, dtype="<f4").tobytes()
-        + np.ascontiguousarray(text.sentence, dtype="<f4").tobytes()
+        np.ascontiguousarray(words, dtype="<f4").tobytes()
+        + np.ascontiguousarray(sentence, dtype="<f4").tobytes()
     )
     write_container(path, EMBED_MAGIC, header, payload)
 
 
-def load_text_features(path, expect_dim: int | None = None) -> TextFeatures:
+def load_text_features(path, expect_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, D) float64 words and (D,) sentence of a text-features file."""
     header, payload = read_container(path, EMBED_MAGIC)
     if "l" not in header or "d" not in header:
         raise ValueError(f"{path}: not a text-features file (missing l/d header)")
     length, dim = header["l"], header["d"]
-    if expect_dim is not None and dim != expect_dim:
+    if type(length) is not int or length < 1:
+        raise ValueError(f"{path}: text features need l >= 1 words, got l = {length!r}")
+    if type(dim) is not int or dim != expect_dim:
         raise ValueError(f"{path}: file width {dim} != configured width {expect_dim}")
     expected = (length * dim + dim) * 4
     if len(payload) != expected:
@@ -145,10 +124,7 @@ def load_text_features(path, expect_dim: int | None = None) -> TextFeatures:
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: text features hold non-finite values")
-    return TextFeatures(
-        words=flat[: length * dim].reshape(length, dim),
-        sentence=flat[length * dim :],
-    )
+    return flat[: length * dim].reshape(length, dim), flat[length * dim :]
 
 
 def save_fused(fused: FusedRepresentation, path, caption_id: str,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import EMBED_MAGIC, MODEL_MAGIC, read_container, write_container
+from .config import PipelineConfig
 from .errors import InvariantError
 from .graphstore import Vocabulary
 
@@ -56,22 +57,9 @@ class GcnModel:
         return GcnModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.02
-    epochs: int = 200
-    seed: int = 7
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-
-
-def init_model(n: int, hidden: int, n_classes: int, cfg: TrainConfig) -> GcnModel:
+def init_model(n: int, hidden: int, n_classes: int, seed: int) -> GcnModel:
     """Xavier-uniform weights, zero biases, seeded for reproducibility."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (n + hidden))
     lim2 = np.sqrt(6.0 / (hidden + n_classes))
     return GcnModel(
@@ -147,8 +135,9 @@ def _loss_and_grads(model: GcnModel, a_hat: np.ndarray, rows: np.ndarray, cols: 
 
 
 def train(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],
-          cfg: TrainConfig) -> tuple[GcnModel, list[float]]:
-    """Full-batch gradient descent; returns the trained model and loss history."""
+          cfg: PipelineConfig) -> tuple[GcnModel, list[float]]:
+    """Full-batch gradient descent for cfg.epochs steps of cfg.learning_rate;
+    returns the trained model and loss history."""
     model = model.copy()
     history = []
     rows, cols = _label_arrays(labels)

@@ -162,8 +162,7 @@ def build_vocabulary(corpus) -> Vocabulary:
 
     super_class = {}
     for idx, tally in votes.items():
-        best = max(tally.items(), key=lambda kv: (kv[1], ))
-        top = best[1]
+        top = max(tally.values())
         super_class[idx] = min(s for s, c in tally.items() if c == top)
     return Vocabulary(nodes=nodes, index=index, object_super_class=super_class)
 

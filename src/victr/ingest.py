@@ -83,17 +83,6 @@ class DependencyGraph:
 
 
 @dataclass(frozen=True)
-class CaptionSet:
-    # image_id -> [(caption_id, raw_text)] in annotation order
-    captions: dict[str, list[tuple[str, str]]]
-
-    def caption_ids(self):
-        for entries in self.captions.values():
-            for cid, _ in entries:
-                yield cid
-
-
-@dataclass(frozen=True)
 class InstanceSet:
     # image_id -> [(category_name, super_class, (x, y, w, h))]
     boxes: dict[str, list[tuple[str, str, tuple[float, float, float, float]]]]
@@ -104,10 +93,12 @@ def load_conllu(path) -> list[DependencyGraph]:
     """Read a CoNLL-U file into one DependencyGraph per sentence.
 
     Requires ``# caption_id = <id>`` and ``# image_id = <id>`` comments per
-    sentence. Multi-word token ranges (``1-2``) and empty nodes (``1.1``)
-    are skipped.
+    sentence, each caption id used once. Multi-word token ranges (``1-2``)
+    and empty nodes (``1.1``) are skipped.
     """
     graphs = []
+    id_lines: dict[str, int] = {}  # caption id -> line of its '# caption_id' comment
+    id_line = 0
     meta: dict[str, str] = {}
     rows: list[tuple[int, list[str]]] = []
 
@@ -122,6 +113,12 @@ def load_conllu(path) -> list[DependencyGraph]:
             raise ConlluError(
                 f"{path}:{line_no}: sentence without '# image_id =' comment"
             )
+        cid = meta["caption_id"]
+        if cid in id_lines:
+            raise ConlluError(
+                f"{path}:{id_line}: duplicate caption_id {cid}, first given at line {id_lines[cid]}"
+            )
+        id_lines[cid] = id_line
         tokens = []
         for ln, cols in rows:
             try:
@@ -136,7 +133,7 @@ def load_conllu(path) -> list[DependencyGraph]:
         try:
             graphs.append(
                 DependencyGraph(
-                    caption_id=meta["caption_id"],
+                    caption_id=cid,
                     image_id=meta["image_id"],
                     tokens=tuple(tokens),
                 )
@@ -157,7 +154,10 @@ def load_conllu(path) -> list[DependencyGraph]:
                 body = line[1:].strip()
                 if "=" in body:
                     key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                    key = key.strip()
+                    meta[key] = value.strip()
+                    if key == "caption_id":
+                        id_line = line_no
                 continue
             cols = line.split("\t")
             if len(cols) != 10:
@@ -188,20 +188,19 @@ def _entries(doc, key: str, what: str, fields: tuple[str, ...], path) -> list[di
     return items
 
 
-def load_captions(path) -> CaptionSet:
-    """Load a COCO-style captions JSON (``annotations`` with image_id/id/caption)."""
+def load_captions(path) -> dict[str, str]:
+    """Load a COCO-style captions JSON (``annotations`` with image_id/id/caption)
+    as caption id -> image id, both as strings."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    captions: dict[str, list[tuple[str, str]]] = {}
-    seen: set[str] = set()
+    image_of: dict[str, str] = {}
     annotations = _entries(doc, "annotations", "annotation", ("image_id", "id", "caption"), path)
     for i, ann in enumerate(annotations):
         cid = str(ann["id"])
-        if cid in seen:
+        if cid in image_of:
             raise ValueError(f"{path}: annotation {i}: duplicate caption_id {cid}")
-        seen.add(cid)
-        captions.setdefault(str(ann["image_id"]), []).append((cid, ann["caption"]))
-    return CaptionSet(captions=captions)
+        image_of[cid] = str(ann["image_id"])
+    return image_of
 
 
 def load_instances(path) -> InstanceSet:
@@ -275,16 +274,11 @@ def _id_sort_key(cid: str):
 def select_richest_caption(captions) -> str:
     """Pick the caption whose scene graph has the most objects+relations+attributes.
 
-    Ties break toward the lowest caption_id.
+    ``captions`` holds (caption_id, scene graph) pairs. Ties break toward the
+    lowest caption_id.
     """
-    entries = list(captions)
-    if not entries:
-        raise ValueError("select_richest_caption: empty caption list")
-    best_id, best_score = None, -1
-    for cid, sg in entries:
-        score = len(sg.objects) + len(sg.relations) + len(sg.attributes)
-        if score > best_score or (
-            score == best_score and _id_sort_key(cid) < _id_sort_key(best_id)
-        ):
-            best_id, best_score = cid, score
-    return best_id
+    def rank(entry):
+        cid, sg = entry
+        return -(len(sg.objects) + len(sg.relations) + len(sg.attributes)), _id_sort_key(cid)
+
+    return min(captions, key=rank)[0]

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import victr.gcn
-from victr.binio import read_container
+from victr.binio import EMBED_MAGIC, read_container, write_container
 from victr.cli import main
 from victr.fusion import (
-    TextFeatures,
     builtin_text_features,
     init_fusion_parameters,
     load_fused,
@@ -349,8 +348,8 @@ def _fused_bytes(out):
 def _write_text_features(directory, toy_dep_graphs, dim=256):
     directory.mkdir()
     for g in toy_dep_graphs:
-        text = builtin_text_features([t.surface for t in g.tokens], seed=7, dim=dim)
-        save_text_features(text, directory / f"{g.caption_id}.victre")
+        words = builtin_text_features([t.surface for t in g.tokens], seed=7, dim=dim)
+        save_text_features(words, words.mean(axis=0), directory / f"{g.caption_id}.victre")
 
 
 def test_fuse_default_weights_file_byte_identical(fuse_cfg, tmp_path):
@@ -396,11 +395,21 @@ def test_fuse_non_finite_text_features_exit_2(fuse_cfg, tmp_path, toy_dep_graphs
     cfg, _ = fuse_cfg
     _write_text_features(tmp_path / "text", toy_dep_graphs)
     path = tmp_path / "text" / "104.victre"
-    words = builtin_text_features(["a", "dog"], seed=7, dim=256).words
+    words = builtin_text_features(["a", "dog"], seed=7, dim=256)
     words[1, 5] = np.nan
-    save_text_features(TextFeatures(words), path)
+    save_text_features(words, words.mean(axis=0), path)
     assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
     assert f"{path}: text features hold non-finite values" in capsys.readouterr().err
+
+
+def test_fuse_text_features_without_words_exit_2(fuse_cfg, tmp_path, toy_dep_graphs, capsys):
+    cfg, _ = fuse_cfg
+    _write_text_features(tmp_path / "text", toy_dep_graphs)
+    path = tmp_path / "text" / "104.victre"
+    write_container(path, EMBED_MAGIC, {"kind": "text_features", "l": 0, "d": 256},
+                    np.zeros(256, dtype="<f4").tobytes())
+    assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
+    assert f"{path}: text features need l >= 1 words, got l = 0" in capsys.readouterr().err
 
 
 def _plant_nan(path):
@@ -597,6 +606,21 @@ def test_parse_malformed_input_exit_2(tmp_path, toy_paths, capsys, key, text, me
     cfg = _cfg_file(tmp_path, {**toy_paths, key: str(bad)}, tmp_path / "out")
     assert main(["parse", "--config", cfg]) == 2
     assert f"{bad}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "\n" + text.split("\n\n")[0] + "\n",
+     ":185: duplicate caption_id 101, first given at line 1"),
+    (lambda text: text.replace("# image_id = 1\n", "# image_id = 2\n", 1),
+     ": caption 101: image_id 2, but "),
+], ids=["repeated_sentence", "image_id_disagrees"])
+def test_parse_inconsistent_caption_exit_2(tmp_path, toy_paths, capsys, edit, message):
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(edit(Path(toy_paths["conllu"]).read_text(encoding="utf-8")), encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**toy_paths, "conllu": str(bad)}, tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 2
+    assert f"{bad}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _build_graphs_with_instances(toy_cfg, tmp_path, toy_paths, corrupt) -> tuple[int, str]:

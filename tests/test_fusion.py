@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from victr.cli import cmd_fuse
+from victr.config import PipelineConfig
 from victr.fusion import (
     FusedRepresentation,
-    TextFeatures,
     attend,
     builtin_text_features,
     distinct_tokens,
@@ -18,15 +19,15 @@ from victr.fusion import (
     load_text_features,
     save_fused,
     save_text_features,
-    victr_sentence,
-    victr_word,
 )
+from victr.gcn import save_embeddings
 
 
 def _text(l=3, d=4, seed=0):
+    """(L, D) words and their mean as the (D,) sentence."""
     rng = np.random.default_rng(seed)
     words = rng.standard_normal((l, d))
-    return TextFeatures(words=words, sentence=words.mean(axis=0))
+    return words, words.mean(axis=0)
 
 
 # The per-caption attention the distinct-token path replaced, kept verbatim
@@ -44,27 +45,28 @@ def reference_row_softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def reference_attend(text: TextFeatures, vs_rows: np.ndarray,
+def reference_attend(words: np.ndarray, vs_rows: np.ndarray,
                      params: ReferenceParameters) -> tuple[np.ndarray, np.ndarray]:
-    d = text.dim
+    length, d = words.shape
     if params.w.shape[0] != d:
         raise ValueError(f"W maps width {params.w.shape[0]}, text width is {d}")
     v = params.w.shape[1]
     if vs_rows.size == 0:
-        return np.zeros((text.length, v)), np.zeros((text.length, 0))
+        return np.zeros((length, v)), np.zeros((length, 0))
     if vs_rows.ndim != 2 or vs_rows.shape[1] != v:
         raise ValueError(f"visual rows width {vs_rows.shape} does not match W width {v}")
-    scores = (text.words @ params.w) @ vs_rows.T
+    scores = (words @ params.w) @ vs_rows.T
     attention = reference_row_softmax(scores)
     return attention @ vs_rows, attention
 
 
-def reference_fuse(text: TextFeatures, vs_rows: np.ndarray,
+def reference_fuse(words: np.ndarray, vs_rows: np.ndarray,
                    params: ReferenceParameters) -> FusedRepresentation:
-    attended, attention = reference_attend(text, vs_rows, params)
+    """Sentence feature = mean word, as the built-in path defines it."""
+    attended, attention = reference_attend(words, vs_rows, params)
     return FusedRepresentation(
-        word_repr=victr_word(text, attended),
-        sentence_repr=victr_sentence(text, attended),
+        word_repr=np.concatenate([words, attended], axis=1),
+        sentence_repr=np.concatenate([words.mean(axis=0), attended.sum(axis=0)]),
         attention=attention,
     )
 
@@ -72,9 +74,9 @@ def reference_fuse(text: TextFeatures, vs_rows: np.ndarray,
 def distinct_token_fuse(captions, w, seed, dim):
     """The fuse stage's built-in path: features and queries once per distinct token."""
     tokens, ids = distinct_tokens(tokens for tokens, _ in captions)
-    table = builtin_text_features(tokens, seed=seed, dim=dim).words
+    table = builtin_text_features(tokens, seed=seed, dim=dim)
     queries = table @ w
-    return [fuse(TextFeatures(table[rows]), queries[rows], vs_rows)
+    return [fuse(table[rows], table[rows].mean(axis=0), queries[rows], vs_rows)
             for rows, (_, vs_rows) in zip(ids, captions)]
 
 
@@ -112,8 +114,8 @@ def test_distinct_token_path_equals_per_caption_path(drawn, seed):
         rng.choice([-1.0, 1.0], visual) * 2.0 ** rng.integers(-2, 3, visual))
     got = distinct_token_fuse(captions, w, seed, dim)
     for (tokens, vs_rows), fused in zip(captions, got):
-        text = builtin_text_features(tokens, seed=seed, dim=dim)
-        _assert_fused_equal(fused, reference_fuse(text, vs_rows, ReferenceParameters(w=w)))
+        words = builtin_text_features(tokens, seed=seed, dim=dim)
+        _assert_fused_equal(fused, reference_fuse(words, vs_rows, ReferenceParameters(w=w)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -123,8 +125,8 @@ def test_distinct_token_path_matches_per_caption_path_any_w(drawn, seed):
     w = init_fusion_parameters(dim, visual, seed=int(rng.integers(100)))
     got = distinct_token_fuse(captions, w, seed, dim)
     for (tokens, vs_rows), fused in zip(captions, got):
-        text = builtin_text_features(tokens, seed=seed, dim=dim)
-        want = reference_fuse(text, vs_rows, ReferenceParameters(w=w))
+        words = builtin_text_features(tokens, seed=seed, dim=dim)
+        want = reference_fuse(words, vs_rows, ReferenceParameters(w=w))
         assert np.array_equal(fused.word_repr[:, :dim], want.word_repr[:, :dim])
         assert np.array_equal(fused.sentence_repr[:dim], want.sentence_repr[:dim])
         for a, b in ((fused.word_repr, want.word_repr), (fused.sentence_repr, want.sentence_repr),
@@ -138,26 +140,42 @@ def test_distinct_tokens_first_seen_order():
     assert [r.tolist() for r in ids] == [[0, 1, 0], [], [2, 1]]
 
 
-def test_text_features_sentence_defaults_to_mean_word():
-    words = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(TextFeatures(words).sentence, words.mean(axis=0))
+def test_text_features_sentence_defaults_to_mean_word(tmp_path):
+    # the fuse stage's built-in features: a caption's sentence is its mean word row
+    conllu = tmp_path / "c.conllu"
+    conllu.write_text(
+        "# caption_id = 5\n# image_id = 1\n"
+        "1\ta\ta\tDET\t_\t_\t2\tdet\t_\t_\n"
+        "2\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        "3\ta\ta\tDET\t_\t_\t2\tdet\t_\t_\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "evs").mkdir()
+    save_embeddings(np.random.default_rng(26).standard_normal((2, 6)),
+                    tmp_path / "evs" / "5.victre", vocab_hash="h")
+    cfg = PipelineConfig(conllu=str(conllu), out_dir=str(tmp_path), text_width=4, seed=3)
+    assert cmd_fuse(cfg, None, None) == 0
+    fused, _ = load_fused(tmp_path / "fused" / "5.victrf")
+    words = builtin_text_features(["a", "dog", "a"], seed=3, dim=4)
+    assert np.array_equal(fused.word_repr[:, :4], words.astype(np.float32))
+    assert np.array_equal(fused.sentence_repr[:4], words.mean(axis=0).astype(np.float32))
 
 
 def test_attend_singleton_object():
-    text = _text(l=4, d=3, seed=1)
+    words, _ = _text(l=4, d=3, seed=1)
     vs = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
     w = init_fusion_parameters(3, 5, seed=2)
-    attended, attention = attend(text.words @ w, vs)
+    attended, attention = attend(words @ w, vs)
     assert attention.shape == (4, 1)
     assert np.allclose(attention, 1.0)
     assert np.allclose(attended, np.tile(vs, (4, 1)))
 
 
 def test_attend_zero_weight_gives_uniform_attention():
-    text = _text(l=2, d=3, seed=3)
+    words, _ = _text(l=2, d=3, seed=3)
     rng = np.random.default_rng(4)
     vs = rng.standard_normal((5, 6))
-    attended, attention = attend(text.words @ np.zeros((3, 6)), vs)
+    attended, attention = attend(words @ np.zeros((3, 6)), vs)
     assert np.allclose(attention, 1.0 / 5)
     assert np.allclose(attended, np.tile(vs.mean(axis=0), (2, 1)))
 
@@ -180,90 +198,105 @@ def test_attend_matches_hand_oracle():
 
 
 def test_attend_no_objects_degenerate():
-    text = _text(l=3, d=4, seed=5)
+    words, _ = _text(l=3, d=4, seed=5)
     w = init_fusion_parameters(4, 7, seed=6)
-    attended, attention = attend(text.words @ w, np.zeros((0, 7)))
+    attended, attention = attend(words @ w, np.zeros((0, 7)))
     assert attended.shape == (3, 7) and not attended.any()
     assert attention.shape == (3, 0)
 
 
 def test_attend_width_mismatch():
-    text = _text(l=2, d=3, seed=7)
+    words, sentence = _text(l=2, d=3, seed=7)
     w = init_fusion_parameters(3, 5, seed=8)
     with pytest.raises(ValueError, match="width"):
-        attend(text.words @ w, np.zeros((2, 4)))
+        attend(words @ w, np.zeros((2, 4)))
     # query rows of another caption: one per word is required
-    with pytest.raises(ValueError, match="rows"):
-        fuse(text, _text(l=3, d=3, seed=9).words @ w, np.ones((2, 5)))
+    other, _ = _text(l=3, d=3, seed=9)
+    with pytest.raises(ValueError, match="dimension 0"):
+        fuse(words, sentence, other @ w, np.ones((2, 5)))
 
 
 def test_victr_word_width():
-    text = _text(l=5, d=256, seed=10)
-    attended = np.zeros((5, 1200))
-    out = victr_word(text, attended)
+    words, sentence = _text(l=5, d=256, seed=10)
+    out = fuse(words, sentence, np.zeros((5, 1200)), np.zeros((0, 1200))).word_repr
     assert out.shape == (5, 1456)
-    assert np.array_equal(out[:, :256], text.words)
+    assert np.array_equal(out[:, :256], words)
 
 
 def test_victr_word_zero_visual_padding():
-    text = _text(l=2, d=3, seed=11)
-    out = victr_word(text, np.zeros((2, 6)))
+    words, sentence = _text(l=2, d=3, seed=11)
+    out = fuse(words, sentence, np.zeros((2, 6)), np.zeros((0, 6))).word_repr
     assert np.array_equal(out[:, 3:], np.zeros((2, 6)))
 
 
 def test_victr_word_single_token():
-    text = _text(l=1, d=3, seed=12)
-    assert victr_word(text, np.zeros((1, 6))).shape == (1, 9)
+    words, sentence = _text(l=1, d=3, seed=12)
+    assert fuse(words, sentence, np.zeros((1, 6)), np.zeros((0, 6))).word_repr.shape == (1, 9)
 
 
 def test_victr_word_row_mismatch():
-    with pytest.raises(ValueError, match="rows"):
-        victr_word(_text(l=2, d=3), np.zeros((3, 6)))
+    words, sentence = _text(l=2, d=3)
+    with pytest.raises(ValueError, match="dimension 0"):
+        fuse(words, sentence, np.zeros((3, 6)), np.zeros((0, 6)))
 
 
 def test_victr_sentence_single_row_sum():
-    text = _text(l=1, d=3, seed=13)
-    attended = np.array([[1.0, 2.0, 3.0]])
-    out = victr_sentence(text, attended)
-    assert np.array_equal(out, np.concatenate([text.sentence, attended[0]]))
+    # one object: every word attends to it alone, so the attended sum is its row
+    words, sentence = _text(l=1, d=3, seed=13)
+    vs = np.array([[1.0, 2.0, 3.0]])
+    out = fuse(words, sentence, np.ones((1, 3)), vs).sentence_repr
+    assert np.array_equal(out, np.concatenate([sentence, vs[0]]))
 
 
 def test_victr_sentence_zero_visual():
-    text = _text(l=4, d=3, seed=14)
-    out = victr_sentence(text, np.zeros((4, 6)))
-    assert np.array_equal(out, np.concatenate([text.sentence, np.zeros(6)]))
+    words, sentence = _text(l=4, d=3, seed=14)
+    out = fuse(words, sentence, np.zeros((4, 6)), np.zeros((0, 6))).sentence_repr
+    assert np.array_equal(out, np.concatenate([sentence, np.zeros(6)]))
 
 
 def test_victr_sentence_hand_sum():
-    text = _text(l=3, d=2, seed=15)
-    attended = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, -1.0]])
-    out = victr_sentence(text, attended)
+    # three words each attend to the one object [2, 0]: the sum is [6, 0]
+    words, sentence = _text(l=3, d=2, seed=15)
+    out = fuse(words, sentence, np.ones((3, 2)), np.array([[2.0, 0.0]])).sentence_repr
     assert np.allclose(out[2:], [6.0, 0.0])
 
 
 def test_text_features_file_round_trip(tmp_path):
-    text = _text(l=12, d=256, seed=16)
+    words, sentence = _text(l=12, d=256, seed=16)
     path = tmp_path / "t.victre"
-    save_text_features(text, path)
-    loaded = load_text_features(path, expect_dim=256)
-    assert loaded.length == 12 and loaded.dim == 256
-    assert np.allclose(loaded.words, text.words, atol=1e-6)
+    save_text_features(words, sentence, path)
+    got_words, got_sentence = load_text_features(path, expect_dim=256)
+    assert got_words.shape == (12, 256) and got_sentence.shape == (256,)
+    assert np.allclose(got_words, words, atol=1e-6)
+    assert np.allclose(got_sentence, sentence, atol=1e-6)
+
+
+@pytest.mark.parametrize("words, sentence", [
+    (np.zeros((0, 4)), np.zeros(4)),  # no words
+    (np.zeros(4), np.zeros(4)),  # words not a matrix
+    (np.zeros((3, 4)), np.zeros(3)),  # sentence width
+])
+def test_save_text_features_rejects_malformed_shapes(tmp_path, words, sentence):
+    path = tmp_path / "t.victre"
+    with pytest.raises(ValueError, match="text features must be"):
+        save_text_features(words, sentence, path)
+    assert not path.exists()
 
 
 def test_text_features_truncated(tmp_path):
-    text = _text(l=3, d=4, seed=17)
+    words, sentence = _text(l=3, d=4, seed=17)
     path = tmp_path / "t.victre"
-    save_text_features(text, path)
+    save_text_features(words, sentence, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-12])  # drop payload bytes (and the crc)
     with pytest.raises(ValueError):
-        load_text_features(path)
+        load_text_features(path, expect_dim=4)
 
 
 def test_text_features_width_mismatch_names_both(tmp_path):
-    text = _text(l=3, d=4, seed=18)
+    words, sentence = _text(l=3, d=4, seed=18)
     path = tmp_path / "t.victre"
-    save_text_features(text, path)
+    save_text_features(words, sentence, path)
     with pytest.raises(ValueError, match=r"4.*256|256.*4"):
         load_text_features(path, expect_dim=256)
 
@@ -271,19 +304,20 @@ def test_text_features_width_mismatch_names_both(tmp_path):
 def test_builtin_features_deterministic():
     a = builtin_text_features(["a", "dog", "runs"], seed=9, dim=16)
     b = builtin_text_features(["a", "dog", "runs"], seed=9, dim=16)
-    assert np.array_equal(a.words, b.words)
+    assert np.array_equal(a, b)
     c = builtin_text_features(["a", "dog", "runs"], seed=10, dim=16)
-    assert not np.array_equal(a.words, c.words)
+    assert not np.array_equal(a, c)
 
 
 def test_builtin_features_single_token_sentence():
-    t = builtin_text_features(["dog"], seed=1, dim=8)
-    assert np.array_equal(t.sentence, t.words[0])
+    words = builtin_text_features(["dog"], seed=1, dim=8)
+    assert words.shape == (1, 8)
+    assert np.array_equal(words.mean(axis=0), words[0])
 
 
 def test_builtin_features_unit_norm():
-    t = builtin_text_features([f"w{i}" for i in range(20)], seed=2, dim=32)
-    norms = np.linalg.norm(t.words, axis=1)
+    words = builtin_text_features([f"w{i}" for i in range(20)], seed=2, dim=32)
+    norms = np.linalg.norm(words, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
@@ -300,14 +334,14 @@ def test_attention_rows_sum_to_one_randomized():
 
 
 def test_softmax_shift_invariance():
-    text = _text(l=2, d=3, seed=21)
+    words, _ = _text(l=2, d=3, seed=21)
     rng = np.random.default_rng(22)
     vs = rng.standard_normal((4, 5))
     w = rng.standard_normal((3, 5))
-    _, attention = attend(text.words @ w, vs)
+    _, attention = attend(words @ w, vs)
     # shifting every score in a row is equivalent to translating all keys
     # along a direction orthogonal to nothing; emulate by direct computation
-    scores = (text.words @ w) @ vs.T + 123.456
+    scores = (words @ w) @ vs.T + 123.456
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     shifted /= shifted.sum(axis=1, keepdims=True)
     assert np.allclose(attention, shifted, atol=1e-9)
@@ -326,11 +360,11 @@ def test_argmax_object_invariant_under_word_scaling():
 
 
 def test_fused_file_round_trip(tmp_path):
-    text = _text(l=3, d=4, seed=24)
+    words, sentence = _text(l=3, d=4, seed=24)
     rng = np.random.default_rng(25)
     vs = rng.standard_normal((2, 6))
     w = rng.standard_normal((4, 6))
-    fused = fuse(text, text.words @ w, vs)
+    fused = fuse(words, sentence, words @ w, vs)
     path = tmp_path / "f.victrf"
     save_fused(fused, path, caption_id="77", text_dim=4, visual_dim=6)
     loaded, header = load_fused(path)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from helpers import gradient_check, two_clique_scene_graphs
 
+from victr.config import PipelineConfig
 from victr.gcn import (
     GcnModel,
-    TrainConfig,
     TrainingDiverged,
     accuracy,
     extract_embeddings,
@@ -136,13 +136,13 @@ def test_cross_entropy_label_out_of_range():
 
 def test_train_config_rejects_zero_epochs():
     with pytest.raises(ValueError, match="epochs"):
-        TrainConfig(epochs=0)
+        PipelineConfig(epochs=0)
 
 
 def test_train_two_clique_reaches_full_accuracy():
     _, a_hat, labels, classes = _clique_fixture()
-    cfg = TrainConfig()  # defaults: lr 0.02, 200 epochs
-    model = init_model(a_hat.shape[0], 8, len(classes), cfg)
+    cfg = PipelineConfig()  # defaults: lr 0.02, 200 epochs, seed 7
+    model = init_model(a_hat.shape[0], 8, len(classes), cfg.seed)
     trained, history = train(model, a_hat, labels, cfg)
     assert len(history) == cfg.epochs
     assert accuracy(trained, a_hat, labels) == 1.0
@@ -150,8 +150,8 @@ def test_train_two_clique_reaches_full_accuracy():
 
 def test_train_loss_monotone_after_burn_in():
     _, a_hat, labels, classes = _clique_fixture()
-    cfg = TrainConfig()
-    model = init_model(a_hat.shape[0], 8, len(classes), cfg)
+    cfg = PipelineConfig()
+    model = init_model(a_hat.shape[0], 8, len(classes), cfg.seed)
     _, history = train(model, a_hat, labels, cfg)
     tail = history[-50:]
     assert all(b - a <= 1e-6 for a, b in zip(tail, tail[1:]))
@@ -159,10 +159,10 @@ def test_train_loss_monotone_after_burn_in():
 
 def test_train_deterministic_bit_identical():
     _, a_hat, labels, classes = _clique_fixture()
-    cfg = TrainConfig(epochs=40)
+    cfg = PipelineConfig(epochs=40)
     runs = []
     for _ in range(2):
-        model = init_model(a_hat.shape[0], 8, len(classes), cfg)
+        model = init_model(a_hat.shape[0], 8, len(classes), cfg.seed)
         trained, history = train(model, a_hat, labels, cfg)
         runs.append((trained, history))
     a, b = runs
@@ -173,8 +173,8 @@ def test_train_deterministic_bit_identical():
 
 def test_train_nan_aborts():
     _, a_hat, labels, classes = _clique_fixture()
-    cfg = TrainConfig(epochs=5)
-    model = init_model(a_hat.shape[0], 8, len(classes), cfg)
+    cfg = PipelineConfig(epochs=5)
+    model = init_model(a_hat.shape[0], 8, len(classes), cfg.seed)
     model.w1[0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         train(model, a_hat, labels, cfg)
@@ -212,8 +212,8 @@ def test_extract_embeddings_tied_duplicate_nodes():
 
 def test_embeddings_cluster_by_clique():
     _, a_hat, labels, classes = _clique_fixture()
-    cfg = TrainConfig()
-    model = init_model(a_hat.shape[0], 8, len(classes), cfg)
+    cfg = PipelineConfig()
+    model = init_model(a_hat.shape[0], 8, len(classes), cfg.seed)
     trained, _ = train(model, a_hat, labels, cfg)
     rows = extract_embeddings(trained, a_hat)
     groups = {0: [], 1: []}
@@ -346,12 +346,12 @@ def test_adjacency_operator_trains_like_dense(toy_graphs):
     # the positional graphs exercise the identity rows, the basic graph every kind block
     assert any(len(normalized_adjacency(g).nodes) < len(g.vocab)
                for g in toy_graphs.values())
-    cfg = TrainConfig()
+    cfg = PipelineConfig()
     for name, graph in toy_graphs.items():
         labels, classes = object_labels(graph.vocab)
         hidden = 200 if name == "basic" else 50
         a_hat = normalized_adjacency(graph)
-        model = init_model(len(graph.vocab), hidden, len(classes), cfg)
+        model = init_model(len(graph.vocab), hidden, len(classes), cfg.seed)
         got, got_history = train(model, a_hat, labels, cfg)
         want, want_history = train(model, a_hat.toarray(), labels, cfg)
         assert np.allclose(got_history, want_history, rtol=0, atol=1e-12), name
@@ -395,12 +395,12 @@ def _reference_loss_and_grads(model, a_hat, labels):
 
 
 def test_class_width_propagation_matches_reference_order(toy_graphs):
-    cfg = TrainConfig()
+    cfg = PipelineConfig()
     for name, graph in toy_graphs.items():
         labels, classes = object_labels(graph.vocab)
         hidden = 200 if name == "basic" else 50
         a_hat = normalized_adjacency(graph)
-        model = init_model(len(graph.vocab), hidden, len(classes), cfg)
+        model = init_model(len(graph.vocab), hidden, len(classes), cfg.seed)
         got, got_history = train(model, a_hat, labels, cfg)
 
         want, want_history = model.copy(), []

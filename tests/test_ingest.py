@@ -53,6 +53,14 @@ def test_missing_caption_id_comment(tmp_path):
         load_conllu(_write(tmp_path, text))
 
 
+def test_duplicate_caption_id_names_line(tmp_path):
+    text = MINIMAL + "\n" + MINIMAL.replace("# image_id = 4", "# image_id = 5")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConlluError) as e:
+        load_conllu(path)
+    assert str(e.value) == f"{path}:7: duplicate caption_id 9, first given at line 1"
+
+
 def test_malformed_column_count(tmp_path):
     text = MINIMAL.replace("3\thorses\thorse\tNOUN\t_\t_\t2\tobj\t_\t_",
                            "3\thorses\thorse\tNOUN\t2\tobj")
@@ -105,9 +113,7 @@ def test_load_captions_five_per_image(tmp_path):
     )
     p = tmp_path / "c.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    cs = load_captions(p)
-    assert list(cs.captions) == ["42"]
-    assert len(cs.captions["42"]) == 5
+    assert load_captions(p) == {str(i): "42" for i in range(5)}
 
 
 def test_load_captions_duplicate_id(tmp_path):
@@ -126,7 +132,7 @@ def test_load_captions_duplicate_id(tmp_path):
 def test_load_captions_empty(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(_captions_doc([])), encoding="utf-8")
-    assert load_captions(p).captions == {}
+    assert load_captions(p) == {}
 
 
 def test_load_captions_missing_field_names_index(tmp_path):
