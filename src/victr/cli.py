@@ -315,11 +315,12 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             w = _fusion_weights(cfg, weights_path, visual_dim)
             queries = None if features_dir else table @ w
         if features_dir:
-            words, sentence = fus.load_text_features(
-                _require_file(os.path.join(features_dir, f"{cid}.victre"),
-                              f"text features for caption {cid}"),
-                expect_dim=cfg.text_width,
-            )
+            path = _require_file(os.path.join(features_dir, f"{cid}.victre"),
+                                 f"text features for caption {cid}")
+            words, sentence = fus.load_text_features(path, expect_dim=cfg.text_width)
+            if len(words) != len(tokens_by_caption[cid]):
+                raise ValueError(f"{path}: {len(words)} word rows, but caption {cid} has "
+                                 f"{len(tokens_by_caption[cid])} tokens in {cfg.conllu}")
             query = words @ w
         else:  # rows of table @ W: table[ids] @ W may round differently in the last bit
             words, query = table[token_ids[i]], queries[token_ids[i]]
@@ -412,8 +413,7 @@ def cmd_stats(cfg: PipelineConfig) -> int:
             path = os.path.join(graph_dir, f"{name}.victrg")
             if not os.path.exists(path):
                 continue
-            g = gs.deserialize_graph(path)
-            gs.verify_weight_sums(g)
+            g = gs.deserialize_graph(path)  # checks the weight sums
             print(
                 f"{name} graph: {len(g.vocab)} nodes, {g.edge_count()} edges, "
                 f"weight sums ok"

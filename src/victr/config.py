@@ -56,7 +56,7 @@ def _coerce(name: str, raw: str):
 
 
 def load_config(path) -> PipelineConfig:
-    values = {}
+    values, line_of = {}, {}
     with open(path, encoding="utf-8") as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -68,6 +68,9 @@ def load_config(path) -> PipelineConfig:
             key, value = key.strip(), value.strip()
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+            if key in line_of:
+                raise ValueError(f"{path}:{ln}: {key!r} is already set at {path}:{line_of[key]}")
+            line_of[key] = ln
             try:
                 values[key] = _coerce(key, value)
                 PipelineConfig(**{key: values[key]})  # each check reads one key

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import EMBED_MAGIC, FUSED_MAGIC, read_container, write_container
+from .binio import (EMBED_MAGIC, FUSED_MAGIC, header_ints, pack, read_container, unpack,
+                    write_container)
 
 
 @dataclass
@@ -90,41 +91,25 @@ def distinct_tokens(token_lists) -> tuple[list[str], list[np.ndarray]]:
 
 
 def save_text_features(words: np.ndarray, sentence: np.ndarray, path) -> None:
-    """Write the per-caption file that fuse --text-features reads; its only writer.
-
-    The file holds the caption's (L, D) word features, L >= 1, then its
-    (D,) sentence feature, both as float32 in row order.
-    """
+    """Write the per-caption file that fuse --text-features reads; its only writer."""
     if words.ndim != 2 or words.shape[0] < 1 or sentence.shape != (words.shape[1],):
         raise ValueError(
             f"text features must be (L, D) words with L >= 1 and a (D,) sentence, "
             f"got {words.shape} and {sentence.shape}"
         )
     header = {"kind": "text_features", "l": words.shape[0], "d": words.shape[1]}
-    payload = (
-        np.ascontiguousarray(words, dtype="<f4").tobytes()
-        + np.ascontiguousarray(sentence, dtype="<f4").tobytes()
-    )
-    write_container(path, EMBED_MAGIC, header, payload)
+    write_container(path, EMBED_MAGIC, header, pack((words, sentence), "<f4"))
 
 
 def load_text_features(path, expect_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The (L, D) float64 words and (D,) sentence of a text-features file."""
     header, payload = read_container(path, EMBED_MAGIC)
-    if "l" not in header or "d" not in header:
-        raise ValueError(f"{path}: not a text-features file (missing l/d header)")
-    length, dim = header["l"], header["d"]
-    if type(length) is not int or length < 1:
+    length, dim = header_ints(header, path, "l", "d")
+    if length < 1:
         raise ValueError(f"{path}: text features need l >= 1 words, got l = {length!r}")
-    if type(dim) is not int or dim != expect_dim:
+    if dim != expect_dim:
         raise ValueError(f"{path}: file width {dim} != configured width {expect_dim}")
-    expected = (length * dim + dim) * 4
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload size {len(payload)}, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.isfinite(flat).all():
-        raise ValueError(f"{path}: text features hold non-finite values")
-    return flat[: length * dim].reshape(length, dim), flat[length * dim :]
+    return tuple(unpack(payload, path, "<f4", (length, dim), (dim,)))
 
 
 def save_fused(fused: FusedRepresentation, path, caption_id: str,
@@ -137,23 +122,15 @@ def save_fused(fused: FusedRepresentation, path, caption_id: str,
         "v": visual_dim,
         "n_obj": n_obj,
     }
-    payload = b"".join(
-        np.ascontiguousarray(a, dtype="<f4").tobytes()
-        for a in (fused.attention, fused.word_repr, fused.sentence_repr)
-    )
-    write_container(path, FUSED_MAGIC, header, payload)
+    write_container(path, FUSED_MAGIC, header,
+                    pack((fused.attention, fused.word_repr, fused.sentence_repr), "<f4"))
 
 
 def load_fused(path) -> tuple[FusedRepresentation, dict]:
     header, payload = read_container(path, FUSED_MAGIC)
-    length, d, v, n_obj = header["l"], header["d"], header["v"], header["n_obj"]
-    sizes = (length * n_obj, length * (d + v), d + v)
-    if len(payload) != sum(sizes) * 4:
-        raise ValueError(f"{path}: payload size {len(payload)}, expected {sum(sizes) * 4}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    attention = flat[: sizes[0]].reshape(length, n_obj)
-    word_repr = flat[sizes[0] : sizes[0] + sizes[1]].reshape(length, d + v)
-    sentence_repr = flat[sizes[0] + sizes[1] :]
+    length, d, v, n_obj = header_ints(header, path, "l", "d", "v", "n_obj")
+    attention, word_repr, sentence_repr = unpack(
+        payload, path, "<f4", (length, n_obj), (length, d + v), (d + v,))
     return (
         FusedRepresentation(word_repr=word_repr, sentence_repr=sentence_repr,
                             attention=attention),

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import EMBED_MAGIC, MODEL_MAGIC, read_container, write_container
+from .binio import (EMBED_MAGIC, MODEL_MAGIC, header_ints, pack, read_container, unpack,
+                    write_container)
 from .config import PipelineConfig
 from .errors import InvariantError
 from .graphstore import Vocabulary
@@ -85,19 +86,6 @@ def forward(model: GcnModel, a_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def masked_cross_entropy(logits: np.ndarray, labels: dict[int, int]) -> float:
-    """Mean negative log-likelihood over the labeled nodes only."""
-    if not labels:
-        raise ValueError("masked_cross_entropy: no labeled nodes")
-    n_classes = logits.shape[1]
-    for node, cls in labels.items():
-        if not 0 <= cls < n_classes:
-            raise ValueError(f"node {node}: label {cls} out of range 0..{n_classes - 1}")
-    rows, cols = _label_arrays(labels)
-    logp = _log_softmax(logits[rows])
-    return float(-logp[np.arange(len(rows)), cols].mean())
 
 
 def _label_arrays(labels: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -177,50 +165,24 @@ def object_labels(vocab: Vocabulary) -> tuple[dict[int, int], list[str]]:
 
 def save_model(model: GcnModel, path, seed: int) -> None:
     header = {"n": model.n, "h": model.hidden, "mu": model.n_classes, "seed": seed}
-    payload = b"".join(
-        np.ascontiguousarray(p, dtype="<f8").tobytes()
-        for p in (model.w1, model.b1, model.w2, model.b2)
-    )
-    write_container(path, MODEL_MAGIC, header, payload)
+    write_container(path, MODEL_MAGIC, header,
+                    pack((model.w1, model.b1, model.w2, model.b2), "<f8"))
 
 
 def load_model(path) -> tuple[GcnModel, int]:
     header, payload = read_container(path, MODEL_MAGIC)
-    n, h, mu = header["n"], header["h"], header["mu"]
-    expected = (n * h + h + h * mu + mu) * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload size {len(payload)}, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    off = 0
-
-    def take(shape):
-        nonlocal off
-        size = int(np.prod(shape))
-        out = flat[off : off + size].reshape(shape).copy()
-        off += size
-        return out
-
-    model = GcnModel(w1=take((n, h)), b1=take((h,)), w2=take((h, mu)), b2=take((mu,)))
-    return model, header["seed"]
+    n, h, mu, seed = header_ints(header, path, "n", "h", "mu", "seed")
+    return GcnModel(*unpack(payload, path, "<f8", (n, h), (h,), (h, mu), (mu,))), seed
 
 
 def save_embeddings(rows: np.ndarray, path, vocab_hash: str) -> None:
-    """Write an (n, h) array of embedding rows as float32."""
     n, h = rows.shape
-    header = {"n": n, "h": h, "vocab_hash": vocab_hash}
-    write_container(path, EMBED_MAGIC, header, np.ascontiguousarray(rows, dtype="<f4").tobytes())
+    write_container(path, EMBED_MAGIC, {"n": n, "h": h, "vocab_hash": vocab_hash},
+                    pack((rows,), "<f4"))
 
 
 def load_embeddings(path) -> tuple[np.ndarray, str]:
-    """The (n, h) float64 rows and the vocabulary hash saved with them.
-
-    ValueError naming the path when a row holds a NaN or an infinity.
-    """
+    """The (n, h) float64 rows and the vocabulary hash saved with them."""
     header, payload = read_container(path, EMBED_MAGIC)
-    n, h = header["n"], header["h"]
-    if len(payload) != n * h * 4:
-        raise ValueError(f"{path}: payload size {len(payload)}, expected {n * h * 4}")
-    rows = np.frombuffer(payload, dtype="<f4").reshape(n, h).astype(np.float64)
-    if not np.isfinite(rows).all():
-        raise ValueError(f"{path}: embedding rows hold non-finite values")
+    (rows,) = unpack(payload, path, "<f4", header_ints(header, path, "n", "h"))
     return rows, header.get("vocab_hash", "")

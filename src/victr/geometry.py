@@ -6,15 +6,6 @@ from .ingest import tsv_pairs
 
 GEOMETRIC_RELATIONS = ("left_of", "right_of", "above", "below", "inside", "surrounding")
 
-INVERSE_RELATION = {
-    "left_of": "right_of",
-    "right_of": "left_of",
-    "above": "below",
-    "below": "above",
-    "inside": "surrounding",
-    "surrounding": "inside",
-}
-
 
 @dataclass(frozen=True)
 class BoundingBox:

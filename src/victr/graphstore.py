@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binio import GRAPH_MAGIC, read_container, write_container
+from .binio import GRAPH_MAGIC, header_ints, read_container, write_container
 from .errors import InvariantError
 from .geometry import GEOMETRIC_RELATIONS, classify_geometric_relation
 
@@ -207,22 +207,27 @@ def compute_weights(graph: RelationalGraph) -> RelationalGraph:
     return graph
 
 
-def verify_weight_sums(graph: RelationalGraph) -> None:
-    """Check that every per-node weight family sums to 1; raise InvariantError."""
-    vocab, n = graph.vocab, len(graph.vocab)
-    off = graph.edges[graph.edges["src"] != graph.edges["dst"]]
+def _weight_sum_breach(vocab: Vocabulary, edges: np.ndarray) -> str | None:
+    """Why a weight family does not sum to 1 (NaN included), or None if all do."""
+    n = len(vocab)
+    off = edges[edges["src"] != edges["dst"]]
     families = _families(vocab, off)
     sums = np.bincount(families, weights=off["weight"])
     present = np.unique(families)
-    bad = present[np.abs(sums[present] - 1.0) > WEIGHT_SUM_TOL]
-    if bad.size:
-        key = bad[0]
-        word, kind = vocab.nodes[key % n]
-        label = "successor" if key < n else "attribute"
-        raise InvariantError(
-            f"{graph.kind} graph: {label} weight family of "
-            f"{kind} node {word!r} sums to {float(sums[key])!r}"
-        )
+    bad = present[~(np.abs(sums[present] - 1.0) <= WEIGHT_SUM_TOL)]
+    if not bad.size:
+        return None
+    key = bad[0]
+    word, kind = vocab.nodes[key % n]
+    label = "successor" if key < n else "attribute"
+    return f"{label} weight family of {kind} node {word!r} sums to {float(sums[key])!r}"
+
+
+def verify_weight_sums(graph: RelationalGraph) -> None:
+    """Check that every per-node weight family sums to 1; raise InvariantError."""
+    breach = _weight_sum_breach(graph.vocab, graph.edges)
+    if breach:
+        raise InvariantError(f"{graph.kind} graph: {breach}")
 
 
 def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
@@ -349,26 +354,42 @@ def serialize_graph(graph: RelationalGraph, path) -> None:
     write_container(path, GRAPH_MAGIC, header, graph.edges.tobytes())
 
 
-def deserialize_graph(path) -> RelationalGraph:
-    header, payload = read_container(path, GRAPH_MAGIC)
-    nodes = list(zip(header["vocab"]["words"], header["vocab"]["kinds"]))
-    super_class = {int(i): s for i, s in header["vocab"]["super"].items()}
-    vocab = Vocabulary(nodes=nodes, object_super_class=super_class)
-    records = np.frombuffer(payload, dtype=EDGE_DTYPE)
-    if len(records) != header["nnz"]:
-        raise ValueError(f"{path}: expected {header['nnz']} edges, got {len(records)}")
-    unknown = [k for k in header["vocab"]["kinds"] if k not in KINDS]
+def _header_vocabulary(doc, n: int, path) -> Vocabulary:
+    """The vocabulary a graph header describes, checked against n nodes."""
+    words, kinds, supers = (doc.get(k) if isinstance(doc, dict) else None
+                            for k in ("words", "kinds", "super"))
+    if not (isinstance(words, list) and isinstance(kinds, list) and len(words) == len(kinds) == n
+            and all(type(w) is str for w in words)):
+        raise ValueError(f"{path}: header vocab 'words' and 'kinds' must be lists of {n} strings")
+    unknown = [k for k in kinds if k not in KINDS]  # non-strings included
     if unknown:
         raise ValueError(f"{path}: unknown node kind {unknown[0]!r}")
-    src, dst = records["src"], records["dst"]
-    outside = np.flatnonzero(np.maximum(src, dst) >= len(nodes))
+    if not isinstance(supers, dict) or not all(
+            key.isdecimal() and int(key) < n and kinds[int(key)] == OBJECT and type(sup) is str
+            for key, sup in supers.items()):
+        raise ValueError(f"{path}: header vocab 'super' must map object node ids to strings")
+    super_class = {int(key): sup for key, sup in supers.items()}
+    return Vocabulary(nodes=list(zip(words, kinds)), object_super_class=super_class)
+
+
+def deserialize_graph(path) -> RelationalGraph:
+    header, payload = read_container(path, GRAPH_MAGIC)
+    n, nnz = header_ints(header, path, "n", "nnz")
+    if type(header.get("kind")) is not str:
+        raise ValueError(f"{path}: header field 'kind' must be a string")
+    vocab = _header_vocabulary(header.get("vocab"), n, path)
+    if len(payload) != nnz * EDGE_DTYPE.itemsize:
+        raise ValueError(f"{path}: payload size {len(payload)}, expected {nnz} edge records")
+    records = np.frombuffer(payload, dtype=EDGE_DTYPE)
+    nodes, src, dst = vocab.nodes, records["src"], records["dst"]
+    outside = np.flatnonzero(np.maximum(src, dst) >= n)
     if outside.size:
         i = outside[0]
         raise ValueError(
             f"{path}: edge {i} ({src[i]}, {dst[i]}) has a node "
-            f"outside the vocabulary of {len(nodes)} nodes"
+            f"outside the vocabulary of {n} nodes"
         )
-    keys = src.astype(np.int64) * len(nodes) + dst
+    keys = src.astype(np.int64) * n + dst
     unordered = np.flatnonzero(keys[1:] <= keys[:-1])
     if unordered.size:  # a repeated record would count twice in the degree sums
         i = unordered[0] + 1
@@ -380,4 +401,9 @@ def deserialize_graph(path) -> RelationalGraph:
         raise ValueError(f"{path}: edge {i} ({src[i]}, {dst[i]}) is {nodes[src[i]][1]}->"
                          f"{nodes[dst[i]][1]}, not object->relation, relation->object or "
                          "object->attribute")
+    if not np.isfinite(records["weight"]).all():
+        raise ValueError(f"{path}: edge weights hold non-finite values")
+    breach = _weight_sum_breach(vocab, records)
+    if breach:
+        raise ValueError(f"{path}: {breach}")
     return RelationalGraph(vocab=vocab, kind=header["kind"], edges=records)

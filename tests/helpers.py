@@ -1,4 +1,5 @@
-"""Test-only code: small scene-graph corpora, a GCN gradient check, a CoNLL-U writer.
+"""Test-only code: small scene-graph corpora, a GCN gradient check and loss
+reference, the inverse of each geometric relation, a CoNLL-U writer.
 
 ``random_scene_graphs`` draws seeded random graphs for property checks of
 graph building; ``two_clique_scene_graphs`` gives two disconnected
@@ -10,6 +11,16 @@ import numpy as np
 
 from victr.gcn import GcnModel, _label_arrays, _loss_and_grads
 from victr.sceneparse import SceneGraph
+
+
+INVERSE_RELATION = {
+    "left_of": "right_of",
+    "right_of": "left_of",
+    "above": "below",
+    "below": "above",
+    "inside": "surrounding",
+    "surrounding": "inside",
+}
 
 
 def random_scene_graphs(seed: int, n_graphs: int) -> list[SceneGraph]:
@@ -80,6 +91,20 @@ def two_clique_scene_graphs() -> list[SceneGraph]:
             )
             cid += 1
     return graphs
+
+
+def masked_cross_entropy(logits: np.ndarray, labels: dict[int, int]) -> float:
+    """Reference loss: mean negative log-likelihood over the labeled nodes only."""
+    if not labels:
+        raise ValueError("masked_cross_entropy: no labeled nodes")
+    n_classes = logits.shape[1]
+    total = 0.0
+    for node, cls in labels.items():
+        if not 0 <= cls < n_classes:
+            raise ValueError(f"node {node}: label {cls} out of range 0..{n_classes - 1}")
+        z = logits[node] - logits[node].max()
+        total += np.log(np.exp(z).sum()) - z[cls]
+    return float(total / len(labels))
 
 
 def gradient_check(model: GcnModel, a_hat: np.ndarray, labels: dict[int, int],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import victr.gcn
-from victr.binio import EMBED_MAGIC, read_container, write_container
+from victr.binio import EMBED_MAGIC, GRAPH_MAGIC, read_container, write_container
 from victr.cli import main
 from victr.fusion import (
     builtin_text_features,
@@ -399,7 +399,19 @@ def test_fuse_non_finite_text_features_exit_2(fuse_cfg, tmp_path, toy_dep_graphs
     words[1, 5] = np.nan
     save_text_features(words, words.mean(axis=0), path)
     assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
-    assert f"{path}: text features hold non-finite values" in capsys.readouterr().err
+    assert f"{path}: payload holds non-finite values" in capsys.readouterr().err
+
+
+def test_fuse_text_features_word_count_mismatch_exit_2(fuse_cfg, tmp_path, toy_dep_graphs,
+                                                       capsys):
+    cfg, out = fuse_cfg
+    _write_text_features(tmp_path / "text", toy_dep_graphs)
+    path = tmp_path / "text" / "104.victre"
+    words = builtin_text_features(["a", "dog"], seed=7, dim=256)
+    save_text_features(words, words.mean(axis=0), path)
+    assert main(["fuse", "--config", cfg, "--text-features", str(tmp_path / "text")]) == 2
+    assert (f"{path}: 2 word rows, but caption 104 has 4 tokens in "
+            in capsys.readouterr().err)
 
 
 def test_fuse_text_features_without_words_exit_2(fuse_cfg, tmp_path, toy_dep_graphs, capsys):
@@ -423,7 +435,7 @@ def test_fuse_non_finite_evs_exit_2(fuse_cfg, capsys):
     path = out / "evs" / "101.victre"
     _plant_nan(path)
     assert main(["fuse", "--config", cfg]) == 2
-    assert f"{path}: embedding rows hold non-finite values" in capsys.readouterr().err
+    assert f"{path}: payload holds non-finite values" in capsys.readouterr().err
     assert not (out / "fused" / "101.victrf").exists()
 
 
@@ -433,7 +445,55 @@ def test_compose_and_project_non_finite_embeddings_exit_2(fuse_cfg, capsys):
     _plant_nan(path)
     for stage in ("compose", "project"):
         assert main([stage, "--config", cfg]) == 2, stage
-        assert f"{path}: embedding rows hold non-finite values" in capsys.readouterr().err
+        assert f"{path}: payload holds non-finite values" in capsys.readouterr().err
+
+
+def _rewrite_header(path, magic, edit):
+    header, payload = read_container(path, magic)
+    edit(header)
+    write_container(path, magic, header, payload)
+
+
+def _float_n(header):
+    header["n"] = float(header["n"])
+
+
+def _words_not_a_list(header):
+    header["vocab"]["words"] = 3
+
+
+@pytest.mark.parametrize("stage, name, magic, edit", [
+    ("fuse", "evs/101.victre", EMBED_MAGIC, _float_n),
+    ("compose", "embeddings/basic.victre", EMBED_MAGIC, _float_n),
+    ("train", "graphs/basic.victrg", GRAPH_MAGIC, _words_not_a_list),
+], ids=["evs_fuse", "embeddings_compose", "graph_train"])
+def test_malformed_artifact_header_exit_2_without_traceback(fuse_cfg, stage, name, magic,
+                                                            edit):
+    cfg, out = fuse_cfg
+    path = out / name
+    _rewrite_header(path, magic, edit)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "victr.cli", stage, "--config", cfg],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and f"{path}: header" in proc.stderr
+
+
+@pytest.mark.parametrize("weight, message", [
+    (np.nan, "edge weights hold non-finite values"), (-1.0, "weight family of object node"),
+], ids=["nan", "negative"])
+def test_graph_weights_checked_where_read_exit_2(fuse_cfg, capsys, weight, message):
+    cfg, out = fuse_cfg
+    path = out / "graphs" / "basic.victrg"
+    header, payload = read_container(path, GRAPH_MAGIC)
+    records = np.frombuffer(payload, dtype=EDGE_DTYPE).copy()
+    records["weight"][np.flatnonzero(records["src"] != records["dst"])[0]] = weight
+    write_container(path, GRAPH_MAGIC, header, records.tobytes())
+    for argv in (["train", "--graph", "basic"], ["stats"], ["compose"]):
+        assert main(argv + ["--config", cfg]) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err, argv
 
 
 def _nan_weights(path):

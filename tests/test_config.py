@@ -47,6 +47,16 @@ def test_bad_line_names_path_and_line(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: {path}:4: {message}\n"
 
 
+def test_repeated_key_names_both_lines(tmp_path, capsys):
+    path = _write(tmp_path, "epochs = 5\nseed = 3\nepochs = 50\n")
+    message = f"{path}:3: 'epochs' is already set at {path}:1"
+    with pytest.raises(ValueError) as e:
+        load_config(path)
+    assert str(e.value) == message
+    assert main(["stats", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _resolve(argv):
     return _resolve_config(_build_parser().parse_args(argv))
 

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gradient_check, two_clique_scene_graphs
+from helpers import gradient_check, masked_cross_entropy, two_clique_scene_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from victr.config import PipelineConfig
 from victr.gcn import (
     GcnModel,
     TrainingDiverged,
+    _label_arrays,
+    _loss_and_grads,
     accuracy,
     extract_embeddings,
     forward,
     init_model,
     load_embeddings,
     load_model,
-    masked_cross_entropy,
     object_labels,
     save_embeddings,
     save_model,
@@ -132,6 +135,25 @@ def test_cross_entropy_hand_softmax():
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         masked_cross_entropy(np.zeros((2, 3)), {0: 3})
+
+
+@st.composite
+def _logits_and_labels(draw):
+    n, c = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    logits = np.array(draw(st.lists(st.floats(-50, 50), min_size=n * c, max_size=n * c)))
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return logits.reshape(n, c), {v: draw(st.integers(0, c - 1)) for v in nodes}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_logits_and_labels())
+def test_training_loss_matches_reference(case):
+    # A_hat = I, W1 = I and zero biases make H1 = I, so the logits are W2
+    logits, labels = case
+    n, c = logits.shape
+    model = GcnModel(w1=np.eye(n), b1=np.zeros(n), w2=logits, b2=np.zeros(c))
+    loss, _ = _loss_and_grads(model, np.eye(n), *_label_arrays(labels))
+    assert loss == pytest.approx(masked_cross_entropy(logits, labels), rel=1e-9, abs=1e-12)
 
 
 def test_train_config_rejects_zero_epochs():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from helpers import INVERSE_RELATION
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from victr.geometry import (
     GEOMETRIC_RELATIONS,
-    INVERSE_RELATION,
     BoundingBox,
     classify_geometric_relation,
     match_objects_to_boxes,

@@ -191,6 +191,15 @@ def test_verify_weight_sums_catches_breakage():
         verify_weight_sums(g)
 
 
+def test_verify_weight_sums_catches_nan():
+    vocab = build_vocabulary(TOY_CORPUS)
+    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    g.weights[(g.edges["src"] == vocab.require("man", OBJECT))
+              & (g.edges["dst"] == vocab.require("ride", RELATION))] = np.nan
+    with pytest.raises(InvariantError, match="sums to nan"):
+        verify_weight_sums(g)
+
+
 def test_counts_additive_split_merge():
     corpus = random_scene_graphs(7, n_graphs=10)
     vocab = build_vocabulary(corpus)
