@@ -90,8 +90,8 @@ def _superclass_lexicon(cfg) -> sp.SuperClassLexicon:
     if cfg.superclass_lexicon:
         _require_file(cfg.superclass_lexicon, "super-class lexicon")
         return sp.load_superclass_lexicon(cfg.superclass_lexicon)
-    if cfg.instances and os.path.exists(cfg.instances):
-        inst = ingest.load_instances(cfg.instances)
+    if cfg.instances:
+        inst = ingest.load_instances(_require_file(cfg.instances, "instances file"))
         return sp.SuperClassLexicon(dict(inst.categories))
     return sp.SuperClassLexicon({})
 
@@ -153,12 +153,8 @@ def cmd_build_graphs(cfg: PipelineConfig) -> int:
     basic = gs.compute_weights(gs.accumulate_counts(corpus, vocab))
     gs.verify_weight_sums(basic)
 
-    matches = []
-    for sg in corpus:
-        if sg.image_id in inst.boxes:
-            matches.append(dict(geo.match_objects_to_boxes(sg, inst, sg.image_id, aliases)))
-        else:
-            matches.append({})
+    matches = [dict(geo.match_objects_to_boxes(sg, inst, sg.image_id, aliases))
+               for sg in corpus]
     positional = gs.build_positional_graphs(corpus, vocab, matches)
     for g in positional.values():
         gs.verify_weight_sums(g)
@@ -492,7 +488,7 @@ def main(argv=None) -> int:
     except InvariantError as e:
         print(f"invariant breach: {e}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -64,14 +64,11 @@ def match_objects_to_boxes(sg, inst, image_id,
 
     Objects claim, in document order, the largest unclaimed box whose
     category equals their lemma (or its alias). Unmatched objects are
-    dropped; no box is handed out twice.
+    dropped; no box is handed out twice. An image without boxes matches none.
     """
-    image_id = str(image_id)
-    if image_id not in inst.boxes:
-        raise KeyError(f"image {image_id} has no instance annotations")
     aliases = aliases or {}
     pool: dict[str, list[tuple[int, BoundingBox]]] = {}
-    for i, (category, _, (x, y, w, h)) in enumerate(inst.boxes[image_id]):
+    for i, (category, _, (x, y, w, h)) in enumerate(inst.boxes.get(str(image_id), ())):
         pool.setdefault(category, []).append((i, BoundingBox(x, y, w, h)))
     claimed: set[int] = set()
     matches = []

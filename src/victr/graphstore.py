@@ -52,7 +52,7 @@ class Vocabulary:
     def require(self, word: str, kind: str) -> int:
         idx = self.index.get((word, kind))
         if idx is None:
-            raise KeyError(f"out-of-vocabulary {kind} word {word!r}")
+            raise InvariantError(f"out-of-vocabulary {kind} word {word!r}")
         return idx
 
     @cached_property

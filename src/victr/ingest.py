@@ -2,14 +2,40 @@
 
 Captions arrive already dependency-parsed (CoNLL-U with ``# caption_id`` /
 ``# image_id`` comments); this module never runs a parser itself.
+
+The JSON inputs, each read by ``json_records`` against a table of its fields
+and their JSON types. An id is an integer or a string, compared as its text
+(``7`` and ``"7"`` are one id). A value must have exactly its field's type,
+so ``true`` is not an integer; other fields are ignored.
+
+- Captions (``CAPTION_FIELDS``): an object whose ``annotations`` list holds
+  {``id``: id, used once; ``image_id``: id; ``caption``: string}.
+- Instances: an object with two lists. ``categories`` (``CATEGORY_FIELDS``)
+  holds {``id``: id, used once; ``name``, ``supercategory``: strings, one
+  supercategory per name}; ``annotations`` (``BOX_FIELDS``) holds
+  {``image_id``: id; ``category_id``: a category's id; ``bbox``: a list of
+  four finite numbers x, y, w, h with w, h > 0}.
+- Scene graphs (``sceneparse.scene_graph_to_json``): an object with
+  ``caption_id``, ``image_id`` (strings) and lists ``objects`` of {``id``:
+  integer; ``word``, ``super_class``: strings}, ``attributes`` of
+  {``object_id``: integer; ``word``: string} and ``relations`` of
+  {``subject``, ``object``: integers naming objects; ``predicate``: string}.
+
+Messages name the file and the place, as ``<path>: annotations[3].bbox``.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from sys import intern
 from typing import NamedTuple
+
+ID = {int, str}
+CAPTION_FIELDS = {"id": ID, "image_id": ID, "caption": {str}}
+CATEGORY_FIELDS = {"id": ID, "name": {str}, "supercategory": {str}}
+BOX_FIELDS = {"image_id": ID, "category_id": ID, "bbox": {list}}
 
 
 class ConlluError(ValueError):
@@ -172,82 +198,86 @@ def load_conllu(path) -> list[DependencyGraph]:
     return graphs
 
 
-def _entries(doc, key: str, what: str, fields: tuple[str, ...], path) -> list[dict]:
-    """doc[key], checked to be a list of JSON objects that each hold ``fields``."""
-    if type(doc) is not dict or key not in doc:
-        raise ValueError(f"{path}: missing '{key}' list")
-    items = doc[key]
+def json_records(doc, key: str | None, fields: dict[str, set[type]],
+                 where) -> tuple[tuple, ...]:
+    """Each entry of the JSON list ``doc[key]`` (of ``[doc]`` if ``key`` is None) as
+    the tuple of its values of ``fields`` (two or more), each value's type one of
+    its field's (compared with ``type``, so a bool is no int), checked by column."""
+    items = [doc] if key is None else doc.get(key) if type(doc) is dict else None
     if type(items) is not list:
-        raise ValueError(f"{path}: '{key}' must be a list, got {type(items).__name__}")
-    for i, item in enumerate(items):
-        if type(item) is not dict:
-            raise ValueError(f"{path}: {what} {i}: must be an object, got {item!r}")
-        for name in fields:
-            if name not in item:
-                raise ValueError(f"{path}: {what} {i}: missing field '{name}'")
-    return items
+        raise ValueError(f"{where}: must be a JSON object with a list '{key}'")
+    try:
+        records = tuple(map(itemgetter(*fields), items))
+    except (KeyError, TypeError):  # an entry that is not an object, or lacks a field
+        i, item = next((i, e) for i, e in enumerate(items)
+                       if type(e) is not dict or not fields.keys() <= e.keys())
+        fault = (f"missing field '{next(n for n in fields if n not in item)}'"
+                 if type(item) is dict else f"must be an object, got {item!r}")
+        raise ValueError(f"{where}: {f'{key}[{i}]: ' if key else ''}{fault}") from None
+    for (name, want), column in zip(fields.items(), zip(*records)):
+        if not set(map(type, column)) <= want:
+            i = next(i for i, v in enumerate(column) if type(v) not in want)
+            raise ValueError(f"{where}: {f'{key}[{i}].' if key else ''}{name} must be "
+                             f"{' or '.join(sorted(t.__name__ for t in want))}, "
+                             f"got {column[i]!r}")
+    return records
+
+
+def _json_file(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_captions(path) -> dict[str, str]:
-    """Load a COCO-style captions JSON (``annotations`` with image_id/id/caption)
-    as caption id -> image id, both as strings."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Caption id -> image id, both as text, from a captions file (see above)."""
     image_of: dict[str, str] = {}
-    annotations = _entries(doc, "annotations", "annotation", ("image_id", "id", "caption"), path)
-    for i, ann in enumerate(annotations):
-        cid = str(ann["id"])
+    records = json_records(_json_file(path), "annotations", CAPTION_FIELDS, path)
+    for i, (cid, image_id, _) in enumerate(records):
+        cid = str(cid)
         if cid in image_of:
-            raise ValueError(f"{path}: annotation {i}: duplicate caption_id {cid}")
-        image_of[cid] = str(ann["image_id"])
+            raise ValueError(f"{path}: annotations[{i}]: duplicate caption id {cid}")
+        image_of[cid] = str(image_id)
     return image_of
 
 
 def load_instances(path) -> InstanceSet:
-    """Load a COCO-style instances JSON: bounding boxes plus category table."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    annotations = _entries(doc, "annotations", "annotation",
-                           ("image_id", "category_id", "bbox"), path)
-    categories = _entries(doc, "categories", "category", ("id", "name", "supercategory"), path)
-    cat_name: dict[int, str] = {}
-    cat_super: dict[str, str] = {}
-    for i, cat in enumerate(categories):
-        name = cat["name"]
-        if name in cat_super and cat_super[name] != cat["supercategory"]:
-            raise ValueError(
-                f"{path}: category {name!r} mapped to two super-classes"
-            )
-        if isinstance(cat["id"], (list, dict)):  # not a dict key
-            raise ValueError(f"{path}: category {i}: id {cat['id']!r} is not a number or string")
-        cat_name[cat["id"]] = name
-        cat_super[name] = cat["supercategory"]
+    """Boxes per image and each category name's super-class, from an instances file."""
+    doc = _json_file(path)
+    cat_name: dict[str, str] = {}  # category id -> name
+    cat_super: dict[str, str] = {}  # name -> super-class
+    categories = json_records(doc, "categories", CATEGORY_FIELDS, path)
+    for i, (cat_id, name, sup) in enumerate(categories):
+        if str(cat_id) in cat_name:
+            raise ValueError(f"{path}: categories[{i}]: duplicate category id {cat_id}")
+        if cat_super.setdefault(name, sup) != sup:
+            raise ValueError(f"{path}: categories[{i}]: {name!r} mapped to two super-classes")
+        cat_name[str(cat_id)] = name
     boxes: dict[str, list] = {}
-    for i, ann in enumerate(annotations):
-        where = f"{path}: annotation {i}"
-        category_id = ann["category_id"]
-        if isinstance(category_id, (list, dict)) or category_id not in cat_name:
-            raise ValueError(f"{where}: unknown category_id {category_id}")
-        name = cat_name[category_id]
-        boxes.setdefault(str(ann["image_id"]), []).append(
-            (name, cat_super[name], _bbox(ann["bbox"], where))
-        )
+    annotations = json_records(doc, "annotations", BOX_FIELDS, path)
+    for i, (image_id, category_id, bbox) in enumerate(annotations):
+        name = cat_name.get(str(category_id))
+        if name is None:
+            raise ValueError(f"{path}: annotations[{i}]: unknown category_id {category_id!r}")
+        boxes.setdefault(str(image_id), []).append(
+            (name, cat_super[name], _bbox(bbox, f"{path}: annotations[{i}].bbox")))
     return InstanceSet(boxes=boxes, categories=cat_super)
 
 
-def _bbox(value, where: str) -> tuple[float, float, float, float]:
+def _bbox(value: list, where: str) -> tuple[float, float, float, float]:
     """A JSON bbox as (x, y, w, h): four finite numbers with w, h > 0."""
-    if not (isinstance(value, list) and len(value) == 4
-            and all(type(v) in (int, float) for v in value)):  # bool is not a number here
-        raise ValueError(f"{where}: bbox must be a list of 4 numbers, got {value!r}")
+    if not (len(value) == 4 and all(type(v) in (int, float) for v in value)):
+        raise ValueError(f"{where} must be 4 numbers, got {value!r}")  # bool is not a number here
     try:
         x, y, w, h = (float(v) for v in value)
     except OverflowError:  # an integer too large for a float
-        raise ValueError(f"{where}: bbox value out of range in {value!r}") from None
+        raise ValueError(f"{where}: value out of range in {value!r}") from None
     if not all(math.isfinite(v) for v in (x, y, w, h)):
-        raise ValueError(f"{where}: non-finite bbox value in {value!r}")
+        raise ValueError(f"{where}: non-finite value in {value!r}")
     if w <= 0 or h <= 0:
-        raise ValueError(f"{where}: non-positive bbox size {w:g}x{h:g}")
+        raise ValueError(f"{where}: non-positive size {w:g}x{h:g}")
     return x, y, w, h
 
 

@@ -8,9 +8,8 @@ extraction of objects (nouns), attributes (adjectives) and relations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .ingest import DependencyGraph, Token, tsv_pairs
+from .ingest import DependencyGraph, Token, json_records, tsv_pairs
 
 NOUN_TAGS = {"NOUN", "PROPN"}
 SUBJECT_RELS = {"nsubj", "nsubjpass"}
@@ -420,48 +419,18 @@ def scene_graph_to_json(sg: SceneGraph) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-# list key -> the fields of each of its entries and their JSON types
+# the JSON types of a scene graph's own fields, and of each entry of its lists
+_SCENE_GRAPH_IDS = {"caption_id": {str}, "image_id": {str}}
 _SCENE_GRAPH_LISTS = {
-    "objects": (("id", "word", "super_class"), (int, str, str)),
-    "attributes": (("object_id", "word"), (int, str)),
-    "relations": (("subject", "predicate", "object"), (int, str, int)),
+    "objects": {"id": {int}, "word": {str}, "super_class": {str}},
+    "attributes": {"object_id": {int}, "word": {str}},
+    "relations": {"subject": {int}, "predicate": {str}, "object": {int}},
 }
-
-
-def _records(doc: dict, key: str) -> tuple:
-    """doc[key] as one tuple of field values per entry, each checked for its type."""
-    items = doc[key]
-    names, types = _SCENE_GRAPH_LISTS[key]
-    if type(items) is not list:
-        raise ValueError(f"{key!r} must be a list, got {type(items).__name__}")
-    try:
-        records = tuple(map(itemgetter(*names), items))
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"every entry of {key!r} must be an object with {', '.join(names)}"
-        ) from None
-    for name, want, column in zip(names, types, zip(*records)):
-        if set(map(type, column)) != {want}:  # type, not isinstance: no true/false ids
-            n = next(i for i, v in enumerate(column) if type(v) is not want)
-            raise ValueError(f"{key}[{n}].{name} must be {want.__name__}, got {column[n]!r}")
-    return records
 
 
 def scene_graph_from_json(text: str) -> SceneGraph:
     """Inverse of scene_graph_to_json; ValueError on any other shape or type."""
     doc = json.loads(text)
-    if type(doc) is not dict:
-        raise ValueError(f"scene graph must be a JSON object, got {type(doc).__name__}")
-    missing = [k for k in ("caption_id", "image_id", *_SCENE_GRAPH_LISTS) if k not in doc]
-    if missing:
-        raise ValueError(f"scene graph lacks {', '.join(map(repr, missing))}")
-    for key in ("caption_id", "image_id"):
-        if type(doc[key]) is not str:
-            raise ValueError(f"{key!r} must be str, got {doc[key]!r}")
-    return SceneGraph(
-        caption_id=doc["caption_id"],
-        image_id=doc["image_id"],
-        objects=_records(doc, "objects"),
-        attributes=_records(doc, "attributes"),
-        relations=_records(doc, "relations"),
-    )
+    ((caption_id, image_id),) = json_records(doc, None, _SCENE_GRAPH_IDS, "scene graph")
+    return SceneGraph(caption_id, image_id, *(json_records(doc, key, fields, "scene graph")
+                                              for key, fields in _SCENE_GRAPH_LISTS.items()))

@@ -654,12 +654,18 @@ def test_train_unordered_graph_records_exit_2(tmp_path, capsys, order):
 
 
 @pytest.mark.parametrize("key, text, message", [
-    ("captions", '{"annotations": 5}', ": 'annotations' must be a list"),
-    ("captions", '{"annotations": [5]}', ": annotation 0: must be an object"),
+    ("captions", '{"annotations": 5}', ": must be a JSON object with a list 'annotations'"),
+    ("captions", '{"annotations": [5]}', ": annotations[0]: must be an object, got 5"),
+    ("captions", '{"annotations": [{"id": 101.0, "image_id": 1, "caption": "x"}]}',
+     ": annotations[0].id must be int or str, got 101.0"),
+    ("captions", '{"annotations": [{"id": 101, "image_id": 1, "caption": ["x"]}]}',
+     ": annotations[0].caption must be str, got ['x']"),
+    ("captions", '{"annotations": [', ": Expecting value"),
     ("conllu", "# caption_id = 101\n# image_id = 1\nx\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n",
      ":3: non-integer token id 'x'"),
     ("quantifiers", "two\tx\n", ":1: 'x' is not an integer or MANY"),
-], ids=["annotations_int", "annotation_int", "conllu_token_id", "quantifier_value"])
+], ids=["annotations_int", "annotation_int", "caption_float_id", "caption_list", "captions_not_json",
+        "conllu_token_id", "quantifier_value"])
 def test_parse_malformed_input_exit_2(tmp_path, toy_paths, capsys, key, text, message):
     bad = tmp_path / f"bad_{key}"
     bad.write_text(text, encoding="utf-8")
@@ -697,17 +703,40 @@ def _build_graphs_with_instances(toy_cfg, tmp_path, toy_paths, corrupt) -> tuple
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda doc: doc.update(annotations=3), ": 'annotations' must be a list"),
-    (lambda doc: doc.update(categories=[5]), ": category 0: must be an object"),
+    (lambda doc: doc.update(annotations=3), ": must be a JSON object with a list 'annotations'"),
+    (lambda doc: doc.update(categories=[5]), ": categories[0]: must be an object, got 5"),
     (lambda doc: doc["annotations"][3].update(category_id=[1]),
-     ": annotation 3: unknown category_id [1]"),
-    (lambda doc: doc["categories"][0].update(id=[1]), ": category 0: id [1] is not a number"),
-], ids=["annotations_int", "category_int", "category_id_list", "category_list_id"])
+     ": annotations[3].category_id must be int or str, got [1]"),
+    (lambda doc: doc["categories"][0].update(id=[1]),
+     ": categories[0].id must be int or str, got [1]"),
+    (lambda doc: doc["categories"][0].update(name=["person"]),
+     ": categories[0].name must be str, got ['person']"),
+    (lambda doc: doc["categories"][0].update(name=5), ": categories[0].name must be str, got 5"),
+    (lambda doc: doc["annotations"][3].update(image_id=1.0),
+     ": annotations[3].image_id must be int or str, got 1.0"),
+    (lambda doc: doc["annotations"][3].update(category_id=True),
+     ": annotations[3].category_id must be int or str, got True"),
+    (lambda doc: doc["categories"][2].update(id=doc["categories"][0]["id"]),
+     ": categories[2]: duplicate category id 1"),
+    (lambda doc: doc["annotations"][3].update(category_id=99),
+     ": annotations[3]: unknown category_id 99"),
+], ids=["annotations_int", "category_int", "category_id_list", "category_list_id",
+        "category_list_name", "category_int_name", "image_id_float", "category_id_true",
+        "repeated_category_id", "unknown_category_id"])
 def test_build_graphs_malformed_instances_exit_2(toy_cfg, tmp_path, toy_paths, capsys,
                                                 corrupt, message):
     code, bad = _build_graphs_with_instances(toy_cfg, tmp_path, toy_paths, corrupt)
     assert code == 2
     assert f"{bad}{message}" in capsys.readouterr().err
+
+
+def test_parse_missing_instances_exit_2(tmp_path, toy_paths, capsys):
+    """Without a super-class lexicon, parse reads the instances file it is given."""
+    missing = tmp_path / "missing_instances.json"
+    cfg = _cfg_file(tmp_path, {**toy_paths, "superclasses": "", "instances": str(missing)},
+                    tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 2
+    assert f"instances file not found: {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bbox", [
@@ -722,4 +751,4 @@ def test_build_graphs_malformed_bbox_exit_2(toy_cfg, tmp_path, toy_paths, capsys
     code, bad = _build_graphs_with_instances(
         toy_cfg, tmp_path, toy_paths, lambda doc: doc["annotations"][3].update(bbox=bbox))
     assert code == 2
-    assert f"{bad}: annotation 3: " in capsys.readouterr().err
+    assert f"{bad}: annotations[3].bbox" in capsys.readouterr().err

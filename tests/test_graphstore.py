@@ -127,7 +127,7 @@ def test_attribute_counts_hand_tallied():
 
 def test_out_of_vocabulary_errors():
     vocab = build_vocabulary([MAN_RIDE_HORSE])
-    with pytest.raises(KeyError, match="bike"):
+    with pytest.raises(InvariantError, match="bike"):
         accumulate_counts([sg(9, ["man", "bike"], relations=[(0, "ride", 1)])], vocab)
 
 

@@ -144,7 +144,7 @@ def test_load_captions_missing_field_names_index(tmp_path):
     )
     p = tmp_path / "c.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match="annotation 1.*caption"):
+    with pytest.raises(ValueError, match=r"c\.json: annotations\[1\]: missing field 'caption'"):
         load_captions(p)
 
 
@@ -185,6 +185,18 @@ def test_load_instances_two_boxes_same_image(tmp_path):
     p.write_text(json.dumps(doc), encoding="utf-8")
     names = [name for name, _, _ in load_instances(p).boxes["5"]]
     assert names == ["dog", "cat"]
+
+
+def test_load_instances_ids_compare_as_text(tmp_path):
+    doc = _instances_doc(
+        [
+            {"image_id": "5", "category_id": "1", "bbox": [0, 0, 5, 5]},
+            {"image_id": 5, "category_id": 2, "bbox": [9, 9, 3, 3]},
+        ]
+    )
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert [name for name, _, _ in load_instances(p).boxes["5"]] == ["dog", "cat"]
 
 
 def test_load_instances_unknown_category(tmp_path):
