@@ -68,22 +68,20 @@ def _load_scene_graphs(cfg) -> list[sp.SceneGraph]:
         path = os.path.join(sg_dir, name)
         with open(path, encoding="utf-8") as f:
             try:
-                graphs.append(sp.scene_graph_from_json(f.read()))
+                sg = sp.scene_graph_from_json(f.read())
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
+        if sg.caption_id != name[:-5]:  # later stages name their files by this id
+            raise ValueError(f"{path}: caption_id {sg.caption_id!r} differs from the file name")
+        graphs.append(sg)
     return graphs
 
 
 def _quantifier_lexicon(cfg) -> sp.QuantifierLexicon:
     if cfg.quantifier_lexicon:
-        _require_file(cfg.quantifier_lexicon, "quantifier lexicon")
-        return sp.load_quantifier_lexicon(
-            cfg.quantifier_lexicon, many_value=cfg.many_value,
-            max_duplication=cfg.max_duplication,
-        )
-    return sp.QuantifierLexicon.default(
-        many_value=cfg.many_value, max_duplication=cfg.max_duplication
-    )
+        path = _require_file(cfg.quantifier_lexicon, "quantifier lexicon")
+        return sp.load_quantifier_lexicon(path, cfg.many_value, cfg.max_duplication)
+    return sp.QuantifierLexicon.default(cfg.many_value, cfg.max_duplication)
 
 
 def _superclass_lexicon(cfg) -> sp.SuperClassLexicon:
@@ -114,27 +112,25 @@ def cmd_parse(cfg: PipelineConfig) -> int:
     qlex = _quantifier_lexicon(cfg)
     slex = _superclass_lexicon(cfg)
 
-    parsed = [(g, sp.parse_caption(g, qlex, slex)) for g in dep_graphs]
+    parsed = [sp.parse_caption(g, qlex, slex) for g in dep_graphs]
     if cfg.caption_mode == "richest":
-        by_image: dict[str, list] = {}
-        for g, sg in parsed:
-            by_image.setdefault(g.image_id, []).append((g.caption_id, sg))
-        keep = {
-            ingest.select_richest_caption(entries) for entries in by_image.values()
-        }
-        parsed = [(g, sg) for g, sg in parsed if g.caption_id in keep]
+        by_image: dict[str, list[sp.SceneGraph]] = {}
+        for sg in parsed:
+            by_image.setdefault(sg.image_id, []).append(sg)
+        keep = {ingest.select_richest_caption(graphs) for graphs in by_image.values()}
+        parsed = [sg for sg in parsed if sg.caption_id in keep]
 
     sg_dir = _scene_graph_dir(cfg)
     os.makedirs(sg_dir, exist_ok=True)
     n_obj = n_rel = n_attr = 0
-    for _, sg in parsed:
+    for sg in parsed:
         with open(os.path.join(sg_dir, f"{sg.caption_id}.json"), "w",
                   encoding="utf-8") as f:
             f.write(sp.scene_graph_to_json(sg))
         n_obj += len(sg.objects)
         n_rel += len(sg.relations)
         n_attr += len(sg.attributes)
-    _remove_stale(sg_dir, ".json", {sg.caption_id for _, sg in parsed})
+    _remove_stale(sg_dir, ".json", {sg.caption_id for sg in parsed})
     print(
         f"parsed {len(parsed)} captions: {n_obj} objects, "
         f"{n_rel} relations, {n_attr} attributes"
@@ -153,7 +149,7 @@ def cmd_build_graphs(cfg: PipelineConfig) -> int:
     basic = gs.compute_weights(gs.accumulate_counts(corpus, vocab))
     gs.verify_weight_sums(basic)
 
-    matches = [dict(geo.match_objects_to_boxes(sg, inst, sg.image_id, aliases))
+    matches = [dict(geo.match_objects_to_boxes(sg, inst, aliases))
                for sg in corpus]
     positional = gs.build_positional_graphs(corpus, vocab, matches)
     for g in positional.values():
@@ -251,8 +247,6 @@ def cmd_compose(cfg: PipelineConfig) -> int:
             os.path.join(evs_dir, f"{sg.caption_id}.victre"), vocab_hash=vocab_hash,
         )
     _remove_stale(evs_dir, ".victre", {sg.caption_id for sg in corpus})
-    # earlier versions wrote a manifest per caption; its content is in the scene graph
-    _remove_stale(evs_dir, ".manifest.json", set())
     print(
         f"composed visual semantic matrices for {len(corpus)} captions "
         f"(width {tables.scene_width})"

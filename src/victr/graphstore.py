@@ -39,12 +39,10 @@ EDGE_DTYPE = np.dtype(
 @dataclass
 class Vocabulary:
     nodes: list[tuple[str, str]]  # (word, kind) in first-appearance order
-    index: dict[tuple[str, str], int] = field(default_factory=dict)
     object_super_class: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {node: i for i, node in enumerate(self.nodes)}
+        self.index = {node: i for i, node in enumerate(self.nodes)}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -164,7 +162,13 @@ def build_vocabulary(corpus) -> Vocabulary:
     for idx, tally in votes.items():
         top = max(tally.values())
         super_class[idx] = min(s for s, c in tally.items() if c == top)
-    return Vocabulary(nodes=nodes, index=index, object_super_class=super_class)
+    return Vocabulary(nodes=nodes, object_super_class=super_class)
+
+
+def _relation_nodes(sg, vocab: Vocabulary) -> list[tuple[int, int, int]]:
+    """sg's relation triples, in order, as (subject, predicate, object) node ids."""
+    node = {oid: vocab.require(word, OBJECT) for oid, word, _ in sg.objects}
+    return [(node[s], vocab.require(p, RELATION), node[o]) for s, p, o in sg.relations]
 
 
 def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
@@ -176,13 +180,10 @@ def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
     """
     src, dst = [], []
     for sg in corpus:
-        words = {oid: word for oid, word, _ in sg.objects}
-        for s, p, o in sg.relations:
-            si = vocab.require(words[s], OBJECT)
-            pi = vocab.require(p, RELATION)
-            oi = vocab.require(words[o], OBJECT)
+        for si, pi, oi in _relation_nodes(sg, vocab):
             src += (si, pi)
             dst += (pi, oi)
+        words = {oid: word for oid, word, _ in sg.objects}
         for oid, attr in sg.attributes:
             src.append(vocab.require(words[oid], OBJECT))
             dst.append(vocab.require(attr, ATTRIBUTE))
@@ -242,15 +243,11 @@ def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
     for sg, matches in zip(corpus, box_matches):
         if not matches:
             continue
-        words = {oid: word for oid, word, _ in sg.objects}
-        for s, p, o in sg.relations:
-            if s not in matches or o not in matches:
-                continue
-            src, dst = ids[classify_geometric_relation(matches[s], matches[o])]
-            si = vocab.require(words[s], OBJECT)
-            pi = vocab.require(p, RELATION)
-            src += (si, pi)
-            dst += (pi, vocab.require(words[o], OBJECT))
+        for (s, _, o), (si, pi, oi) in zip(sg.relations, _relation_nodes(sg, vocab)):
+            if s in matches and o in matches:
+                src, dst = ids[classify_geometric_relation(matches[s], matches[o])]
+                src += (si, pi)
+                dst += (pi, oi)
     return {p: compute_weights(_count_edges(vocab, p, *ids[p]))
             for p in GEOMETRIC_RELATIONS}
 

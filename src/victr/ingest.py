@@ -1,4 +1,4 @@
-"""Corpus loaders: CoNLL-U dependency parses, caption JSON, instance JSON.
+"""Corpus loaders: CoNLL-U dependency parses, caption JSON, instance JSON and its boxes.
 
 Captions arrive already dependency-parsed (CoNLL-U with ``# caption_id`` /
 ``# image_id`` comments); this module never runs a parser itself.
@@ -14,19 +14,23 @@ so ``true`` is not an integer; other fields are ignored.
   holds {``id``: id, used once; ``name``, ``supercategory``: strings, one
   supercategory per name}; ``annotations`` (``BOX_FIELDS``) holds
   {``image_id``: id; ``category_id``: a category's id; ``bbox``: a list of
-  four finite numbers x, y, w, h with w, h > 0}.
-- Scene graphs (``sceneparse.scene_graph_to_json``): an object with
+  four finite numbers x, y, w, h with w, h > 0}. ``load_instances`` checks
+  each box once and keeps it as (category name, ``BoundingBox``) under its
+  image id.
+- Scene graphs (``sceneparse.scene_graph_to_json``), one file
+  ``scene_graphs/<caption id>.json`` per caption: an object with
   ``caption_id``, ``image_id`` (strings) and lists ``objects`` of {``id``:
   integer; ``word``, ``super_class``: strings}, ``attributes`` of
   {``object_id``: integer; ``word``: string} and ``relations`` of
   {``subject``, ``object``: integers naming objects; ``predicate``: string}.
+  A scene graph's caption id is its file name.
 
 Messages name the file and the place, as ``<path>: annotations[3].bbox``.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from sys import intern
@@ -109,18 +113,48 @@ class DependencyGraph:
 
 
 @dataclass(frozen=True)
+class BoundingBox:
+    """An annotated box, x and y its top-left corner (image coordinates)."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+    def __post_init__(self):
+        if self.w <= 0 or self.h <= 0:
+            raise ValueError(f"non-positive size {self.w:g}x{self.h:g}")
+
+    @property
+    def center(self) -> tuple[float, float]:
+        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
+
+    @property
+    def area(self) -> float:
+        return self.w * self.h
+
+    def contains(self, other: "BoundingBox") -> bool:
+        return (
+            other.x >= self.x
+            and other.y >= self.y
+            and other.x + other.w <= self.x + self.w
+            and other.y + other.h <= self.y + self.h
+        )
+
+
+@dataclass(frozen=True)
 class InstanceSet:
-    # image_id -> [(category_name, super_class, (x, y, w, h))]
-    boxes: dict[str, list[tuple[str, str, tuple[float, float, float, float]]]]
-    categories: dict[str, str] = field(default_factory=dict)
+    boxes: dict[str, list[tuple[str, BoundingBox]]]  # image id -> [(category name, box)]
+    categories: dict[str, str]  # category name -> super-class
 
 
 def load_conllu(path) -> list[DependencyGraph]:
     """Read a CoNLL-U file into one DependencyGraph per sentence.
 
     Requires ``# caption_id = <id>`` and ``# image_id = <id>`` comments per
-    sentence, each caption id used once. Multi-word token ranges (``1-2``)
-    and empty nodes (``1.1``) are skipped.
+    sentence. Each caption id is used once and names files in later stages,
+    so it is not empty, ``.`` or ``..`` and holds no ``/``, ``\\`` or NUL.
+    Multi-word token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
     """
     graphs = []
     id_lines: dict[str, int] = {}  # caption id -> line of its '# caption_id' comment
@@ -140,6 +174,8 @@ def load_conllu(path) -> list[DependencyGraph]:
                 f"{path}:{line_no}: sentence without '# image_id =' comment"
             )
         cid = meta["caption_id"]
+        if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
+            raise ConlluError(f"{path}:{id_line}: caption_id {cid!r} cannot be a file name")
         if cid in id_lines:
             raise ConlluError(
                 f"{path}:{id_line}: duplicate caption_id {cid}, first given at line {id_lines[cid]}"
@@ -262,23 +298,24 @@ def load_instances(path) -> InstanceSet:
         if name is None:
             raise ValueError(f"{path}: annotations[{i}]: unknown category_id {category_id!r}")
         boxes.setdefault(str(image_id), []).append(
-            (name, cat_super[name], _bbox(bbox, f"{path}: annotations[{i}].bbox")))
+            (name, _bbox(bbox, f"{path}: annotations[{i}].bbox")))
     return InstanceSet(boxes=boxes, categories=cat_super)
 
 
-def _bbox(value: list, where: str) -> tuple[float, float, float, float]:
-    """A JSON bbox as (x, y, w, h): four finite numbers with w, h > 0."""
+def _bbox(value: list, where: str) -> BoundingBox:
+    """A JSON bbox [x, y, w, h] as a BoundingBox: four finite numbers with w, h > 0."""
     if not (len(value) == 4 and all(type(v) in (int, float) for v in value)):
         raise ValueError(f"{where} must be 4 numbers, got {value!r}")  # bool is not a number here
     try:
-        x, y, w, h = (float(v) for v in value)
+        xywh = [float(v) for v in value]
     except OverflowError:  # an integer too large for a float
         raise ValueError(f"{where}: value out of range in {value!r}") from None
-    if not all(math.isfinite(v) for v in (x, y, w, h)):
+    if not all(map(math.isfinite, xywh)):
         raise ValueError(f"{where}: non-finite value in {value!r}")
-    if w <= 0 or h <= 0:
-        raise ValueError(f"{where}: non-positive size {w:g}x{h:g}")
-    return x, y, w, h
+    try:
+        return BoundingBox(*xywh)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def tsv_pairs(path, row_format: str):
@@ -301,14 +338,13 @@ def _id_sort_key(cid: str):
     return (0, int(s), "") if s.isdigit() else (1, 0, s)
 
 
-def select_richest_caption(captions) -> str:
-    """Pick the caption whose scene graph has the most objects+relations+attributes.
+def select_richest_caption(scene_graphs) -> str:
+    """The caption id of the scene graph with the most objects+relations+attributes.
 
-    ``captions`` holds (caption_id, scene graph) pairs. Ties break toward the
-    lowest caption_id.
+    Ties break toward the lowest caption id.
     """
-    def rank(entry):
-        cid, sg = entry
-        return -(len(sg.objects) + len(sg.relations) + len(sg.attributes)), _id_sort_key(cid)
+    def rank(sg):
+        richness = len(sg.objects) + len(sg.relations) + len(sg.attributes)
+        return -richness, _id_sort_key(sg.caption_id)
 
-    return min(captions, key=rank)[0]
+    return min(scene_graphs, key=rank).caption_id

@@ -1,8 +1,8 @@
 """Scene graph extraction from dependency parses.
 
 Stages: quantifier expansion (duplicate counted nouns), then rule-based
-extraction of objects (nouns), attributes (adjectives) and relations
-(verb/preposition links between two objects), then super-class assignment.
+extraction of objects (nouns, each with its super-class), attributes
+(adjectives) and relations (verb/preposition links between two objects).
 """
 
 import json
@@ -50,8 +50,8 @@ class SceneGraph:
 class QuantifierLexicon:
     numeral_map: dict[str, int]
     phrase_map: dict[str, int | str]  # value is a count or the MANY sentinel
-    many_value: int = 3
-    max_duplication: int = 10
+    many_value: int
+    max_duplication: int
 
     def __post_init__(self):
         if self.many_value < 1 or self.max_duplication < 1:
@@ -71,7 +71,7 @@ class QuantifierLexicon:
         return self.many_value if value == MANY else int(value)
 
     @classmethod
-    def default(cls, many_value: int = 3, max_duplication: int = 10):
+    def default(cls, many_value: int, max_duplication: int):
         numerals = {
             "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
             "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11,
@@ -106,7 +106,7 @@ class SuperClassLexicon:
         return self.entries.get(lemma.lower(), "other")
 
 
-def load_quantifier_lexicon(path, many_value=3, max_duplication=10) -> QuantifierLexicon:
+def load_quantifier_lexicon(path, many_value: int, max_duplication: int) -> QuantifierLexicon:
     """TSV rows ``word<TAB>value``; value is an integer or the literal MANY.
     Multi-word entries become phrase rules."""
     numerals: dict[str, int] = {}
@@ -128,8 +128,7 @@ def load_quantifier_lexicon(path, many_value=3, max_duplication=10) -> Quantifie
             if parsed == MANY:
                 raise ValueError(f"{path}:{ln}: MANY is only valid for phrases")
             numerals[word] = parsed
-    return QuantifierLexicon(numerals, phrases, many_value=many_value,
-                             max_duplication=max_duplication)
+    return QuantifierLexicon(numerals, phrases, many_value, max_duplication)
 
 
 def load_superclass_lexicon(path) -> SuperClassLexicon:
@@ -290,12 +289,13 @@ def _deprel_prep(tok: Token) -> str | None:
     return None
 
 
-def extract_scene_graph(g: DependencyGraph) -> SceneGraph:
+def extract_scene_graph(g: DependencyGraph, slex: SuperClassLexicon) -> SceneGraph:
     """Derive objects, attributes and relations from an expanded parse.
 
-    Objects are nouns; attributes are adjectives modifying (or predicated
-    of) an object; relations come from verb frames (subject + object),
-    noun-noun preposition links, and verb + oblique ("sit on") frames.
+    Objects are nouns, each with its lemma's super-class in ``slex``;
+    attributes are adjectives modifying (or predicated of) an object;
+    relations come from verb frames (subject + object), noun-noun
+    preposition links, and verb + oblique ("sit on") frames.
     """
     toks = g.tokens
     children = g.children
@@ -304,8 +304,9 @@ def extract_scene_graph(g: DependencyGraph) -> SceneGraph:
     objects = []
     for t in toks:
         if t.upos in NOUN_TAGS:
+            word = t.lemma.lower()
             object_id[t.index] = len(objects)
-            objects.append((len(objects), t.lemma.lower(), ""))
+            objects.append((len(objects), word, slex.lookup(word)))
 
     attributes = []
     attr_seen = set()
@@ -379,21 +380,10 @@ def extract_scene_graph(g: DependencyGraph) -> SceneGraph:
     )
 
 
-def assign_super_classes(sg: SceneGraph, lex: SuperClassLexicon) -> SceneGraph:
-    objects = tuple((oid, word, lex.lookup(word)) for oid, word, _ in sg.objects)
-    return SceneGraph(
-        caption_id=sg.caption_id,
-        image_id=sg.image_id,
-        objects=objects,
-        attributes=sg.attributes,
-        relations=sg.relations,
-    )
-
-
 def parse_caption(g: DependencyGraph, qlex: QuantifierLexicon,
                   slex: SuperClassLexicon) -> SceneGraph:
-    """Full per-caption pipeline: expand, extract, assign super-classes."""
-    return assign_super_classes(extract_scene_graph(expand_quantifiers(g, qlex)), slex)
+    """Full per-caption pipeline: expand quantifiers, then extract the scene graph."""
+    return extract_scene_graph(expand_quantifiers(g, qlex), slex)
 
 
 def scene_graph_to_json(sg: SceneGraph) -> str:

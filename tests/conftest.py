@@ -2,8 +2,10 @@ import os
 
 import pytest
 
+from helpers import default_quantifiers
+
 from victr.ingest import load_conllu
-from victr.sceneparse import QuantifierLexicon, load_superclass_lexicon
+from victr.sceneparse import load_superclass_lexicon
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY = os.path.join(REPO, "data", "toy")
@@ -34,7 +36,7 @@ def toy_dep_by_caption(toy_dep_graphs):
 
 @pytest.fixture(scope="session")
 def qlex():
-    return QuantifierLexicon.default()
+    return default_quantifiers()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
-"""Test-only code: small scene-graph corpora, a GCN gradient check and loss
-reference, the inverse of each geometric relation, a CoNLL-U writer.
+"""Test-only code: the built-in quantifier lexicon, small scene-graph
+corpora, a GCN gradient check and loss reference, the inverse of each
+geometric relation, a CoNLL-U writer.
 
 ``random_scene_graphs`` draws seeded random graphs for property checks of
 graph building; ``two_clique_scene_graphs`` gives two disconnected
@@ -9,8 +10,9 @@ generates its own corpora (``perfbench/corpus.py``).
 
 import numpy as np
 
+from victr.config import PipelineConfig
 from victr.gcn import GcnModel, _label_arrays, _loss_and_grads
-from victr.sceneparse import SceneGraph
+from victr.sceneparse import QuantifierLexicon, SceneGraph
 
 
 INVERSE_RELATION = {
@@ -21,6 +23,12 @@ INVERSE_RELATION = {
     "inside": "surrounding",
     "surrounding": "inside",
 }
+
+
+def default_quantifiers(**values) -> QuantifierLexicon:
+    """The built-in quantifier lexicon at PipelineConfig's values, any of them overridden."""
+    cfg = PipelineConfig(**values)
+    return QuantifierLexicon.default(cfg.many_value, cfg.max_duplication)
 
 
 def random_scene_graphs(seed: int, n_graphs: int) -> list[SceneGraph]:

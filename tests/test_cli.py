@@ -267,8 +267,7 @@ def test_compose_and_fuse_drop_foreign_outputs(toy_cfg):
     _run_through_train(cfg)
     (out / "evs").mkdir()
     (out / "fused").mkdir()
-    foreign = [out / "evs" / "999.victre", out / "evs" / "999.manifest.json",
-               out / "fused" / "999.victrf"]
+    foreign = [out / "evs" / "999.victre", out / "fused" / "999.victrf"]
     for path in foreign:
         path.write_bytes(b"from an earlier run")
     keep = out / "evs" / "notes.txt"
@@ -316,6 +315,20 @@ def test_build_graphs_malformed_scene_graph_exit_2(toy_cfg, capsys, corrupt):
     capsys.readouterr()
     assert main(["build-graphs", "--config", cfg]) == 2
     assert f"{path}: " in capsys.readouterr().err
+
+
+def test_compose_scene_graph_id_differs_from_file_name_exit_2(toy_cfg, capsys):
+    # compose names each E_vs file by the scene graph's caption id, so a
+    # mismatched id would write 101's file twice and 102's never
+    cfg, out = toy_cfg
+    _run_through_train(cfg)
+    path = out / "scene_graphs" / "102.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, "caption_id": "101"}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compose", "--config", cfg]) == 2
+    assert f"{path}: caption_id '101' differs from the file name" in capsys.readouterr().err
+    assert not (out / "evs").exists()
 
 
 def test_fuse_before_compose_exit_2(toy_cfg, capsys):

@@ -90,56 +90,83 @@ def test_swapping_boxes_inverts_the_relation(s, o):
 
 def _inst(entries):
     boxes = {}
-    for image_id, name, sup, bbox in entries:
-        boxes.setdefault(str(image_id), []).append((name, sup, bbox))
-    return InstanceSet(boxes=boxes)
+    for image_id, name, bbox in entries:
+        boxes.setdefault(str(image_id), []).append((name, box(*bbox)))
+    return InstanceSet(boxes=boxes, categories={})
 
 
-def _sg(words):
+def _sg(words, image_id="1"):
     return SceneGraph(
-        caption_id="1", image_id="1",
+        caption_id="1", image_id=image_id,
         objects=tuple((i, w, "other") for i, w in enumerate(words)),
         attributes=(), relations=(),
     )
 
 
 def test_match_unique_categories():
-    inst = _inst([(1, "dog", "animal", (0, 0, 5, 5)), (1, "cat", "animal", (9, 9, 3, 3))])
-    matches = match_objects_to_boxes(_sg(["dog", "cat"]), inst, "1")
+    inst = _inst([(1, "dog", (0, 0, 5, 5)), (1, "cat", (9, 9, 3, 3))])
+    matches = match_objects_to_boxes(_sg(["dog", "cat"]), inst, {})
     assert [(oid, (b.x, b.y)) for oid, b in matches] == [(0, (0.0, 0.0)), (1, (9.0, 9.0))]
 
 
 def test_match_exhaustion():
-    inst = _inst([(1, "dog", "animal", (0, 0, 5, 5))])
-    matches = match_objects_to_boxes(_sg(["dog", "dog"]), inst, "1")
+    inst = _inst([(1, "dog", (0, 0, 5, 5))])
+    matches = match_objects_to_boxes(_sg(["dog", "dog"]), inst, {})
     assert [oid for oid, _ in matches] == [0]
 
 
 def test_match_alias():
-    inst = _inst([(1, "dog", "animal", (0, 0, 5, 5))])
-    matches = match_objects_to_boxes(_sg(["puppy"]), inst, "1", aliases={"puppy": "dog"})
+    inst = _inst([(1, "dog", (0, 0, 5, 5))])
+    matches = match_objects_to_boxes(_sg(["puppy"]), inst, {"puppy": "dog"})
     assert [oid for oid, _ in matches] == [0]
 
 
 def test_match_prefers_largest_area():
     inst = _inst(
-        [(1, "dog", "animal", (0, 0, 2, 2)), (1, "dog", "animal", (10, 10, 8, 8))]
+        [(1, "dog", (0, 0, 2, 2)), (1, "dog", (10, 10, 8, 8))]
     )
-    matches = match_objects_to_boxes(_sg(["dog"]), inst, "1")
+    matches = match_objects_to_boxes(_sg(["dog"]), inst, {})
     assert matches[0][1].area == 64
 
 
 def test_match_never_reuses_a_box():
     rng = np.random.default_rng(3)
-    entries = [(1, "dog", "animal", tuple(float(v) for v in rng.integers(1, 50, 4)))
+    entries = [(1, "dog", tuple(float(v) for v in rng.integers(1, 50, 4)))
                for _ in range(6)]
     inst = _inst(entries)
-    matches = match_objects_to_boxes(_sg(["dog"] * 10), inst, "1")
+    matches = match_objects_to_boxes(_sg(["dog"] * 10), inst, {})
     assert len(matches) == 6
     corners = [(b.x, b.y, b.w, b.h) for _, b in matches]
     assert len(set(corners)) == len(corners)
 
 
 def test_match_missing_image_matches_nothing():
-    inst = _inst([(1, "dog", "animal", (0, 0, 5, 5))])
-    assert match_objects_to_boxes(_sg(["dog"]), inst, "2") == []
+    inst = _inst([(1, "dog", (0, 0, 5, 5))])
+    assert match_objects_to_boxes(_sg(["dog"], image_id="2"), inst, {}) == []
+
+
+def _reference_match(sg, inst, aliases):
+    """The scan that match_objects_to_boxes replaced: each object, in order,
+    claims the first of the largest unclaimed boxes of its category."""
+    boxes = inst.boxes.get(sg.image_id, [])
+    claimed, matches = set(), []
+    for oid, word, _ in sg.objects:
+        category = word if any(c == word for c, _ in boxes) else aliases.get(word)
+        free = [(i, b) for i, (c, b) in enumerate(boxes) if c == category and i not in claimed]
+        if free:
+            i, b = max(free, key=lambda ib: ib[1].area)
+            claimed.add(i)
+            matches.append((oid, b))
+    return matches
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["dog", "cat"]), st.integers(0, 3),
+                          st.integers(1, 4), st.integers(1, 4)), max_size=8),
+       st.lists(st.sampled_from(["dog", "cat", "puppy", "cow"]), max_size=8))
+def test_match_equals_reference_scan(boxes, words):
+    # small integer sides: equal areas of different shapes are common
+    inst = _inst([(1, name, (x, 0, w, h)) for name, x, w, h in boxes])
+    sg = _sg(words)
+    assert (match_objects_to_boxes(sg, inst, {"puppy": "dog"})
+            == _reference_match(sg, inst, {"puppy": "dog"}))

@@ -5,6 +5,7 @@ import pytest
 from helpers import to_conllu
 
 from victr.ingest import (
+    BoundingBox,
     ConlluError,
     load_captions,
     load_conllu,
@@ -59,6 +60,16 @@ def test_duplicate_caption_id_names_line(tmp_path):
     with pytest.raises(ConlluError) as e:
         load_conllu(path)
     assert str(e.value) == f"{path}:7: duplicate caption_id 9, first given at line 1"
+
+
+@pytest.mark.parametrize("cid", ["../../escaped", "a/b", "a\\b", "..", ".", "", "a\0b"])
+def test_caption_id_that_is_no_file_name_names_line(tmp_path, cid):
+    # stages write scene_graphs/<caption id>.json and the like: "../../escaped"
+    # would land outside the output directory
+    path = _write(tmp_path, MINIMAL.replace("# caption_id = 9", f"# caption_id = {cid}"))
+    with pytest.raises(ConlluError) as e:
+        load_conllu(path)
+    assert str(e.value) == f"{path}:1: caption_id {cid!r} cannot be a file name"
 
 
 def test_malformed_column_count(tmp_path):
@@ -162,7 +173,7 @@ def test_load_instances_basic(tmp_path):
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     inst = load_instances(p)
-    assert inst.boxes["5"] == [("dog", "animal", (10.0, 20.0, 30.0, 40.0))]
+    assert inst.boxes["5"] == [("dog", BoundingBox(10.0, 20.0, 30.0, 40.0))]
     assert inst.categories["dog"] == "animal"
 
 
@@ -183,7 +194,7 @@ def test_load_instances_two_boxes_same_image(tmp_path):
     )
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    names = [name for name, _, _ in load_instances(p).boxes["5"]]
+    names = [name for name, _ in load_instances(p).boxes["5"]]
     assert names == ["dog", "cat"]
 
 
@@ -196,7 +207,7 @@ def test_load_instances_ids_compare_as_text(tmp_path):
     )
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    assert [name for name, _, _ in load_instances(p).boxes["5"]] == ["dog", "cat"]
+    assert [name for name, _ in load_instances(p).boxes["5"]] == ["dog", "cat"]
 
 
 def test_load_instances_unknown_category(tmp_path):
@@ -217,17 +228,17 @@ def _sg(cid, n_obj, n_rel, n_attr):
 
 def test_select_richest_hand_scored():
     # richness 2+1+0=3 versus 3+2+1=6
-    entries = [("1", _sg(1, 2, 1, 0)), ("2", _sg(2, 3, 2, 1))]
+    entries = [_sg(1, 2, 1, 0), _sg(2, 3, 2, 1)]
     assert select_richest_caption(entries) == "2"
 
 
 def test_select_richest_tie_breaks_low_id():
-    entries = [("7", _sg(7, 2, 1, 1)), ("3", _sg(3, 3, 1, 0))]
+    entries = [_sg(7, 2, 1, 1), _sg(3, 3, 1, 0)]
     assert select_richest_caption(entries) == "3"
 
 
 def test_select_richest_single():
-    assert select_richest_caption([("77", _sg(77, 1, 0, 0))]) == "77"
+    assert select_richest_caption([_sg(77, 1, 0, 0)]) == "77"
 
 
 def test_select_richest_empty():
@@ -236,7 +247,7 @@ def test_select_richest_empty():
 
 
 def test_select_richest_permutation_invariant():
-    entries = [(str(i), _sg(i, i % 4 + 1, i % 3, i % 2)) for i in range(8)]
+    entries = [_sg(i, i % 4 + 1, i % 3, i % 2) for i in range(8)]
     expected = select_richest_caption(entries)
     rng = random.Random(13)
     for _ in range(20):
@@ -246,7 +257,7 @@ def test_select_richest_permutation_invariant():
 
 
 def test_select_richest_numeric_ids_compare_numerically():
-    entries = [("10", _sg(10, 2, 0, 0)), ("9", _sg(9, 2, 0, 0))]
+    entries = [_sg(10, 2, 0, 0), _sg(9, 2, 0, 0)]
     assert select_richest_caption(entries) == "9"
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from helpers import default_quantifiers
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from victr.sceneparse import (
     QuantifierLexicon,
     SceneGraph,
     SuperClassLexicon,
-    assign_super_classes,
     expand_quantifiers,
     extract_scene_graph,
     load_quantifier_lexicon,
@@ -20,6 +20,8 @@ from victr.sceneparse import (
     scene_graph_to_json,
 )
 from victr.sceneparse import _is_plural_noun
+
+NO_SUPERS = SuperClassLexicon({})  # every object's super-class is "other"
 
 
 def _dep(rows, cid="1", iid="1"):
@@ -36,7 +38,7 @@ def _object_words(sg):
 
 def test_contrast_pair_plural_object(toy_dep_by_caption, qlex):
     # "two men are riding brown horses" -> 2 man + 2 horse
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex))
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex), NO_SUPERS)
     words = _object_words(sg)
     assert words.count("man") == 2 and words.count("horse") == 2
     # every horse copy keeps its own color
@@ -47,34 +49,34 @@ def test_contrast_pair_plural_object(toy_dep_by_caption, qlex):
 
 def test_contrast_pair_singular_object(toy_dep_by_caption, qlex):
     # "two men are riding a brown horse" -> 2 man + 1 horse
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["102"], qlex))
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["102"], qlex), NO_SUPERS)
     words = _object_words(sg)
     assert words.count("man") == 2 and words.count("horse") == 1
 
 
 def test_dozen_phrase_expands_to_twelve(toy_dep_by_caption):
-    lex = QuantifierLexicon.default(max_duplication=12)
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["105"], lex))
+    lex = default_quantifiers(max_duplication=12)
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["105"], lex), NO_SUPERS)
     assert _object_words(sg).count("egg") == 12
     # the phrase head noun "dozen" is consumed, not an object
     assert "dozen" not in _object_words(sg)
 
 
 def test_max_duplication_caps(toy_dep_by_caption, qlex):
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["105"], qlex))
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["105"], qlex), NO_SUPERS)
     assert _object_words(sg).count("egg") == qlex.max_duplication == 10
 
 
 def test_both_of_phrase_counts_subject_and_object(toy_dep_by_caption, qlex):
     # "both of the men hold kites": men -> 2, plural object kites follows
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["106"], qlex))
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["106"], qlex), NO_SUPERS)
     words = _object_words(sg)
     assert words.count("man") == 2 and words.count("kite") == 2
 
 
 def test_many_phrase_uses_configured_value(toy_dep_by_caption):
-    lex = QuantifierLexicon.default(many_value=4)
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["107"], lex))
+    lex = default_quantifiers(many_value=4)
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["107"], lex), NO_SUPERS)
     assert _object_words(sg).count("person") == 4
 
 
@@ -86,7 +88,7 @@ def test_unknown_quantifiers_ignored():
             ("bark", "bark", "VERB", 0, "root"),
         ]
     )
-    out = expand_quantifiers(g, QuantifierLexicon.default())
+    out = expand_quantifiers(g, default_quantifiers())
     assert [t.surface for t in out.tokens] == ["umpteen", "dogs", "bark"]
 
 
@@ -98,7 +100,7 @@ def test_digit_nummod():
             ("bark", "bark", "VERB", 0, "root"),
         ]
     )
-    out = expand_quantifiers(g, QuantifierLexicon.default())
+    out = expand_quantifiers(g, default_quantifiers())
     assert [t.lemma for t in out.tokens] == ["dog", "dog", "dog", "bark"]
 
 
@@ -111,14 +113,14 @@ def test_expand_idempotent(toy_dep_by_caption, qlex, cid):
 
 def test_expanded_object_count_arithmetic(toy_dep_by_caption):
     # quantified nouns contribute min(n, cap); the rest contribute 1
-    lex = QuantifierLexicon.default(max_duplication=5)
+    lex = default_quantifiers(max_duplication=5)
     g = toy_dep_by_caption["112"]  # three dogs chase a ball
-    sg = extract_scene_graph(expand_quantifiers(g, lex))
+    sg = extract_scene_graph(expand_quantifiers(g, lex), NO_SUPERS)
     assert len(sg.objects) == 3 + 1
 
 
 def test_extract_man_rides_horse(toy_dep_by_caption, qlex):
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["104"], qlex))
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["104"], qlex), NO_SUPERS)
     assert _object_words(sg) == ["horse", "man"]
     words = dict((oid, w) for oid, w, _ in sg.objects)
     assert [(words[s], p, words[o]) for s, p, o in sg.relations] == [
@@ -134,7 +136,7 @@ def test_extract_adjective_attribute():
             ("dog", "dog", "NOUN", 0, "root"),
         ]
     )
-    sg = extract_scene_graph(g)
+    sg = extract_scene_graph(g, NO_SUPERS)
     assert _object_words(sg) == ["dog"]
     assert sg.attributes == ((0, "brown"),)
     assert sg.relations == ()
@@ -142,7 +144,7 @@ def test_extract_adjective_attribute():
 
 def test_extract_skateboard_caption(toy_dep_by_caption, qlex):
     # hand-traced: man/skateboard/dog, (man,on,skateboard), (man,with,dog), (dog,brown)
-    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["103"], qlex))
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["103"], qlex), NO_SUPERS)
     words = dict((oid, w) for oid, w, _ in sg.objects)
     assert _object_words(sg) == ["dog", "man", "skateboard"]
     triples = {(words[s], p, words[o]) for s, p, o in sg.relations}
@@ -151,13 +153,13 @@ def test_extract_skateboard_caption(toy_dep_by_caption, qlex):
 
 
 def test_extract_copular_attribute(toy_dep_by_caption, qlex):
-    sg = extract_scene_graph(toy_dep_by_caption["108"])
+    sg = extract_scene_graph(toy_dep_by_caption["108"], NO_SUPERS)
     words = dict((oid, w) for oid, w, _ in sg.objects)
     assert [(words[oid], w) for oid, w in sg.attributes] == [("dog", "brown")]
 
 
 def test_extract_verb_preposition_relation(toy_dep_by_caption, qlex):
-    sg = extract_scene_graph(toy_dep_by_caption["109"])
+    sg = extract_scene_graph(toy_dep_by_caption["109"], NO_SUPERS)
     words = dict((oid, w) for oid, w, _ in sg.objects)
     assert [(words[s], p, words[o]) for s, p, o in sg.relations] == [
         ("cat", "sit on", "table")
@@ -166,7 +168,7 @@ def test_extract_verb_preposition_relation(toy_dep_by_caption, qlex):
 
 def test_extract_predicative_nominal(toy_dep_by_caption, qlex):
     # "the man is on the skateboard"
-    sg = extract_scene_graph(toy_dep_by_caption["113"])
+    sg = extract_scene_graph(toy_dep_by_caption["113"], NO_SUPERS)
     words = dict((oid, w) for oid, w, _ in sg.objects)
     assert [(words[s], p, words[o]) for s, p, o in sg.relations] == [
         ("man", "on", "skateboard")
@@ -181,7 +183,7 @@ def test_extract_collapsed_deprel_suffix():
             ("table", "table", "NOUN", 1, "nmod:on"),
         ]
     )
-    sg = extract_scene_graph(g)
+    sg = extract_scene_graph(g, NO_SUPERS)
     words = dict((oid, w) for oid, w, _ in sg.objects)
     assert [(words[s], p, words[o]) for s, p, o in sg.relations] == [
         ("cup", "on", "table")
@@ -190,14 +192,14 @@ def test_extract_collapsed_deprel_suffix():
 
 def test_no_nouns_empty_graph():
     g = _dep([("run", "run", "VERB", 0, "root")])
-    sg = extract_scene_graph(g)
+    sg = extract_scene_graph(g, NO_SUPERS)
     assert sg.objects == () and sg.relations == () and sg.attributes == ()
 
 
 def test_referential_integrity_and_determinism(toy_dep_graphs, qlex):
     for g in toy_dep_graphs:
-        a = extract_scene_graph(expand_quantifiers(g, qlex))
-        b = extract_scene_graph(expand_quantifiers(g, qlex))
+        a = extract_scene_graph(expand_quantifiers(g, qlex), NO_SUPERS)
+        b = extract_scene_graph(expand_quantifiers(g, qlex), NO_SUPERS)
         assert a == b
         ids = {oid for oid, _, _ in a.objects}
         assert all(oid in ids for oid, _ in a.attributes)
@@ -205,17 +207,12 @@ def test_referential_integrity_and_determinism(toy_dep_graphs, qlex):
         assert ids == set(range(len(a.objects)))
 
 
-def test_assign_super_classes(slex):
-    from victr.sceneparse import SceneGraph
-
-    sg = SceneGraph(
-        caption_id="1", image_id="1",
-        objects=((0, "dog", ""), (1, "zzyzx", ""), (2, "truck", ""),
-                 (3, "boat", ""), (4, "train", "")),
-        attributes=(), relations=(),
-    )
-    out = assign_super_classes(sg, slex)
-    supers = {w: s for _, w, s in out.objects}
+def test_extract_assigns_super_classes(slex):
+    # "dog , zzyzx , truck , boat , train": one object per noun, in order
+    nouns = ["Dog", "zzyzx", "truck", "boat", "train"]
+    g = _dep([(w, w, "NOUN", 0 if i == 0 else 1, "root" if i == 0 else "conj")
+              for i, w in enumerate(nouns)])
+    supers = {w: s for _, w, s in extract_scene_graph(g, slex).objects}
     assert supers["dog"] == "animal"
     assert supers["zzyzx"] == "other"
     assert supers["truck"] == supers["boat"] == supers["train"] == "vehicle"
@@ -227,16 +224,14 @@ def test_superclass_lookup_case_insensitive():
 
 
 def test_quantifier_lexicon_tsv_round_trip(tmp_path, toy_paths):
-    lex = load_quantifier_lexicon(toy_paths["quantifiers"])
+    lex = load_quantifier_lexicon(toy_paths["quantifiers"], many_value=3, max_duplication=10)
     assert lex.numeral_map["two"] == 2
     assert lex.phrase_map["a dozen of"] == 12
     assert lex.phrase_map["a lot of"] == "MANY"
 
 
 def test_scene_graph_json_round_trip(toy_dep_by_caption, qlex, slex):
-    sg = assign_super_classes(
-        extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex)), slex
-    )
+    sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex), slex)
     assert scene_graph_from_json(scene_graph_to_json(sg)) == sg
 
 
@@ -304,10 +299,10 @@ def test_digit_numeral_below_one_is_ignored(numeral):
             ("grass", "grass", "NOUN", 2, "nmod"),
         ]
     )
-    out = expand_quantifiers(g, QuantifierLexicon.default())
+    out = expand_quantifiers(g, default_quantifiers())
     assert out == g
-    sg = extract_scene_graph(out)
-    assert sg.objects == ((0, "dog", ""), (1, "grass", "")) and sg.relations == ((0, "on", 1),)
+    sg = extract_scene_graph(out, NO_SUPERS)
+    assert sg.objects == ((0, "dog", "other"), (1, "grass", "other")) and sg.relations == ((0, "on", 1),)
 
 
 def test_numeral_replaces_phrase_count():
@@ -323,7 +318,7 @@ def test_numeral_replaces_phrase_count():
             ("run", "run", "VERB", 0, "root"),
         ]
     )
-    lex = QuantifierLexicon.default()
+    lex = default_quantifiers()
     out = expand_quantifiers(g, lex)
     assert [(t.lemma, t.head, t.deprel) for t in out.tokens] == [("dog", 6, "nsubj")] * 5 + [
         ("run", 0, "root")
@@ -334,7 +329,7 @@ def test_numeral_replaces_phrase_count():
 @pytest.mark.parametrize("numerals, phrases", [({"zero": 0}, {}), ({}, {"no more": 0})])
 def test_lexicon_counts_below_one_rejected(numerals, phrases):
     with pytest.raises(ValueError, match=">= 1"):
-        QuantifierLexicon(numerals, phrases)
+        QuantifierLexicon(numerals, phrases, many_value=3, max_duplication=10)
 
 
 def test_children_index_in_token_order(toy_dep_by_caption):
@@ -348,7 +343,7 @@ def test_children_index_in_token_order(toy_dep_by_caption):
 # in a random order, each head drawn from the tokens earlier in that order
 _PHRASE_UPOS = {"a": "DET", "of": "ADP", "few": "ADJ", "both": "DET"}  # the rest are nouns
 _PHRASES = [[(w, w, _PHRASE_UPOS.get(w, "NOUN")) for w in key.split(" ")]
-            for key in QuantifierLexicon.default().phrase_map]
+            for key in default_quantifiers().phrase_map]
 _NOUNS = [("dog", "dog"), ("dogs", "dog"), ("man", "man"), ("men", "man"), ("kites", "kite"),
           ("grass", "grass")]
 _ADJECTIVES = ["brown", "small"]
@@ -423,13 +418,13 @@ def _check_valid(out):
     # both constructors validate: a tree of contiguous tokens, then object ids,
     # attribute and relation references
     DependencyGraph(out.caption_id, out.image_id, out.tokens)
-    extract_scene_graph(out)
+    extract_scene_graph(out, NO_SUPERS)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_token_trees(), st.sampled_from([1, 2, 10]))
 def test_expansion_matches_reference_on_random_trees(g, cap):
-    lex = QuantifierLexicon.default(max_duplication=cap)
+    lex = default_quantifiers(max_duplication=cap)
     assume(not _changed_by_count_fixes(g, lex))
     out = expand_quantifiers(g, lex)
     assert out == reference_expand_quantifiers(g, lex)
@@ -443,7 +438,7 @@ def _noun_phrase_trees(draw):
     rows = []  # [surface, lemma, upos, head row (None: root), deprel]
 
     def noun_phrase(head, rel):  # returns the row that carries the phrase's role
-        quantifier = draw(st.sampled_from([None, *QuantifierLexicon.default().phrase_map,
+        quantifier = draw(st.sampled_from([None, *default_quantifiers().phrase_map,
                                            *_NUMERALS]))
         adjectives = draw(st.lists(st.sampled_from(_ADJECTIVES), max_size=2))
         words = quantifier.split(" ") if quantifier else []
@@ -487,7 +482,7 @@ def _noun_phrase_trees(draw):
 @settings(max_examples=100, deadline=None)
 @given(_noun_phrase_trees())
 def test_expansion_idempotent_on_noun_phrase_trees(g):
-    lex = QuantifierLexicon.default()
+    lex = default_quantifiers()
     once = expand_quantifiers(g, lex)
     assert expand_quantifiers(once, lex) == once
     _check_valid(once)
