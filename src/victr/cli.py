@@ -23,6 +23,7 @@ from .config import PipelineConfig, load_config
 from .errors import InvariantError
 
 GRAPH_NAMES = ("basic",) + geo.GEOMETRIC_RELATIONS
+COMPOSE_BLOCK_ROWS = 256  # E_vs rows composed per call; see cmd_compose
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -89,8 +90,8 @@ def _superclass_lexicon(cfg) -> sp.SuperClassLexicon:
         _require_file(cfg.superclass_lexicon, "super-class lexicon")
         return sp.load_superclass_lexicon(cfg.superclass_lexicon)
     if cfg.instances:
-        inst = ingest.load_instances(_require_file(cfg.instances, "instances file"))
-        return sp.SuperClassLexicon(dict(inst.categories))
+        return sp.SuperClassLexicon(
+            ingest.load_categories(_require_file(cfg.instances, "instances file")))
     return sp.SuperClassLexicon({})
 
 
@@ -234,18 +235,28 @@ def cmd_compose(cfg: PipelineConfig) -> int:
     """Write each scene graph's E_vs matrix to evs/<caption id>.victre.
 
     Row i of that file is object i of scene_graphs/<caption id>.json, which
-    holds the object's id and word; no other file repeats them.
+    holds the object's id and word; no other file repeats them. Whole captions
+    are composed in blocks of at most COMPOSE_BLOCK_ROWS rows (a larger caption
+    is a block on its own), so memory stays fixed as the corpus grows.
     """
     corpus = _load_scene_graphs(cfg)
     vocab, tables = _load_tables(cfg)
     vocab_hash = vocab.content_hash()
     evs_dir = os.path.join(cfg.out_dir, "evs")
     os.makedirs(evs_dir, exist_ok=True)
+    blocks, size = [[]], 0
     for sg in corpus:
-        gcn.save_embeddings(
-            emb.scene_visual_semantics(sg, tables).rows,
-            os.path.join(evs_dir, f"{sg.caption_id}.victre"), vocab_hash=vocab_hash,
-        )
+        if blocks[-1] and size + len(sg.objects) > COMPOSE_BLOCK_ROWS:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(sg)
+        size += len(sg.objects)
+    for block in blocks:
+        rows = emb.scene_visual_semantics(block, tables).rows
+        ends = np.cumsum([len(sg.objects) for sg in block])[:-1]
+        for sg, part in zip(block, np.split(rows, ends)):
+            gcn.save_embeddings(part, os.path.join(evs_dir, f"{sg.caption_id}.victre"),
+                                vocab_hash=vocab_hash)
     _remove_stale(evs_dir, ".victre", {sg.caption_id for sg in corpus})
     print(
         f"composed visual semantic matrices for {len(corpus)} captions "

@@ -7,6 +7,11 @@ vector, attribute words its basic segment alone. A scene graph's
 per-object rows append mean-pooled attribute and relation segments:
 object || attributes || relations. Words outside the vocabulary map to a
 zero vector.
+
+A segment mean starts at 0.0, adds its vectors in order, then divides by
+their count. That is np.mean over the gathered vectors, bit for bit, except
+for an object with 8 or more attributes when basic_width is 1: there numpy
+sums the one column pairwise.
 """
 
 from dataclasses import dataclass
@@ -32,14 +37,10 @@ class ComposedTables:
         # object segment + attribute segment + relation segment
         return 2 * self.full_width + self.basic_width
 
-    def row_of(self, word: str, kind: str) -> int:
-        """Row of (word, kind) in vectors; the zero row when it is unknown."""
-        return self.vocab.index.get((word, kind), len(self.vocab))
-
 
 @dataclass
 class VisualSemanticMatrix:
-    rows: np.ndarray  # (n_objects, scene_width); row i is sg.objects[i]
+    rows: np.ndarray  # (n_objects, scene_width); one row per object, in graph order
 
 
 def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> ComposedTables:
@@ -60,37 +61,52 @@ def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> Composed
     return ComposedTables(vocab=vocab, vectors=vectors, basic_width=basic.shape[1])
 
 
-def scene_visual_semantics(sg, tables: ComposedTables) -> VisualSemanticMatrix:
-    """One row per scene-graph object: E_o || mean E_a || mean E_r.
+def scene_visual_semantics(scene_graphs, tables: ComposedTables) -> VisualSemanticMatrix:
+    """One row per object of each scene graph, in order: E_o || mean E_a || mean E_r.
 
-    Row i is sg.objects[i]; the rows carry no ids, so the scene graph says
-    which object and word each row stands for. Attribute and relation segments
-    are zero when the object has none; relations count whether the object is
-    subject or object of the triple.
+    The rows carry no ids: the scene graphs say which object each row is. A
+    segment is zero when its object has no attributes or no relations; an
+    object pools a relation whether it is its subject or its object.
     """
     fw, bw = tables.full_width, tables.basic_width
-    vectors, row_of = tables.vectors, tables.row_of
-    attrs_by_obj: dict[int, list[int]] = {}
-    for oid, word in sg.attributes:
-        attrs_by_obj.setdefault(oid, []).append(row_of(word, ATTRIBUTE))
-    rels_by_obj: dict[int, list[int]] = {}
-    for s, p, o in sg.relations:
-        r = row_of(p, RELATION)
-        rels_by_obj.setdefault(s, []).append(r)
-        rels_by_obj.setdefault(o, []).append(r)
+    zero = len(tables.vocab)  # the zero row, for unknown words
+    table_row = {OBJECT: {}, ATTRIBUTE: {}, RELATION: {}}  # kind -> word -> row of vectors
+    for i, (word, kind) in enumerate(tables.vocab.nodes):
+        table_row[kind][word] = i
+    objects, attrs, attr_of, rels, rel_of = [], [], [], [], []
+    for sg in scene_graphs:
+        at = {oid: i for i, (oid, _, _) in enumerate(sg.objects, start=len(objects))}
+        objects += [table_row[OBJECT].get(w, zero) for _, w, _ in sg.objects]
+        attrs += [table_row[ATTRIBUTE].get(w, zero) for _, w in sg.attributes]
+        attr_of += [at[oid] for oid, _ in sg.attributes]
+        rels += [table_row[RELATION].get(p, zero) for _, p, _ in sg.relations]
+        rel_of += [at[end] for s, _, o in sg.relations for end in (s, o)]
 
-    rows = np.zeros((len(sg.objects), tables.scene_width))
-    rows[:, :fw] = vectors[[row_of(word, OBJECT) for _, word, _ in sg.objects]]
-    for i, (oid, _, _) in enumerate(sg.objects):
-        # a gathered (n, width) block sums its rows in order, as np.mean over
-        # a list of vectors does, so the segment means do not change by a bit
-        attr_rows = attrs_by_obj.get(oid)
-        if attr_rows:
-            rows[i, fw : fw + bw] = vectors[attr_rows, :bw].mean(axis=0)
-        rel_rows = rels_by_obj.get(oid)
-        if rel_rows:
-            rows[i, fw + bw :] = vectors[rel_rows].mean(axis=0)
+    rows = np.zeros((len(objects), tables.scene_width))
+    rows[:, :fw] = tables.vectors[objects]
+    _segment_means(rows[:, fw : fw + bw], np.array(attr_of), np.array(attrs),
+                   tables.vectors[:, :bw])
+    # a triple pools into its subject, then its object
+    _segment_means(rows[:, fw + bw :], np.array(rel_of), np.repeat(rels, 2), tables.vectors)
     return VisualSemanticMatrix(rows=rows)
+
+
+def _segment_means(out, owner: np.ndarray, row: np.ndarray, table: np.ndarray) -> None:
+    """out[o] = the mean of table[row[j]] over the j with owner[j] == o. As in
+    np.mean, each sum starts at 0.0 and adds its owner's rows in j order."""
+    if not len(owner):
+        return
+    order = np.argsort(owner, kind="stable")
+    owner, row = owner[order], row[order]
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    counts = np.diff(first, append=len(owner))
+    by_count = np.argsort(-counts, kind="stable")  # owners with k+ rows lead
+    first, counts = first[by_count], counts[by_count]
+    sums = np.zeros((len(first), table.shape[1]))
+    for k in range(counts[0]):  # the k-th row of every owner that has one
+        m = np.count_nonzero(counts > k)
+        sums[:m] += table[row[first[:m] + k]]
+    out[owner[first]] = sums / counts[:, None]
 
 
 def pca_project(vectors, out_dim: int = 2) -> np.ndarray:

@@ -16,7 +16,7 @@ so ``true`` is not an integer; other fields are ignored.
   {``image_id``: id; ``category_id``: a category's id; ``bbox``: a list of
   four finite numbers x, y, w, h with w, h > 0}. ``load_instances`` checks
   each box once and keeps it as (category name, ``BoundingBox``) under its
-  image id.
+  image id; ``load_categories`` reads and checks the categories alone.
 - Scene graphs (``sceneparse.scene_graph_to_json``), one file
   ``scene_graphs/<caption id>.json`` per caption: an object with
   ``caption_id``, ``image_id`` (strings) and lists ``objects`` of {``id``:
@@ -279,11 +279,13 @@ def load_captions(path) -> dict[str, str]:
     return image_of
 
 
-def load_instances(path) -> InstanceSet:
-    """Boxes per image and each category name's super-class, from an instances file."""
-    doc = _json_file(path)
-    cat_name: dict[str, str] = {}  # category id -> name
-    cat_super: dict[str, str] = {}  # name -> super-class
+def load_categories(path) -> dict[str, str]:
+    """Each category name's super-class, from an instances file; boxes are not read."""
+    return _categories(_json_file(path), path)[1]
+
+
+def _categories(doc, path) -> tuple[dict[str, str], dict[str, str]]:
+    cat_name, cat_super = {}, {}  # category id -> name, name -> super-class
     categories = json_records(doc, "categories", CATEGORY_FIELDS, path)
     for i, (cat_id, name, sup) in enumerate(categories):
         if str(cat_id) in cat_name:
@@ -291,6 +293,13 @@ def load_instances(path) -> InstanceSet:
         if cat_super.setdefault(name, sup) != sup:
             raise ValueError(f"{path}: categories[{i}]: {name!r} mapped to two super-classes")
         cat_name[str(cat_id)] = name
+    return cat_name, cat_super
+
+
+def load_instances(path) -> InstanceSet:
+    """Boxes per image and each category name's super-class, from an instances file."""
+    doc = _json_file(path)
+    cat_name, cat_super = _categories(doc, path)
     boxes: dict[str, list] = {}
     annotations = json_records(doc, "annotations", BOX_FIELDS, path)
     for i, (image_id, category_id, bbox) in enumerate(annotations):
@@ -333,9 +342,9 @@ def tsv_pairs(path, row_format: str):
 
 
 def _id_sort_key(cid: str):
-    # numeric ids compare numerically so "9" < "10"; mixed ids fall back to text
+    # ASCII-digit ids compare numerically so "9" < "10", then as text ("01" < "1")
     s = str(cid)
-    return (0, int(s), "") if s.isdigit() else (1, 0, s)
+    return (0, int(s), s) if s.isascii() and s.isdigit() else (1, 0, s)
 
 
 def select_richest_caption(scene_graphs) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import victr.cli
 import victr.gcn
 from victr.binio import EMBED_MAGIC, GRAPH_MAGIC, read_container, write_container
 from victr.cli import main
@@ -352,6 +353,16 @@ def fuse_cfg(tmp_path, toy_paths, composed_out):
     out = tmp_path / "out"
     shutil.copytree(composed_out, out)
     return _cfg_file(tmp_path, toy_paths, out), out
+
+
+@pytest.mark.parametrize("block_rows", [1, 5])
+def test_compose_block_size_leaves_files_unchanged(fuse_cfg, monkeypatch, block_rows):
+    """Blocks of any size, and captions larger than a block, give the same E_vs files."""
+    cfg, out = fuse_cfg
+    whole = {p.name: p.read_bytes() for p in (out / "evs").iterdir()}
+    monkeypatch.setattr(victr.cli, "COMPOSE_BLOCK_ROWS", block_rows)
+    assert main(["compose", "--config", cfg]) == 0
+    assert {p.name: p.read_bytes() for p in (out / "evs").iterdir()} == whole
 
 
 def _fused_bytes(out):
@@ -765,3 +776,62 @@ def test_build_graphs_malformed_bbox_exit_2(toy_cfg, tmp_path, toy_paths, capsys
         toy_cfg, tmp_path, toy_paths, lambda doc: doc["annotations"][3].update(bbox=bbox))
     assert code == 2
     assert f"{bad}: annotations[3].bbox" in capsys.readouterr().err
+
+
+def test_parse_without_lexicon_reads_only_instance_categories(tmp_path, toy_paths, capsys):
+    """Parse takes super-classes from the categories; a bad box is build-graphs' to report."""
+    inputs = {**toy_paths, "superclasses": ""}
+    cfg = _cfg_file(tmp_path, inputs, tmp_path / "clean")
+    assert main(["parse", "--config", cfg]) == 0
+    clean = {p.name: p.read_bytes() for p in (tmp_path / "clean" / "scene_graphs").iterdir()}
+    with open(toy_paths["instances"], encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["annotations"][3]["bbox"][2] = 0  # zero width
+    bad = tmp_path / "bad_instances.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**inputs, "instances": str(bad)}, tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 0
+    got = {p.name: p.read_bytes() for p in (tmp_path / "out" / "scene_graphs").iterdir()}
+    assert got == clean
+    assert main(["build-graphs", "--config", cfg]) == 2
+    assert f"{bad}: annotations[3].bbox" in capsys.readouterr().err
+
+
+def _renamed_captions(tmp_path, toy_paths, renames) -> dict:
+    """toy_paths with the CoNLL-U and captions files' caption ids renamed (old -> new)."""
+    conllu = Path(toy_paths["conllu"]).read_text(encoding="utf-8")
+    doc = json.loads(Path(toy_paths["captions"]).read_text(encoding="utf-8"))
+    for old, new in renames.items():
+        conllu = conllu.replace(f"# caption_id = {old}\n", f"# caption_id = {new}\n")
+        for ann in doc["annotations"]:
+            if str(ann["id"]) == old:
+                ann["id"] = new
+    (tmp_path / "renamed.conllu").write_text(conllu, encoding="utf-8")
+    (tmp_path / "renamed.json").write_text(json.dumps(doc), encoding="utf-8")
+    return {**toy_paths, "conllu": str(tmp_path / "renamed.conllu"),
+            "captions": str(tmp_path / "renamed.json")}
+
+
+def test_caption_id_of_non_ascii_digits_sorts_as_text(tmp_path, toy_paths):
+    # "²" is a digit to str.isdigit, but int() rejects it
+    cfg = _cfg_file(tmp_path, _renamed_captions(tmp_path, toy_paths, {"101": "²"}),
+                    tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 0
+    assert main(["build-graphs", "--config", cfg]) == 0
+    assert main(["stats", "--config", cfg]) == 0
+
+
+def test_caption_ids_of_equal_value_order_by_text(tmp_path, toy_paths, monkeypatch):
+    """Ids "1" and "01" are one number; the graphs do not follow the directory listing."""
+    paths = _renamed_captions(tmp_path, toy_paths, {"101": "1", "103": "01"})
+    cfg = _cfg_file(tmp_path, paths, tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 0
+    graphs = tmp_path / "out" / "graphs"
+    written = []
+    for order in (1, -1):
+        with monkeypatch.context() as m:
+            listdir = os.listdir
+            m.setattr(os, "listdir", lambda path: listdir(path)[::order])
+            assert main(["build-graphs", "--config", cfg]) == 0
+        written.append({p.name: p.read_bytes() for p in graphs.iterdir()})
+    assert written[0] == written[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import random_scene_graphs
 
+from victr.cli import COMPOSE_BLOCK_ROWS
 from victr.embedding import (
     compose_tables,
     pca_project,
@@ -40,7 +41,7 @@ def _tables(b=200, p=50, seed=0, positional_zero=False):
 def _vector(tables, word, kind):
     """The composed vector of (word, kind): basic segment only for attributes."""
     width = tables.basic_width if kind == ATTRIBUTE else tables.full_width
-    return tables.vectors[tables.row_of(word, kind), :width]
+    return tables.vectors[tables.vocab.require(word, kind), :width]
 
 
 def test_composed_widths_default_dims():
@@ -64,11 +65,12 @@ def test_missing_positional_entries_zero_filled():
 def test_unknown_words_map_to_zero_vectors():
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
-    for kind in (OBJECT, RELATION, ATTRIBUTE):
-        assert tables.row_of("zzyzx", kind) == len(vocab)
-        assert not _vector(tables, "zzyzx", kind).any()
     # a known word under another kind is unknown too
-    assert not _vector(tables, "man", RELATION).any()
+    graph = sg(1, ["zzyzx", "brown"], relations=[(0, "man", 1)],
+               attributes=[(0, "zzyzx"), (1, "horse")])
+    rows = scene_visual_semantics([graph], tables).rows
+    assert rows.shape == (2, 1200)
+    assert not rows.any()
 
 
 def test_width_mismatch_rejected():
@@ -97,7 +99,7 @@ def test_positional_segment_order_is_fixed():
 def test_scene_row_layout_no_attributes():
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics(BASE_SG, tables)
+    vs = scene_visual_semantics([BASE_SG], tables)
     assert vs.rows.shape == (2, 1200)
     man_row = vs.rows[0]
     assert np.array_equal(man_row[:500], _vector(tables, "man", OBJECT))
@@ -112,7 +114,7 @@ def test_scene_row_mean_pools_attributes():
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: np.zeros((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics(graph, tables)
+    vs = scene_visual_semantics([graph], tables)
     want = (_vector(tables, "brown", ATTRIBUTE) + _vector(tables, "big", ATTRIBUTE)) / 2
     fw = tables.full_width
     assert np.allclose(vs.rows[0, fw : fw + 4], want)
@@ -130,7 +132,7 @@ def test_scene_rows_differ_for_duplicate_words_with_different_attributes():
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: np.zeros((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics(graph, tables)
+    vs = scene_visual_semantics([graph], tables)
     assert not np.array_equal(vs.rows[0], vs.rows[1])
 
 
@@ -141,7 +143,7 @@ def test_scene_relation_segment_pools_both_sides():
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: rng.standard_normal((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics(graph, tables)
+    vs = scene_visual_semantics([graph], tables)
     fw, bw = tables.full_width, tables.basic_width
     # horse is the object side of the triple; it still pools "ride"
     assert np.array_equal(vs.rows[1, fw + bw :], _vector(tables, "ride", RELATION))
@@ -151,7 +153,7 @@ def test_scene_empty_graph():
     graph = sg(1, [])
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics(graph, tables)
+    vs = scene_visual_semantics([graph], tables)
     assert vs.rows.shape == (0, 1200)
 
 
@@ -169,8 +171,8 @@ def test_scene_permutation_equivariant():
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: rng.standard_normal((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    a = scene_visual_semantics(graph, tables)
-    b = scene_visual_semantics(flipped, tables)
+    a = scene_visual_semantics([graph], tables)
+    b = scene_visual_semantics([flipped], tables)
     assert np.array_equal(b.rows[1], a.rows[0])
     assert np.array_equal(b.rows[0], a.rows[2])
 
@@ -285,15 +287,15 @@ def _reference_rows(sg, ref, bw, fw):
     return rows
 
 
-def _random_scene_graph(rng, cid):
-    """Up to 6 objects with repeated words, attributes and predicates; the
-    pools reach past random_scene_graphs' vocabulary (obj10, rel6, attr5...)."""
-    n = int(rng.integers(0, 7))
+def _random_scene_graph(rng, cid, n=None):
+    """Up to 6 objects (or n) with repeated words, attributes and predicates;
+    the pools reach past random_scene_graphs' vocabulary (obj10, rel6, attr5...)."""
+    n = int(rng.integers(0, 7)) if n is None else n
     objects = tuple((i, f"obj{int(rng.integers(12))}", "c") for i in range(n))
     attributes = tuple((int(rng.integers(n)), f"attr{int(rng.integers(7))}")
-                       for _ in range(int(rng.integers(0, 8)))) if n else ()
+                       for _ in range(int(rng.integers(0, 8 + n // 2)))) if n else ()
     relations = set()
-    for _ in range(int(rng.integers(0, 10)) if n >= 2 else 0):
+    for _ in range(int(rng.integers(0, 10 + n)) if n >= 2 else 0):
         s, o = rng.choice(n, size=2, replace=False)
         relations.add((int(s), f"rel{int(rng.integers(8))}", int(o)))
     return SceneGraph(caption_id=str(cid), image_id=str(cid), objects=objects,
@@ -306,21 +308,31 @@ def test_array_composition_matches_dict_reference(seed):
     vocab = build_vocabulary(random_scene_graphs(seed, n_graphs=30))
     b, p = int(rng.integers(1, 9)), int(rng.integers(1, 5))
     basic = rng.standard_normal((len(vocab), b))
+    basic[rng.random(len(vocab)) < 0.2] = -0.0  # np.mean of -0.0 rows is +0.0
     positional = {}
     for name in GEOMETRIC_RELATIONS:
         rows = rng.standard_normal((len(vocab), p))
         rows[rng.random(len(vocab)) < 0.5] = 0.0  # nodes outside this graph
+        rows[rng.random(len(vocab)) < 0.2] = -0.0
         positional[name] = rows
     tables = compose_tables(vocab, basic, positional)
     ref = _reference_tables(vocab, basic, positional)
 
     graphs = [_random_scene_graph(rng, cid) for cid in range(60)]
+    graphs[30:30] = [sg(60, []), _random_scene_graph(rng, 61, n=COMPOSE_BLOCK_ROWS + 44)]
     assert any(w not in ref[OBJECT] for sg in graphs for _, w, _ in sg.objects)
     assert any(len(sg.attributes) > len({oid for oid, _ in sg.attributes}) for sg in graphs)
-    for sg in graphs:
-        got = scene_visual_semantics(sg, tables)
-        want = _reference_rows(sg, ref, tables.basic_width, tables.full_width)
-        assert np.array_equal(got.rows, want)
+    got = scene_visual_semantics(graphs, tables).rows
+    assert got.shape == (sum(len(g.objects) for g in graphs), tables.scene_width)
+    want = np.concatenate([_reference_rows(g, ref, tables.basic_width, tables.full_width)
+                           for g in graphs])
+    assert np.array_equal(got.view("<u8"), want.view("<u8"))  # -0.0 is not 0.0 here
+    assert (got.view("<u8") == np.float64(-0.0).view("<u8")).any()
+    start = 0
+    for g in graphs:  # a graph composed alone gives its slice of the block
+        stop = start + len(g.objects)
+        assert np.array_equal(scene_visual_semantics([g], tables).rows, got[start:stop])
+        start = stop
     for kind in (OBJECT, RELATION, ATTRIBUTE):
         words, rows = projection_rows(tables, kind)
         items = sorted(ref[kind].items())

@@ -5,7 +5,8 @@ JSON values: each example swaps one value of the toy corpus's
 files for null, a bool, an int, a float, a string, a list or an object. It
 then runs the stages that read the file in-process: ``parse``,
 ``build-graphs`` and ``stats`` (a scene graph is mutated after ``parse``).
-Parse reads the instances too, since that config gives no super-class lexicon.
+Parse reads the instances' categories too, since that config gives no
+super-class lexicon; build-graphs reads their boxes.
 
 Lines: each example deletes, duplicates or cuts one line of the CoNLL-U
 file or of a TSV file (quantifier lexicon, super-class lexicon, alias
