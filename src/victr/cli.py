@@ -54,6 +54,10 @@ def _scene_graph_dir(cfg) -> str:
     return os.path.join(cfg.out_dir, "scene_graphs")
 
 
+def _tokens_path(cfg) -> str:
+    return os.path.join(cfg.out_dir, "tokens.json")
+
+
 def _load_scene_graphs(cfg) -> list[sp.SceneGraph]:
     sg_dir = _scene_graph_dir(cfg)
     if not os.path.isdir(sg_dir):
@@ -131,7 +135,10 @@ def cmd_parse(cfg: PipelineConfig) -> int:
         n_obj += len(sg.objects)
         n_rel += len(sg.relations)
         n_attr += len(sg.attributes)
-    _remove_stale(sg_dir, ".json", {sg.caption_id for sg in parsed})
+    kept = {sg.caption_id for sg in parsed}
+    _remove_stale(sg_dir, ".json", kept)
+    with open(_tokens_path(cfg), "w", encoding="utf-8") as f:
+        f.write(ingest.caption_tokens_json(g for g in dep_graphs if g.caption_id in kept))
     print(
         f"parsed {len(parsed)} captions: {n_obj} objects, "
         f"{n_rel} relations, {n_attr} attributes"
@@ -283,6 +290,13 @@ def _fusion_weights(cfg, weights_path: str | None, visual_dim: int) -> np.ndarra
 
 def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
              features_dir: str | None) -> int:
+    """Write each E_vs file's fused text representation to fused/<caption id>.victrf.
+
+    A caption's token surfaces come from the parse stage's tokens.json, so no
+    corpus input is read again. With features_dir, the caption's text features
+    come from features_dir/<caption id>.victre, one word row per token;
+    otherwise they are built in, one row per distinct token.
+    """
     evs_dir = os.path.join(cfg.out_dir, "evs")
     if not os.path.isdir(evs_dir):
         raise FileNotFoundError(f"{evs_dir} missing; run the compose stage first")
@@ -292,16 +306,15 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     )
     if not caption_ids:
         raise FileNotFoundError(f"no E_vs files in {evs_dir}; run the compose stage first")
-    _require_file(cfg.conllu, "CoNLL-U file", hint="token sequences drive fusion")
-    tokens_by_caption = {
-        g.caption_id: [t.surface for t in g.tokens]
-        for g in ingest.load_conllu(cfg.conllu)
-    }
+    tokens_path = _require_file(_tokens_path(cfg), "caption token file",
+                                hint="run the parse stage first")
+    tokens_by_caption = ingest.load_caption_tokens(tokens_path)
     for cid in caption_ids:
         if cid not in tokens_by_caption:
-            raise ValueError(f"caption {cid} not present in {cfg.conllu}")
+            raise ValueError(
+                f"{tokens_path}: no record of caption {cid}, whose E_vs file is in {evs_dir}")
         if not (features_dir or tokens_by_caption[cid]):
-            raise ValueError(f"caption {cid} has no tokens in {cfg.conllu}")
+            raise ValueError(f"caption {cid} has no tokens in {tokens_path}")
     if not features_dir:  # built-in features and queries: one row per distinct token
         tokens, token_ids = fus.distinct_tokens(tokens_by_caption[cid] for cid in caption_ids)
         table = fus.builtin_text_features(tokens, seed=cfg.seed, dim=cfg.text_width)
@@ -321,7 +334,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             words, sentence = fus.load_text_features(path, expect_dim=cfg.text_width)
             if len(words) != len(tokens_by_caption[cid]):
                 raise ValueError(f"{path}: {len(words)} word rows, but caption {cid} has "
-                                 f"{len(tokens_by_caption[cid])} tokens in {cfg.conllu}")
+                                 f"{len(tokens_by_caption[cid])} tokens in {tokens_path}")
             query = words @ w
         else:  # rows of table @ W: table[ids] @ W may round differently in the last bit
             words, query = table[token_ids[i]], queries[token_ids[i]]

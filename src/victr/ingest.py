@@ -24,6 +24,13 @@ so ``true`` is not an integer; other fields are ignored.
   {``object_id``: integer; ``word``: string} and ``relations`` of
   {``subject``, ``object``: integers naming objects; ``predicate``: string}.
   A scene graph's caption id is its file name.
+- Caption tokens (``TOKEN_FIELDS``), one file ``tokens.json`` written by the
+  parse stage for the fuse stage, one compact line: an object whose
+  ``captions`` list holds {``id``: string, used once; ``tokens``: a list of
+  strings}, one entry per kept caption in scene-graph order. ``tokens`` are
+  the caption's CoNLL-U surfaces as ``load_conllu`` keeps them, so they may be
+  empty. ``caption_tokens_json`` writes the file and ``load_caption_tokens``
+  reads it.
 
 Messages name the file and the place, as ``<path>: annotations[3].bbox``.
 """
@@ -31,7 +38,7 @@ Messages name the file and the place, as ``<path>: annotations[3].bbox``.
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from sys import intern
 from typing import NamedTuple
@@ -40,10 +47,20 @@ ID = {int, str}
 CAPTION_FIELDS = {"id": ID, "image_id": ID, "caption": {str}}
 CATEGORY_FIELDS = {"id": ID, "name": {str}, "supercategory": {str}}
 BOX_FIELDS = {"image_id": ID, "category_id": ID, "bbox": {list}}
+TOKEN_FIELDS = {"id": {str}, "tokens": {list}}
+# a caption id names files <id>.json, <id>.victre and <id>.victrf: with the
+# longest suffix it must fit the 255-byte name limit of common file systems
+MAX_ID_BYTES = 255 - len(".victre")
 
 
 class ConlluError(ValueError):
     """Raised when a CoNLL-U file violates the expected format."""
+
+
+@cache  # a corpus uses few distinct deprels, and parsing asks for one per token many times
+def base_deprel(deprel: str) -> str:
+    """A deprel without its subtype: ``nmod`` for ``nmod:on``."""
+    return deprel.split(":", 1)[0]
 
 
 class Token(NamedTuple):
@@ -53,10 +70,6 @@ class Token(NamedTuple):
     upos: str
     head: int  # 0 = sentence root
     deprel: str
-
-    @property
-    def base_deprel(self) -> str:
-        return self.deprel.split(":", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -98,6 +111,15 @@ class DependencyGraph:
                     f"caption {self.caption_id}: token {i} is on a head cycle "
                     "(heads do not form a tree)"
                 )
+
+    @classmethod
+    def unchecked(cls, caption_id: str, image_id: str, tokens: tuple[Token, ...]):
+        """A graph built without the checks above, for a caller whose own
+        construction guarantees them: contiguous indices, heads in range that
+        form a tree under 0, and no empty deprel."""
+        g = object.__new__(cls)
+        g.__dict__.update(caption_id=caption_id, image_id=image_id, tokens=tokens)
+        return g
 
     @cached_property
     def children(self) -> list[list[Token] | tuple[()]]:
@@ -153,7 +175,8 @@ def load_conllu(path) -> list[DependencyGraph]:
 
     Requires ``# caption_id = <id>`` and ``# image_id = <id>`` comments per
     sentence. Each caption id is used once and names files in later stages,
-    so it is not empty, ``.`` or ``..`` and holds no ``/``, ``\\`` or NUL.
+    so it is not empty, ``.`` or ``..``, holds no ``/``, ``\\`` or NUL and is at
+    most ``MAX_ID_BYTES`` long in UTF-8.
     Multi-word token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
     """
     graphs = []
@@ -176,6 +199,9 @@ def load_conllu(path) -> list[DependencyGraph]:
         cid = meta["caption_id"]
         if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
             raise ConlluError(f"{path}:{id_line}: caption_id {cid!r} cannot be a file name")
+        if len(cid.encode("utf-8")) > MAX_ID_BYTES:
+            raise ConlluError(f"{path}:{id_line}: caption_id of {len(cid.encode('utf-8'))} "
+                              f"bytes is too long for a file name (at most {MAX_ID_BYTES})")
         if cid in id_lines:
             raise ConlluError(
                 f"{path}:{id_line}: duplicate caption_id {cid}, first given at line {id_lines[cid]}"
@@ -277,6 +303,27 @@ def load_captions(path) -> dict[str, str]:
             raise ValueError(f"{path}: annotations[{i}]: duplicate caption id {cid}")
         image_of[cid] = str(image_id)
     return image_of
+
+
+def caption_tokens_json(graphs) -> str:
+    """The token file (see above) of the DependencyGraphs ``graphs``, in their order."""
+    doc = {"captions": [{"id": g.caption_id, "tokens": [t.surface for t in g.tokens]}
+                        for g in graphs]}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def load_caption_tokens(path) -> dict[str, list[str]]:
+    """Caption id -> token surfaces, from a token file (see above)."""
+    tokens: dict[str, list[str]] = {}
+    records = json_records(_json_file(path), "captions", TOKEN_FIELDS, path)
+    for i, (cid, surfaces) in enumerate(records):
+        if cid in tokens:
+            raise ValueError(f"{path}: captions[{i}]: duplicate caption id {cid}")
+        if not set(map(type, surfaces)) <= {str}:
+            bad = next(s for s in surfaces if type(s) is not str)
+            raise ValueError(f"{path}: captions[{i}].tokens must hold strings, got {bad!r}")
+        tokens[cid] = surfaces
+    return tokens
 
 
 def load_categories(path) -> dict[str, str]:

@@ -9,7 +9,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .ingest import DependencyGraph, Token, json_records, tsv_pairs
+from .ingest import DependencyGraph, Token, base_deprel, json_records, tsv_pairs
 
 NOUN_TAGS = {"NOUN", "PROPN"}
 SUBJECT_RELS = {"nsubj", "nsubjpass"}
@@ -197,7 +197,7 @@ def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> Dependency
         if t.upos not in NOUN_TAGS or t.index in consumed:
             continue
         for c in kids[t.index]:
-            rel = c.base_deprel
+            rel = base_deprel(c.deprel)
             if c.index in consumed or rel not in ("nummod", "det"):
                 continue
             value = lex.numeral_map.get(c.lemma.lower())
@@ -235,18 +235,19 @@ def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> Dependency
         if v.upos != "VERB":
             continue
         subject = next((t.index for t in eff_kids[v.index]
-                        if t.index in count and t.base_deprel in SUBJECT_RELS), None)
+                        if t.index in count and base_deprel(t.deprel) in SUBJECT_RELS), None)
         if subject is None:
             continue
         for t in eff_kids[v.index]:
-            if t.base_deprel in OBJECT_RELS and _is_plural_noun(t) and t.index not in count:
+            if (base_deprel(t.deprel) in OBJECT_RELS and _is_plural_noun(t)
+                    and t.index not in count):
                 count[t.index] = count[subject]
 
     # adjectives copied with their noun ride along; the rest are laid out once
     riders: dict[int, list[Token]] = {}
     laid_out = []
     for t in kept:
-        if t.upos == "ADJ" and t.head in count and t.base_deprel == "amod":
+        if t.upos == "ADJ" and t.head in count and base_deprel(t.deprel) == "amod":
             riders.setdefault(t.head, []).append(t)
         else:
             laid_out.append(t)
@@ -270,12 +271,13 @@ def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> Dependency
             out += [Token(k, a.surface, a.lemma, a.upos, noun, a.deprel)
                     for k, a in enumerate(adjs, start=len(out) + 1)]
             out.append(Token(noun, t.surface, t.lemma, t.upos, first[t.head], t.deprel))
-    return DependencyGraph(caption_id=g.caption_id, image_id=g.image_id, tokens=tuple(out))
+    # a tree by construction: copies and riders point at first copies of kept tokens
+    return DependencyGraph.unchecked(g.caption_id, g.image_id, tuple(out))
 
 
 def _case_marker(tok_children: list[Token]) -> Token | None:
     for c in tok_children:
-        if c.base_deprel == "case":
+        if base_deprel(c.deprel) == "case":
             return c
     return None
 
@@ -328,21 +330,21 @@ def extract_scene_graph(g: DependencyGraph, slex: SuperClassLexicon) -> SceneGra
 
     for t in toks:
         if t.upos == "ADJ":
-            if t.base_deprel == "amod" and t.head in object_id:
+            if base_deprel(t.deprel) == "amod" and t.head in object_id:
                 add_attr(object_id[t.head], t.lemma.lower())
             else:
                 # copular predication: "the dog is brown"
                 for c in children[t.index]:
-                    if c.base_deprel in SUBJECT_RELS and c.index in object_id:
+                    if base_deprel(c.deprel) in SUBJECT_RELS and c.index in object_id:
                         add_attr(object_id[c.index], t.lemma.lower())
 
     for v in toks:
         if v.upos != "VERB":
             continue
-        kids = children[v.index]
-        subjects = [c for c in kids if c.base_deprel in SUBJECT_RELS and c.index in object_id]
-        direct = [c for c in kids if c.base_deprel in OBJECT_RELS and c.index in object_id]
-        obliques = [c for c in kids if c.base_deprel in OBLIQUE_RELS and c.index in object_id]
+        kids = [(base_deprel(c.deprel), c) for c in children[v.index] if c.index in object_id]
+        subjects = [c for rel, c in kids if rel in SUBJECT_RELS]
+        direct = [c for rel, c in kids if rel in OBJECT_RELS]
+        obliques = [c for rel, c in kids if rel in OBLIQUE_RELS]
         for s in subjects:
             for o in direct:
                 add_rel(s.index, v.lemma.lower(), o.index)
@@ -357,7 +359,7 @@ def extract_scene_graph(g: DependencyGraph, slex: SuperClassLexicon) -> SceneGra
             continue
         case = _case_marker(children[o.index])
         prep = case.lemma.lower() if case else None
-        if o.base_deprel == "nmod" and o.head in object_id:
+        if base_deprel(o.deprel) == "nmod" and o.head in object_id:
             prep = prep or _deprel_prep(o)
             if prep:
                 add_rel(o.head, prep, o.index)
@@ -365,7 +367,7 @@ def extract_scene_graph(g: DependencyGraph, slex: SuperClassLexicon) -> SceneGra
             # predicative nominal: "the man is on the skateboard"
             subj = next(
                 (c for c in children[o.index]
-                 if c.base_deprel in SUBJECT_RELS and c.index in object_id),
+                 if base_deprel(c.deprel) in SUBJECT_RELS and c.index in object_id),
                 None,
             )
             if subj is not None:

@@ -60,6 +60,19 @@ def test_parse_writes_one_json_per_caption(toy_cfg, capsys):
     assert "parsed 20 captions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["all", "richest"])
+def test_parse_writes_kept_captions_tokens(toy_cfg, toy_dep_graphs, mode):
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg, "--caption-mode", mode]) == 0
+    kept = {name[:-len(".json")] for name in os.listdir(out / "scene_graphs")}
+    text = (out / "tokens.json").read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")  # one compact line
+    assert json.loads(text) == {"captions": [
+        {"id": g.caption_id, "tokens": [t.surface for t in g.tokens]}
+        for g in toy_dep_graphs if g.caption_id in kept]}
+    assert len(kept) == (20 if mode == "all" else 10)
+
+
 def test_parse_richest_keeps_one_per_image(toy_cfg):
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg, "--caption-mode", "richest"]) == 0
@@ -553,16 +566,82 @@ def test_fuse_bad_weights_exit_2(fuse_cfg, tmp_path, capsys, write, message):
     assert not (out / "fused").exists() or not any((out / "fused").iterdir())
 
 
-def test_fuse_caption_without_tokens_exit_2(fuse_cfg, tmp_path, toy_paths, capsys):
-    _, out = fuse_cfg
-    conllu = tmp_path / "no_tokens.conllu"
-    text = Path(toy_paths["conllu"]).read_text(encoding="utf-8")
-    head, _, rest = text.partition("# caption_id = 102\n# image_id = 1\n")
-    conllu.write_text(head + "# caption_id = 102\n# image_id = 1\n\n"
-                      + rest[rest.index("\n\n") + 2:], encoding="utf-8")
-    cfg = _cfg_file(tmp_path, {**toy_paths, "conllu": str(conllu)}, out)
+def _edit_tokens(out, edit):
+    """Rewrite out/tokens.json as edit(doc) gives it, a document or raw text."""
+    path = out / "tokens.json"
+    doc = edit(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _caption(doc, cid):
+    return next(c for c in doc["captions"] if c["id"] == cid)
+
+
+def _without_tokens(doc):
+    _caption(doc, "102")["tokens"] = []
+    return doc
+
+
+def test_fuse_caption_without_tokens_exit_2(fuse_cfg, capsys):
+    cfg, out = fuse_cfg
+    path = _edit_tokens(out, _without_tokens)
     assert main(["fuse", "--config", cfg]) == 2
-    assert f"caption 102 has no tokens in {conllu}" in capsys.readouterr().err
+    assert f"caption 102 has no tokens in {path}" in capsys.readouterr().err
+
+
+def test_fuse_reads_no_conllu(fuse_cfg, tmp_path, toy_paths):
+    """fuse takes token surfaces from parse's tokens.json, not from the corpus."""
+    cfg, out = fuse_cfg
+    assert main(["fuse", "--config", cfg]) == 0
+    with_corpus = _fused_bytes(out)
+    shutil.rmtree(out / "fused")
+    gone = _cfg_file(tmp_path, {**toy_paths, "conllu": str(tmp_path / "deleted.conllu")}, out)
+    assert main(["fuse", "--config", gone]) == 0
+    assert len(with_corpus) == 20 and _fused_bytes(out) == with_corpus
+
+
+def _not_a_tokens_list(doc):
+    _caption(doc, "103")["tokens"] = "a man"
+    return doc
+
+
+def _non_string_token(doc):
+    _caption(doc, "103")["tokens"][1] = 7
+    return doc
+
+
+def _repeated_id(doc):
+    doc["captions"].append(dict(_caption(doc, "103")))
+    return doc
+
+
+def _no_record(doc):
+    doc["captions"].remove(_caption(doc, "103"))
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: "{not json", "{path}: Expecting property name"),
+    (_not_a_tokens_list, "{path}: captions[2].tokens must be list, got 'a man'"),
+    (_non_string_token, "{path}: captions[2].tokens must hold strings, got 7"),
+    (_repeated_id, "{path}: captions[20]: duplicate caption id 103"),
+    (_no_record, "{path}: no record of caption 103, whose E_vs file is in "),
+], ids=["not_json", "tokens_not_list", "non_string_token", "repeated_id", "no_record"])
+def test_fuse_malformed_tokens_file_exit_2(fuse_cfg, capsys, edit, message):
+    cfg, out = fuse_cfg
+    path = _edit_tokens(out, edit)
+    assert main(["fuse", "--config", cfg]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (out / "fused").exists()
+
+
+def test_fuse_without_tokens_file_exit_2(fuse_cfg, capsys):
+    cfg, out = fuse_cfg
+    (out / "tokens.json").unlink()
+    assert main(["fuse", "--config", cfg]) == 2
+    assert (f"caption token file not found: {out / 'tokens.json'}; run the parse stage first"
+            in capsys.readouterr().err)
 
 
 def test_project_requires_two_vectors(tmp_path, toy_paths, capsys):
@@ -810,6 +889,14 @@ def _renamed_captions(tmp_path, toy_paths, renames) -> dict:
     (tmp_path / "renamed.json").write_text(json.dumps(doc), encoding="utf-8")
     return {**toy_paths, "conllu": str(tmp_path / "renamed.conllu"),
             "captions": str(tmp_path / "renamed.json")}
+
+
+def test_parse_caption_id_too_long_for_a_file_name_exit_2(tmp_path, toy_paths, capsys):
+    paths = _renamed_captions(tmp_path, toy_paths, {"101": "7" * 300})
+    cfg = _cfg_file(tmp_path, paths, tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 2
+    assert (f"{paths['conllu']}:1: caption_id of 300 bytes is too long for a file name "
+            "(at most 248)" in capsys.readouterr().err)
 
 
 def test_caption_id_of_non_ascii_digits_sorts_as_text(tmp_path, toy_paths):

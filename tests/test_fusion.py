@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import dataclass
 
@@ -142,18 +143,12 @@ def test_distinct_tokens_first_seen_order():
 
 def test_text_features_sentence_defaults_to_mean_word(tmp_path):
     # the fuse stage's built-in features: a caption's sentence is its mean word row
-    conllu = tmp_path / "c.conllu"
-    conllu.write_text(
-        "# caption_id = 5\n# image_id = 1\n"
-        "1\ta\ta\tDET\t_\t_\t2\tdet\t_\t_\n"
-        "2\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n"
-        "3\ta\ta\tDET\t_\t_\t2\tdet\t_\t_\n",
-        encoding="utf-8",
-    )
+    (tmp_path / "tokens.json").write_text(
+        json.dumps({"captions": [{"id": "5", "tokens": ["a", "dog", "a"]}]}), encoding="utf-8")
     (tmp_path / "evs").mkdir()
     save_embeddings(np.random.default_rng(26).standard_normal((2, 6)),
                     tmp_path / "evs" / "5.victre", vocab_hash="h")
-    cfg = PipelineConfig(conllu=str(conllu), out_dir=str(tmp_path), text_width=4, seed=3)
+    cfg = PipelineConfig(out_dir=str(tmp_path), text_width=4, seed=3)
     assert cmd_fuse(cfg, None, None) == 0
     fused, _ = load_fused(tmp_path / "fused" / "5.victrf")
     words = builtin_text_features(["a", "dog", "a"], seed=3, dim=4)

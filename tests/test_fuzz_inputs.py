@@ -1,10 +1,11 @@
 """Properties: one malformed input file exits 0 or 2, never a traceback.
 
 JSON values: each example swaps one value of the toy corpus's
-``captions.json``, its ``instances.json`` or one of its parsed scene-graph
-files for null, a bool, an int, a float, a string, a list or an object. It
-then runs the stages that read the file in-process: ``parse``,
-``build-graphs`` and ``stats`` (a scene graph is mutated after ``parse``).
+``captions.json``, its ``instances.json``, one of its parsed scene-graph
+files or parse's ``tokens.json`` for null, a bool, an int, a float, a
+string, a list or an object. It then runs the stages that read the file
+in-process: ``parse``, ``build-graphs`` and ``stats``, or ``fuse`` for
+``tokens.json`` (the last two are mutated in a run through ``compose``).
 Parse reads the instances' categories too, since that config gives no
 super-class lexicon; build-graphs reads their boxes.
 
@@ -32,7 +33,10 @@ from victr.cli import main
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY = os.path.join(REPO, "data", "toy")
 LEXICONS = os.path.join(REPO, "data", "lexicons")
-SCENE_GRAPH = "101.json"  # has objects, attributes and relations
+# stage outputs mutated: (file under out/, the stages run on it); scene
+# graph 101 has objects, attributes and relations
+OUTPUTS = {"scene_graph": (os.path.join("scene_graphs", "101.json"), ("build-graphs", "stats")),
+           "tokens": ("tokens.json", ("fuse",))}
 JSON_INPUTS = {
     "conllu": os.path.join(TOY, "captions.conllu"),
     "captions": os.path.join(TOY, "captions.json"),
@@ -50,7 +54,7 @@ VALUES = st.one_of(
 )
 # (file, path to the value, new value); a path step that is an int picks a
 # key or index modulo the container's size, so any draw names a value
-MUTATIONS = st.tuples(st.sampled_from(["captions", "instances", "scene_graph"]),
+MUTATIONS = st.tuples(st.sampled_from(["captions", "instances", "scene_graph", "tokens"]),
                       st.lists(st.integers(0, 63), max_size=4), VALUES)
 
 
@@ -62,7 +66,7 @@ def _run(out_dir, inputs, stage) -> tuple[int, str]:
         f.write(f"out_dir = {os.path.join(out_dir, 'out')}\n")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([stage, "--config", cfg])
+        code = main(stage.split() + ["--config", cfg])
     return code, err.getvalue()
 
 
@@ -77,11 +81,12 @@ def _check_stages(out_dir, inputs, stages, bad) -> None:
 
 
 @pytest.fixture(scope="module")
-def parsed(tmp_path_factory):
-    """A directory whose out/ holds the clean toy corpus's scene graphs."""
-    root = tmp_path_factory.mktemp("parsed")
-    code, err = _run(str(root), JSON_INPUTS, "parse")
-    assert code == 0, err
+def composed(tmp_path_factory):
+    """A directory whose out/ holds the clean toy corpus run through compose."""
+    root = tmp_path_factory.mktemp("composed")
+    for stage in ("parse", "build-graphs", "train --graph all", "compose"):
+        code, err = _run(str(root), JSON_INPUTS, stage)
+        assert code == 0, (stage, err)
     return root
 
 
@@ -101,15 +106,16 @@ def _mutate(doc, path, value):
 @example(("instances", ("annotations", 0, "category_id"), True))
 @example(("captions", ("annotations", 0, "caption"), 5))
 @example(("scene_graph", ("objects", 0, "id"), "0"))
+@example(("tokens", ("captions", 0, "tokens", 0), 5))
 @given(mutation=MUTATIONS)
-def test_mutated_json_input_exits_0_or_2(parsed, mutation):
+def test_mutated_json_input_exits_0_or_2(composed, mutation):
     target, path, value = mutation
     with tempfile.TemporaryDirectory() as tmp:
         inputs = dict(JSON_INPUTS)
-        if target == "scene_graph":
-            shutil.copytree(parsed / "out", os.path.join(tmp, "out"))
-            source = bad = os.path.join(tmp, "out", "scene_graphs", SCENE_GRAPH)
-            stages = ("build-graphs", "stats")
+        if target in OUTPUTS:
+            shutil.copytree(composed / "out", os.path.join(tmp, "out"))
+            source = bad = os.path.join(tmp, "out", OUTPUTS[target][0])
+            stages = OUTPUTS[target][1]
         else:
             source, bad = inputs[target], os.path.join(tmp, f"{target}.json")
             inputs[target] = bad

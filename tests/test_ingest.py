@@ -72,6 +72,18 @@ def test_caption_id_that_is_no_file_name_names_line(tmp_path, cid):
     assert str(e.value) == f"{path}:1: caption_id {cid!r} cannot be a file name"
 
 
+def test_caption_id_length_limit_counts_utf8_bytes(tmp_path):
+    # <id>.victre must fit a 255-byte file name; "é" is two bytes in UTF-8
+    fits = "é" * 124
+    graphs = load_conllu(_write(tmp_path, MINIMAL.replace("= 9", f"= {fits}")))
+    assert graphs[0].caption_id == fits
+    path = _write(tmp_path, MINIMAL.replace("= 9", f"= {fits}x"))
+    with pytest.raises(ConlluError) as e:
+        load_conllu(path)
+    assert str(e.value) == (f"{path}:1: caption_id of 249 bytes is too long for a file name "
+                            "(at most 248)")
+
+
 def test_malformed_column_count(tmp_path):
     text = MINIMAL.replace("3\thorses\thorse\tNOUN\t_\t_\t2\tobj\t_\t_",
                            "3\thorses\thorse\tNOUN\t2\tobj")

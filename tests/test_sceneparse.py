@@ -5,7 +5,7 @@ from helpers import default_quantifiers
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from victr.ingest import DependencyGraph, Token
+from victr.ingest import DependencyGraph, Token, base_deprel
 from victr.sceneparse import (
     NOUN_TAGS,
     OBJECT_RELS,
@@ -403,7 +403,7 @@ def _changed_by_count_fixes(g, lex):
     nouns = {t.index for t in g.tokens if t.upos in NOUN_TAGS}
     targets = _phrase_targets(g, lex)
     for c in g.tokens:
-        rel = c.base_deprel
+        rel = base_deprel(c.deprel)
         if rel == "nummod" and c.head in nouns and c.surface.isdigit() and not (
                 c.surface.isdecimal() and int(c.surface) >= 1):
             return True
@@ -540,7 +540,7 @@ def reference_expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> 
         for c in toks:
             if c.head != t.index or c.index in consumed:
                 continue
-            rel = c.base_deprel
+            rel = base_deprel(c.deprel)
             if rel not in ("nummod", "det"):
                 continue
             value = lex.numeral_map.get(c.lemma.lower())
