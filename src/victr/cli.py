@@ -58,26 +58,39 @@ def _tokens_path(cfg) -> str:
     return os.path.join(cfg.out_dir, "tokens.json")
 
 
+def _caption_ids(directory, suffix: str, what: str, stage: str) -> list[str]:
+    """The caption ids of the <caption id><suffix> files in directory, in id
+    order; an error names the stage that writes them if there are none."""
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{directory} missing; run the {stage} stage first")
+    caption_ids = sorted((f[: -len(suffix)] for f in os.listdir(directory) if f.endswith(suffix)),
+                         key=ingest._id_sort_key)
+    if not caption_ids:
+        raise FileNotFoundError(f"no {what} in {directory}; run the {stage} stage first")
+    return caption_ids
+
+
 def _load_scene_graphs(cfg) -> list[sp.SceneGraph]:
+    """Every scene graph in id order. An object word must have one super-class
+    in all of them, as parse writes them: graphstore relies on it."""
     sg_dir = _scene_graph_dir(cfg)
-    if not os.path.isdir(sg_dir):
-        raise FileNotFoundError(f"{sg_dir} missing; run the parse stage first")
-    names = sorted(
-        (f for f in os.listdir(sg_dir) if f.endswith(".json")),
-        key=lambda f: ingest._id_sort_key(f[:-5]),
-    )
-    if not names:
-        raise FileNotFoundError(f"no scene graphs in {sg_dir}; run the parse stage first")
     graphs = []
-    for name in names:
-        path = os.path.join(sg_dir, name)
+    super_of: dict[str, str] = {}  # object word -> its super-class
+    for cid in _caption_ids(sg_dir, ".json", "scene graphs", "parse"):
+        path = os.path.join(sg_dir, f"{cid}.json")
         with open(path, encoding="utf-8") as f:
             try:
                 sg = sp.scene_graph_from_json(f.read())
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
-        if sg.caption_id != name[:-5]:  # later stages name their files by this id
+        if sg.caption_id != cid:  # later stages name their files by this id
             raise ValueError(f"{path}: caption_id {sg.caption_id!r} differs from the file name")
+        for _, word, sup in sg.objects:
+            if super_of.setdefault(word, sup) != sup:
+                first = next(g for g in graphs + [sg] if any(w == word for _, w, _ in g.objects))
+                first_path = os.path.join(sg_dir, f"{first.caption_id}.json")
+                raise ValueError(f"{path}: object word {word!r} has super-class {sup!r}, "
+                                 f"but {first_path} gives it {super_of[word]!r}")
         graphs.append(sg)
     return graphs
 
@@ -150,14 +163,14 @@ def cmd_build_graphs(cfg: PipelineConfig) -> int:
     corpus = _load_scene_graphs(cfg)
     _require_file(cfg.instances, "instances file",
                   hint="positional graphs need bounding boxes")
-    inst = ingest.load_instances(cfg.instances)
+    boxes_of = ingest.load_instances(cfg.instances)
     aliases = geo.load_alias_table(cfg.alias_table) if cfg.alias_table else {}
 
     vocab = gs.build_vocabulary(corpus)
     basic = gs.compute_weights(gs.accumulate_counts(corpus, vocab))
     gs.verify_weight_sums(basic)
 
-    matches = [dict(geo.match_objects_to_boxes(sg, inst, aliases))
+    matches = [dict(geo.match_objects_to_boxes(sg, boxes_of, aliases))
                for sg in corpus]
     positional = gs.build_positional_graphs(corpus, vocab, matches)
     for g in positional.values():
@@ -298,14 +311,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     otherwise they are built in, one row per distinct token.
     """
     evs_dir = os.path.join(cfg.out_dir, "evs")
-    if not os.path.isdir(evs_dir):
-        raise FileNotFoundError(f"{evs_dir} missing; run the compose stage first")
-    caption_ids = sorted(
-        (f[: -len(".victre")] for f in os.listdir(evs_dir) if f.endswith(".victre")),
-        key=ingest._id_sort_key,
-    )
-    if not caption_ids:
-        raise FileNotFoundError(f"no E_vs files in {evs_dir}; run the compose stage first")
+    caption_ids = _caption_ids(evs_dir, ".victre", "E_vs files", "compose")
     tokens_path = _require_file(_tokens_path(cfg), "caption token file",
                                 hint="run the parse stage first")
     tokens_by_caption = ingest.load_caption_tokens(tokens_path)
@@ -353,6 +359,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
 
 
 def _write_svg(path, words, coords, colors):
+    from xml.sax.saxutils import escape  # not at the top: it loads urllib.request, ~7 MiB
     xs, ys = coords[:, 0], coords[:, 1]
     span = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-9)
     scale = 560.0 / span
@@ -372,7 +379,7 @@ def _write_svg(path, words, coords, colors):
             f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{sx(x) + 6:.2f}" y="{sy(y) + 4:.2f}" font-size="10">{word}</text>'
+            f'<text x="{sx(x) + 6:.2f}" y="{sy(y) + 4:.2f}" font-size="10">{escape(word)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as f:

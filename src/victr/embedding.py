@@ -69,18 +69,15 @@ def scene_visual_semantics(scene_graphs, tables: ComposedTables) -> VisualSemant
     object pools a relation whether it is its subject or its object.
     """
     fw, bw = tables.full_width, tables.basic_width
-    zero = len(tables.vocab)  # the zero row, for unknown words
-    table_row = {OBJECT: {}, ATTRIBUTE: {}, RELATION: {}}  # kind -> word -> row of vectors
-    for i, (word, kind) in enumerate(tables.vocab.nodes):
-        table_row[kind][word] = i
+    row_of, zero = tables.vocab.index, len(tables.vocab)  # (word, kind) -> row; zero: unknown
     objects, attrs, attr_of, rels, rel_of = [], [], [], [], []
     for sg in scene_graphs:
-        at = {oid: i for i, (oid, _, _) in enumerate(sg.objects, start=len(objects))}
-        objects += [table_row[OBJECT].get(w, zero) for _, w, _ in sg.objects]
-        attrs += [table_row[ATTRIBUTE].get(w, zero) for _, w in sg.attributes]
-        attr_of += [at[oid] for oid, _ in sg.attributes]
-        rels += [table_row[RELATION].get(p, zero) for _, p, _ in sg.relations]
-        rel_of += [at[end] for s, _, o in sg.relations for end in (s, o)]
+        first = len(objects)  # the row of sg's object 0; object oid is row first + oid
+        objects += [row_of.get((w, OBJECT), zero) for _, w, _ in sg.objects]
+        attrs += [row_of.get((w, ATTRIBUTE), zero) for _, w in sg.attributes]
+        attr_of += [first + oid for oid, _ in sg.attributes]
+        rels += [row_of.get((p, RELATION), zero) for _, p, _ in sg.relations]
+        rel_of += [first + end for s, _, o in sg.relations for end in (s, o)]
 
     rows = np.zeros((len(objects), tables.scene_width))
     rows[:, :fw] = tables.vectors[objects]

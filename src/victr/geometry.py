@@ -27,16 +27,17 @@ def classify_geometric_relation(s: BoundingBox, o: BoundingBox) -> str:
     return "above" if dy > 0 else "below"
 
 
-def match_objects_to_boxes(sg, inst, aliases: dict[str, str]) -> list[tuple[int, BoundingBox]]:
+def match_objects_to_boxes(sg, boxes_of, aliases: dict[str, str]) -> list[tuple[int, BoundingBox]]:
     """Greedily pair scene-graph objects with annotated boxes of their category.
 
-    Objects claim, in document order, the largest unclaimed box whose
-    category equals their lemma (or its alias); of equal boxes, the first
-    annotated. Unmatched objects are dropped; no box is handed out twice. An
-    image without boxes matches none.
+    boxes_of maps an image id to its [(category name, box)], as
+    ``ingest.load_instances`` returns it. Objects claim, in document order,
+    the largest unclaimed box whose category equals their lemma (or its
+    alias); of equal boxes, the first annotated. Unmatched objects are
+    dropped; no box is handed out twice. An image without boxes matches none.
     """
     pool: dict[str, list[BoundingBox]] = {}
-    for category, box in inst.boxes.get(sg.image_id, ()):
+    for category, box in boxes_of.get(sg.image_id, ()):
         pool.setdefault(category, []).append(box)
     for boxes in pool.values():
         boxes.sort(key=lambda b: -b.area)  # stable, so equal areas keep their order

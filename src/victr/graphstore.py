@@ -122,15 +122,16 @@ def build_vocabulary(corpus) -> Vocabulary:
     """One node per distinct (word, kind), ordered by first appearance.
 
     Relation triples are walked subject, predicate, object, then
-    attributes, then any leftover objects; an object node's super-class is
-    the majority vote over its occurrences (ties: lexicographically first).
+    attributes, then any leftover objects. An object node's super-class is
+    that of the word's first occurrence; the scene-graph reader
+    (``cli._load_scene_graphs``) guarantees that every occurrence agrees.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("build_vocabulary: empty corpus")
     nodes: list[tuple[str, str]] = []
     index: dict[tuple[str, str], int] = {}
-    votes: dict[int, dict[str, int]] = {}
+    super_class: dict[int, str] = {}
 
     def add(word: str, kind: str) -> int:
         key = (word, kind)
@@ -139,35 +140,27 @@ def build_vocabulary(corpus) -> Vocabulary:
             nodes.append(key)
         return index[key]
 
+    def add_object(obj: tuple[int, str, str]) -> None:
+        _, word, sup = obj
+        super_class.setdefault(add(word, OBJECT), sup)
+
     for sg in corpus:
-        words = {oid: word for oid, word, _ in sg.objects}
-        supers = {oid: sup for oid, _, sup in sg.objects}
-
-        def add_object(oid: int) -> None:
-            idx = add(words[oid], OBJECT)
-            tally = votes.setdefault(idx, {})
-            tally[supers[oid]] = tally.get(supers[oid], 0) + 1
-
+        objects = sg.objects
         for s, p, o in sg.relations:
-            add_object(s)
+            add_object(objects[s])
             add(p, RELATION)
-            add_object(o)
+            add_object(objects[o])
         for oid, attr in sg.attributes:
-            add_object(oid)
+            add_object(objects[oid])
             add(attr, ATTRIBUTE)
-        for oid in words:
-            add_object(oid)
-
-    super_class = {}
-    for idx, tally in votes.items():
-        top = max(tally.values())
-        super_class[idx] = min(s for s, c in tally.items() if c == top)
+        for obj in objects:
+            add_object(obj)
     return Vocabulary(nodes=nodes, object_super_class=super_class)
 
 
 def _relation_nodes(sg, vocab: Vocabulary) -> list[tuple[int, int, int]]:
     """sg's relation triples, in order, as (subject, predicate, object) node ids."""
-    node = {oid: vocab.require(word, OBJECT) for oid, word, _ in sg.objects}
+    node = [vocab.require(word, OBJECT) for _, word, _ in sg.objects]
     return [(node[s], vocab.require(p, RELATION), node[o]) for s, p, o in sg.relations]
 
 
@@ -183,9 +176,8 @@ def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
         for si, pi, oi in _relation_nodes(sg, vocab):
             src += (si, pi)
             dst += (pi, oi)
-        words = {oid: word for oid, word, _ in sg.objects}
         for oid, attr in sg.attributes:
-            src.append(vocab.require(words[oid], OBJECT))
+            src.append(vocab.require(sg.objects[oid][1], OBJECT))
             dst.append(vocab.require(attr, ATTRIBUTE))
     return _count_edges(vocab, "basic", src, dst)
 

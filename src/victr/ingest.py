@@ -23,7 +23,9 @@ so ``true`` is not an integer; other fields are ignored.
   integer; ``word``, ``super_class``: strings}, ``attributes`` of
   {``object_id``: integer; ``word``: string} and ``relations`` of
   {``subject``, ``object``: integers naming objects; ``predicate``: string}.
-  A scene graph's caption id is its file name.
+  A scene graph's caption id is its file name. An object's ``id`` is its
+  position in ``objects`` (0, 1, 2, ...), and an object word has one
+  ``super_class`` across all the files, as the parse stage writes them.
 - Caption tokens (``TOKEN_FIELDS``), one file ``tokens.json`` written by the
   parse stage for the fuse stage, one compact line: an object whose
   ``captions`` list holds {``id``: string, used once; ``tokens``: a list of
@@ -162,12 +164,6 @@ class BoundingBox:
             and other.x + other.w <= self.x + self.w
             and other.y + other.h <= self.y + self.h
         )
-
-
-@dataclass(frozen=True)
-class InstanceSet:
-    boxes: dict[str, list[tuple[str, BoundingBox]]]  # image id -> [(category name, box)]
-    categories: dict[str, str]  # category name -> super-class
 
 
 def load_conllu(path) -> list[DependencyGraph]:
@@ -343,10 +339,11 @@ def _categories(doc, path) -> tuple[dict[str, str], dict[str, str]]:
     return cat_name, cat_super
 
 
-def load_instances(path) -> InstanceSet:
-    """Boxes per image and each category name's super-class, from an instances file."""
+def load_instances(path) -> dict[str, list[tuple[str, BoundingBox]]]:
+    """Image id -> [(category name, box)], from an instances file; its
+    categories are checked as by ``load_categories``."""
     doc = _json_file(path)
-    cat_name, cat_super = _categories(doc, path)
+    cat_name, _ = _categories(doc, path)
     boxes: dict[str, list] = {}
     annotations = json_records(doc, "annotations", BOX_FIELDS, path)
     for i, (image_id, category_id, bbox) in enumerate(annotations):
@@ -355,7 +352,7 @@ def load_instances(path) -> InstanceSet:
             raise ValueError(f"{path}: annotations[{i}]: unknown category_id {category_id!r}")
         boxes.setdefault(str(image_id), []).append(
             (name, _bbox(bbox, f"{path}: annotations[{i}].bbox")))
-    return InstanceSet(boxes=boxes, categories=cat_super)
+    return boxes
 
 
 def _bbox(value: list, where: str) -> BoundingBox:

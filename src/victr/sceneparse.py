@@ -23,15 +23,16 @@ MANY = "MANY"
 class SceneGraph:
     caption_id: str
     image_id: str
-    objects: tuple[tuple[int, str, str], ...]  # (object_id, word, super_class)
+    objects: tuple[tuple[int, str, str], ...]  # (object_id, word, super_class); objects[id] has id
     attributes: tuple[tuple[int, str], ...]  # (object_id, attribute_word)
     relations: tuple[tuple[int, str, int], ...]  # (subject_id, predicate, object_id)
 
     def __post_init__(self):
-        ids = [oid for oid, _, _ in self.objects]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"caption {self.caption_id}: duplicate object ids")
-        known = set(ids)
+        for i, (oid, _, _) in enumerate(self.objects):
+            if oid != i:
+                raise ValueError(f"caption {self.caption_id}: objects[{i}] has id {oid}; "
+                                 "an object's id must be its position")
+        known = range(len(self.objects))
         for oid, _ in self.attributes:
             if oid not in known:
                 raise ValueError(f"caption {self.caption_id}: attribute on unknown object {oid}")

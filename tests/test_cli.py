@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,70 @@ def test_compose_scene_graph_id_differs_from_file_name_exit_2(toy_cfg, capsys):
     assert main(["compose", "--config", cfg]) == 2
     assert f"{path}: caption_id '101' differs from the file name" in capsys.readouterr().err
     assert not (out / "evs").exists()
+
+
+def _renumber(doc, new_id):
+    """doc with each object id i replaced by new_id[i], its attributes and
+    relations renumbered to match: the same graph under other ids."""
+    for obj in doc["objects"]:
+        obj["id"] = new_id[obj["id"]]
+    for attr in doc["attributes"]:
+        attr["object_id"] = new_id[attr["object_id"]]
+    for rel in doc["relations"]:
+        rel["subject"], rel["object"] = new_id[rel["subject"]], new_id[rel["object"]]
+    return doc
+
+
+@pytest.mark.parametrize("stage", ["build-graphs", "compose", "stats"])
+def test_scene_graph_object_ids_not_positions_exit_2(toy_cfg, capsys, stage):
+    # every stage finds object i at objects[i], so ids [1, 0] are refused
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    path = out / "scene_graphs" / "104.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert len(doc["objects"]) == 2 and doc["relations"]
+    path.write_text(json.dumps(_renumber(doc, {0: 1, 1: 0})), encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--config", cfg]) == 2
+    assert f"{path}: caption 104: objects[0] has id 1;" in capsys.readouterr().err
+
+
+def test_build_graphs_word_with_two_super_classes_exit_2(toy_cfg, capsys):
+    # an object node has one super-class, so the files must agree on each word's
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    first, second = out / "scene_graphs" / "101.json", out / "scene_graphs" / "102.json"
+    doc = json.loads(second.read_text(encoding="utf-8"))
+    man = next(o for o in doc["objects"] if o["word"] == "man")
+    assert man["super_class"] == "person"
+    man["super_class"] = "animal"
+    second.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build-graphs", "--config", cfg]) == 2
+    assert (f"{second}: object word 'man' has super-class 'animal', but {first} gives it "
+            "'person'") in capsys.readouterr().err
+    assert not (out / "graphs").exists()
+
+
+def test_project_svg_escapes_words(toy_cfg):
+    # lemmas are free text: "&" and "<" must not break the SVG's XML
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    for name, word in (("101.json", "at&t"), ("102.json", "<x>")):
+        path = out / "scene_graphs" / name
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for obj in doc["objects"]:
+            if obj["word"] == "man":
+                obj["word"] = word
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["build-graphs", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg, "--graph", "all"]) == 0
+    assert main(["project", "--config", cfg, "--svg"]) == 0
+    root = ET.parse(out / "projection" / "object.svg").getroot()
+    words = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    tsv = (out / "projection" / "object.tsv").read_text(encoding="utf-8")
+    assert words == [line.split("\t")[0] for line in tsv.splitlines()]
+    assert {"at&t", "<x>"} <= set(words)
 
 
 def test_fuse_before_compose_exit_2(toy_cfg, capsys):

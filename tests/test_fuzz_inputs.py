@@ -106,6 +106,12 @@ def _mutate(doc, path, value):
 @example(("instances", ("annotations", 0, "category_id"), True))
 @example(("captions", ("annotations", 0, "caption"), 5))
 @example(("scene_graph", ("objects", 0, "id"), "0"))
+# object ids [1, 0, 2, 3]: 101's two men swapped, the same graph but ids that are not positions
+@example(("scene_graph", ("objects",), [{"id": i, "word": w, "super_class": s} for i, w, s in
+                                        ((1, "man", "other"), (0, "man", "other"),
+                                         (2, "horse", "animal"), (3, "horse", "animal"))]))
+# 101's first "man" given a super-class that its second "man" does not have
+@example(("scene_graph", ("objects", 0, "super_class"), "animal"))
 @example(("tokens", ("captions", 0, "tokens", 0), 5))
 @given(mutation=MUTATIONS)
 def test_mutated_json_input_exits_0_or_2(composed, mutation):

@@ -10,7 +10,6 @@ from victr.geometry import (
     classify_geometric_relation,
     match_objects_to_boxes,
 )
-from victr.ingest import InstanceSet
 from victr.sceneparse import SceneGraph
 
 
@@ -89,10 +88,11 @@ def test_swapping_boxes_inverts_the_relation(s, o):
 
 
 def _inst(entries):
+    """Image id -> [(category name, box)], as ingest.load_instances returns it."""
     boxes = {}
     for image_id, name, bbox in entries:
         boxes.setdefault(str(image_id), []).append((name, box(*bbox)))
-    return InstanceSet(boxes=boxes, categories={})
+    return boxes
 
 
 def _sg(words, image_id="1"):
@@ -148,7 +148,7 @@ def test_match_missing_image_matches_nothing():
 def _reference_match(sg, inst, aliases):
     """The scan that match_objects_to_boxes replaced: each object, in order,
     claims the first of the largest unclaimed boxes of its category."""
-    boxes = inst.boxes.get(sg.image_id, [])
+    boxes = inst.get(sg.image_id, [])
     claimed, matches = set(), []
     for oid, word, _ in sg.objects:
         category = word if any(c == word for c, _ in boxes) else aliases.get(word)

@@ -77,18 +77,12 @@ def test_vocabulary_empty_corpus():
         build_vocabulary([])
 
 
-def test_vocabulary_majority_super_class_with_tie():
-    corpus = [
-        sg(1, ["bat"], supers={"bat": "animal"}),
-        sg(2, ["bat"], supers={"bat": "equipment"}),
-        sg(3, ["bat"], supers={"bat": "equipment"}),
-        sg(4, ["ball"], supers={"ball": "toy"}),
-        sg(5, ["ball"], supers={"ball": "equipment"}),
-    ]
+def test_vocabulary_super_class_per_object_node():
+    supers = {"man": "person", "horse": "animal", "kite": "toy"}
+    corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)], supers=supers),
+              sg(2, ["horse", "kite"], supers=supers)]
     vocab = build_vocabulary(corpus)
-    assert vocab.object_super_class[vocab.require("bat", OBJECT)] == "equipment"
-    # tie between toy and equipment breaks lexicographically
-    assert vocab.object_super_class[vocab.require("ball", OBJECT)] == "equipment"
+    assert {vocab.nodes[i][0]: sup for i, sup in vocab.object_super_class.items()} == supers
 
 
 def test_counts_single_triple():

@@ -8,6 +8,7 @@ from victr.ingest import (
     BoundingBox,
     ConlluError,
     load_captions,
+    load_categories,
     load_conllu,
     load_instances,
     select_richest_caption,
@@ -184,9 +185,8 @@ def test_load_instances_basic(tmp_path):
     doc = _instances_doc([{"image_id": 5, "category_id": 1, "bbox": [10, 20, 30, 40]}])
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    inst = load_instances(p)
-    assert inst.boxes["5"] == [("dog", BoundingBox(10.0, 20.0, 30.0, 40.0))]
-    assert inst.categories["dog"] == "animal"
+    assert load_instances(p)["5"] == [("dog", BoundingBox(10.0, 20.0, 30.0, 40.0))]
+    assert load_categories(p)["dog"] == "animal"
 
 
 def test_load_instances_zero_width(tmp_path):
@@ -206,7 +206,7 @@ def test_load_instances_two_boxes_same_image(tmp_path):
     )
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    names = [name for name, _ in load_instances(p).boxes["5"]]
+    names = [name for name, _ in load_instances(p)["5"]]
     assert names == ["dog", "cat"]
 
 
@@ -219,7 +219,7 @@ def test_load_instances_ids_compare_as_text(tmp_path):
     )
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    assert [name for name, _ in load_instances(p).boxes["5"]] == ["dog", "cat"]
+    assert [name for name, _ in load_instances(p)["5"]] == ["dog", "cat"]
 
 
 def test_load_instances_unknown_category(tmp_path):
