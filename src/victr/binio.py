@@ -11,9 +11,6 @@ in the order listed, each in row order, with no padding.
   attribute), ``super`` (object node id as a decimal string -> super-class).
   payload: nnz records of (src <u4, dst <u4, count <u8, weight <f8),
   strictly ascending in (src, dst).
-``VICTRM1`` GCN model (``gcn``):
-  header: ``n``, ``h`` hidden width, ``mu`` classes, ``seed``.
-  payload <f8: W1 (n, h), b1 (h,), W2 (h, mu), b2 (mu,).
 ``VICTRE1`` embeddings and E_vs matrices (``gcn``):
   header: ``n`` rows, ``h`` width, ``vocab_hash`` (str).
   payload <f4: rows (n, h).
@@ -43,7 +40,6 @@ class FormatError(ValueError):
 
 
 GRAPH_MAGIC = b"VICTRG1"
-MODEL_MAGIC = b"VICTRM1"
 EMBED_MAGIC = b"VICTRE1"
 FUSED_MAGIC = b"VICTRF1"
 

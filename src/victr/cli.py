@@ -208,10 +208,8 @@ def cmd_train(cfg: PipelineConfig, graph_name: str) -> int:
             outside[graph.participants()] = False
             rows[outside] = 0.0
 
-        for sub in ("models", "embeddings", "loss"):
+        for sub in ("embeddings", "loss"):
             os.makedirs(os.path.join(cfg.out_dir, sub), exist_ok=True)
-        gcn.save_model(model, os.path.join(cfg.out_dir, "models", f"{name}.victrm"),
-                       seed=cfg.seed)
         gcn.save_embeddings(
             rows, os.path.join(cfg.out_dir, "embeddings", f"{name}.victre"),
             vocab_hash=graph.vocab.content_hash(),

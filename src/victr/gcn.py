@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import (EMBED_MAGIC, MODEL_MAGIC, header_ints, pack, read_container, unpack,
-                    write_container)
+from .binio import EMBED_MAGIC, header_ints, pack, read_container, unpack, write_container
 from .config import PipelineConfig
 from .errors import InvariantError
 from .graphstore import Vocabulary
@@ -161,18 +160,6 @@ def object_labels(vocab: Vocabulary) -> tuple[dict[int, int], list[str]]:
         node: class_idx[sup] for node, sup in sorted(vocab.object_super_class.items())
     }
     return labels, classes
-
-
-def save_model(model: GcnModel, path, seed: int) -> None:
-    header = {"n": model.n, "h": model.hidden, "mu": model.n_classes, "seed": seed}
-    write_container(path, MODEL_MAGIC, header,
-                    pack((model.w1, model.b1, model.w2, model.b2), "<f8"))
-
-
-def load_model(path) -> tuple[GcnModel, int]:
-    header, payload = read_container(path, MODEL_MAGIC)
-    n, h, mu, seed = header_ints(header, path, "n", "h", "mu", "seed")
-    return GcnModel(*unpack(payload, path, "<f8", (n, h), (h,), (h, mu), (mu,))), seed
 
 
 def save_embeddings(rows: np.ndarray, path, vocab_hash: str) -> None:

@@ -114,15 +114,6 @@ class DependencyGraph:
                     "(heads do not form a tree)"
                 )
 
-    @classmethod
-    def unchecked(cls, caption_id: str, image_id: str, tokens: tuple[Token, ...]):
-        """A graph built without the checks above, for a caller whose own
-        construction guarantees them: contiguous indices, heads in range that
-        form a tree under 0, and no empty deprel."""
-        g = object.__new__(cls)
-        g.__dict__.update(caption_id=caption_id, image_id=image_id, tokens=tokens)
-        return g
-
     @cached_property
     def children(self) -> list[list[Token] | tuple[()]]:
         """Each token's dependents in token order, indexed by token (0 is the
@@ -373,7 +364,13 @@ def _bbox(value: list, where: str) -> BoundingBox:
 
 def tsv_pairs(path, row_format: str):
     """Yield (line_no, key, value) per row of a two-column TSV file, both
-    stripped; blank and ``#`` lines are skipped, other widths raise."""
+    stripped; blank and ``#`` lines are skipped, other widths raise.
+
+    Keys are compared lower-cased, as every loader keys its table. A key
+    given again with the same value is allowed (the line-duplication fuzz
+    property relies on it); with another value it raises, naming both lines.
+    """
+    seen: dict[str, tuple[int, str]] = {}  # lower-cased key -> (first line, value)
     with open(path, encoding="utf-8") as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -382,7 +379,12 @@ def tsv_pairs(path, row_format: str):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected '{row_format}'")
-            yield ln, parts[0].strip(), parts[1].strip()
+            key, value = parts[0].strip(), parts[1].strip()
+            first, was = seen.setdefault(key.lower(), (ln, value))
+            if was != value:
+                raise ValueError(f"{path}:{ln}: {key!r} maps to {value!r}, "
+                                 f"but {path}:{first} maps it to {was!r}")
+            yield ln, key, value
 
 
 def _id_sort_key(cid: str):

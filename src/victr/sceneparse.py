@@ -1,8 +1,15 @@
 """Scene graph extraction from dependency parses.
 
-Stages: quantifier expansion (duplicate counted nouns), then rule-based
-extraction of objects (nouns, each with its super-class), attributes
-(adjectives) and relations (verb/preposition links between two objects).
+Two stages, after Schuster et al. (2015). Quantifier expansion
+(``expand_quantifiers``) counts the nouns that numerals and quantifier
+phrases count and splices those words out of the tree; no token is copied,
+and the function keeps its name because the benchmark's tracer wraps it by
+that name. Rule-based extraction (``extract_scene_graph``) then derives
+objects (nouns, each with its super-class), attributes (adjectives) and
+relations (verb/preposition links between two objects). A noun counted k
+times (at most ``max_duplication``) gives k consecutive objects, its copies;
+its ``amod`` adjectives go on every copy, and every relation rule relates
+every copy of its subject to every copy of its object, subject copies first.
 """
 
 import json
@@ -144,8 +151,26 @@ def _is_plural_noun(tok: Token) -> bool:
     return tok.upos in NOUN_TAGS and tok.surface.lower() != tok.lemma.lower()
 
 
-def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> DependencyGraph:
-    """Duplicate counted nouns, consuming the words that count them. The rules, in order:
+@dataclass(frozen=True)
+class CountedParse:
+    """A parse with its count words spliced out. ``tokens`` are the kept
+    tokens in order, each with its index in the source parse and its
+    effective head and deprel; ``children`` lists each one's kept dependents,
+    indexed like ``DependencyGraph.children``; ``copies`` gives each counted
+    noun's number of objects, min(count, ``max_duplication``)."""
+
+    caption_id: str
+    image_id: str
+    tokens: tuple[Token, ...]
+    children: list[list[Token]]
+    copies: dict[int, int]
+
+
+def expand_quantifiers(g: DependencyGraph,
+                       lex: QuantifierLexicon) -> DependencyGraph | CountedParse:
+    """Count the nouns that quantifier words count, consuming those words.
+
+    The rules, in order:
 
     - Phrase: left to right, a quantifier phrase (longest first, lower-cased)
       counts the first noun after it that no earlier phrase counted; its
@@ -158,13 +183,11 @@ def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> Dependency
       one ("lots of dogs run": ``dogs`` becomes the subject ``lots`` was).
     - Subject -> object: a bare plural object of a verb takes the count of
       the verb's first counted subject.
-    - Adjectives: a counted noun's ``amod`` adjectives precede each copy.
-    - Cap: a counted noun is laid out min(count, ``max_duplication``) times.
-    - First copy: its other dependents attach to its first copy only.
+    - Cap: a counted noun stands for min(count, ``max_duplication``) objects.
 
-    Expanding the output again changes nothing, unless a count word stayed: a
-    phrase whose noun an earlier phrase took, or a numeral that reaches a
-    counted noun only once its own head is spliced out.
+    Returns ``g`` itself when nothing is counted, else a ``CountedParse``.
+    No token is copied: the name stays because the benchmark's tracer wraps
+    this function by it.
     """
     toks = g.tokens
     n = len(toks)
@@ -244,36 +267,9 @@ def expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> Dependency
                     and t.index not in count):
                 count[t.index] = count[subject]
 
-    # adjectives copied with their noun ride along; the rest are laid out once
-    riders: dict[int, list[Token]] = {}
-    laid_out = []
-    for t in kept:
-        if t.upos == "ADJ" and t.head in count and base_deprel(t.deprel) == "amod":
-            riders.setdefault(t.head, []).append(t)
-        else:
-            laid_out.append(t)
-
-    # lay out: first the output position of each token's first copy, since
-    # heads may point forward, then the tokens
-    copies = {i: min(c, lex.max_duplication) for i, c in count.items()}
-    first = [0] * (n + 1)
-    pos = 0
-    for t in laid_out:
-        adjs = riders.get(t.index, ())
-        for k, a in enumerate(adjs, start=pos + 1):
-            first[a.index] = k
-        first[t.index] = pos + len(adjs) + 1
-        pos += (len(adjs) + 1) * copies.get(t.index, 1)
-    out = []
-    for t in laid_out:
-        adjs = riders.get(t.index, ())
-        for _ in range(copies.get(t.index, 1)):
-            noun = len(out) + len(adjs) + 1
-            out += [Token(k, a.surface, a.lemma, a.upos, noun, a.deprel)
-                    for k, a in enumerate(adjs, start=len(out) + 1)]
-            out.append(Token(noun, t.surface, t.lemma, t.upos, first[t.head], t.deprel))
-    # a tree by construction: copies and riders point at first copies of kept tokens
-    return DependencyGraph.unchecked(g.caption_id, g.image_id, tuple(out))
+    return CountedParse(g.caption_id, g.image_id, tuple(kept), eff_kids,
+                        {i: min(c, lex.max_duplication) for i, c in count.items()
+                         if spliced[i]})  # a later phrase may consume a counted noun
 
 
 def _case_marker(tok_children: list[Token]) -> Token | None:
@@ -292,24 +288,30 @@ def _deprel_prep(tok: Token) -> str | None:
     return None
 
 
-def extract_scene_graph(g: DependencyGraph, slex: SuperClassLexicon) -> SceneGraph:
-    """Derive objects, attributes and relations from an expanded parse.
+def extract_scene_graph(g: DependencyGraph | CountedParse,
+                        slex: SuperClassLexicon) -> SceneGraph:
+    """Derive objects, attributes and relations from a parse.
 
-    Objects are nouns, each with its lemma's super-class in ``slex``;
-    attributes are adjectives modifying (or predicated of) an object;
-    relations come from verb frames (subject + object), noun-noun
-    preposition links, and verb + oblique ("sit on") frames.
+    Objects are nouns, each with its lemma's super-class in ``slex``; a noun
+    that a ``CountedParse`` counts k times gives k consecutive objects, its
+    copies (see the module docstring). Attributes are adjectives modifying
+    (or predicated of) an object; relations come from verb frames (subject +
+    object), verb + oblique ("sit on") frames, noun-noun preposition links
+    and predicative nominals.
     """
     toks = g.tokens
     children = g.children
+    copies = g.copies if isinstance(g, CountedParse) else {}
 
-    object_id: dict[int, int] = {}
+    ids: dict[int, range] = {}  # noun -> the ids of its objects
     objects = []
     for t in toks:
         if t.upos in NOUN_TAGS:
             word = t.lemma.lower()
-            object_id[t.index] = len(objects)
-            objects.append((len(objects), word, slex.lookup(word)))
+            sup = slex.lookup(word)
+            first = len(objects)
+            objects += [(k, word, sup) for k in range(first, first + copies.get(t.index, 1))]
+            ids[t.index] = range(first, len(objects))
 
     attributes = []
     attr_seen = set()
@@ -319,60 +321,62 @@ def extract_scene_graph(g: DependencyGraph, slex: SuperClassLexicon) -> SceneGra
             attr_seen.add((oid, word))
             attributes.append((oid, word))
 
-    relations = []
-    rel_seen = set()
-
-    def add_rel(s_idx: int, pred: str, o_idx: int):
-        s, o = object_id[s_idx], object_id[o_idx]
-        if s == o or (s, pred, o) in rel_seen:
-            return
-        rel_seen.add((s, pred, o))
-        relations.append((s, pred, o))
-
     for t in toks:
         if t.upos == "ADJ":
-            if base_deprel(t.deprel) == "amod" and t.head in object_id:
-                add_attr(object_id[t.head], t.lemma.lower())
+            word = t.lemma.lower()
+            if base_deprel(t.deprel) == "amod" and t.head in ids:
+                if t.head not in copies:  # a counted noun's go on each copy, below
+                    add_attr(ids[t.head][0], word)
             else:
                 # copular predication: "the dog is brown"
                 for c in children[t.index]:
-                    if base_deprel(c.deprel) in SUBJECT_RELS and c.index in object_id:
-                        add_attr(object_id[c.index], t.lemma.lower())
+                    if base_deprel(c.deprel) in SUBJECT_RELS and c.index in ids:
+                        for oid in ids[c.index]:
+                            add_attr(oid, word)
+        elif t.index in copies:
+            adjectives = [a.lemma.lower() for a in children[t.index]
+                          if a.upos == "ADJ" and base_deprel(a.deprel) == "amod"]
+            for oid in ids[t.index]:
+                for word in adjectives:
+                    add_attr(oid, word)
+
+    relations = []
+
+    def relate(s: int, pred: str, o: int):
+        relations.extend((si, pred, oi) for si in ids[s] for oi in ids[o])
 
     for v in toks:
         if v.upos != "VERB":
             continue
-        kids = [(base_deprel(c.deprel), c) for c in children[v.index] if c.index in object_id]
-        subjects = [c for rel, c in kids if rel in SUBJECT_RELS]
-        direct = [c for rel, c in kids if rel in OBJECT_RELS]
-        obliques = [c for rel, c in kids if rel in OBLIQUE_RELS]
-        for s in subjects:
-            for o in direct:
-                add_rel(s.index, v.lemma.lower(), o.index)
-            for o in obliques:
+        kids = [(base_deprel(c.deprel), c) for c in children[v.index] if c.index in ids]
+        verb = v.lemma.lower()
+        targets = [(verb, oi) for rel, o in kids if rel in OBJECT_RELS for oi in ids[o.index]]
+        for rel, o in kids:
+            if rel in OBLIQUE_RELS:
                 case = _case_marker(children[o.index])
                 prep = case.lemma.lower() if case else _deprel_prep(o)
                 if prep:
-                    add_rel(s.index, f"{v.lemma.lower()} {prep}", o.index)
+                    targets += [(f"{verb} {prep}", oi) for oi in ids[o.index]]
+        # each subject copy takes every target in turn: the relation order
+        # the scene-graph files have always had
+        relations += [(si, pred, oi) for rel, s in kids if rel in SUBJECT_RELS
+                      for si in ids[s.index] for pred, oi in targets]
 
     for o in toks:
-        if o.index not in object_id:
+        if o.index not in ids:
             continue
         case = _case_marker(children[o.index])
         prep = case.lemma.lower() if case else None
-        if base_deprel(o.deprel) == "nmod" and o.head in object_id:
+        if base_deprel(o.deprel) == "nmod" and o.head in ids:
             prep = prep or _deprel_prep(o)
             if prep:
-                add_rel(o.head, prep, o.index)
+                relate(o.head, prep, o.index)
         elif prep is not None:
             # predicative nominal: "the man is on the skateboard"
-            subj = next(
-                (c for c in children[o.index]
-                 if base_deprel(c.deprel) in SUBJECT_RELS and c.index in object_id),
-                None,
-            )
+            subj = next((c for c in children[o.index]
+                         if base_deprel(c.deprel) in SUBJECT_RELS and c.index in ids), None)
             if subj is not None:
-                add_rel(subj.index, prep, o.index)
+                relate(subj.index, prep, o.index)
 
     return SceneGraph(
         caption_id=g.caption_id,

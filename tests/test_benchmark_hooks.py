@@ -64,5 +64,7 @@ def test_traced_toy_run(tracing, monkeypatch, tmp_path):
         assert code == 0, stage
     metrics = {name: value for name, (value, _) in tracer.round_metrics({}).items()}
     assert metrics["sceneparse.objects"] == 60
+    assert metrics["sceneparse.relations"] == 42
+    assert metrics["sceneparse.attributes"] == 8
     assert metrics["embedding.rows"] > 0
     assert 0 < metrics["geometry.matched_ratio"] <= 1

@@ -12,13 +12,12 @@ from victr.binio import (
     EMBED_MAGIC,
     FUSED_MAGIC,
     GRAPH_MAGIC,
-    MODEL_MAGIC,
     FormatError,
     read_container,
     write_container,
 )
 from victr.fusion import fuse, load_fused, load_text_features, save_fused, save_text_features
-from victr.gcn import init_model, load_embeddings, load_model, save_embeddings, save_model
+from victr.gcn import load_embeddings, save_embeddings
 from victr.graphstore import (
     EDGE_DTYPE,
     accumulate_counts,
@@ -82,10 +81,6 @@ def _write_embeddings(path):
     save_embeddings(np.arange(6.0).reshape(3, 2), path, vocab_hash="cafe")
 
 
-def _write_model(path):
-    save_model(init_model(3, 2, 2, seed=1), path, seed=7)
-
-
 def _write_text_features(path):
     save_text_features(np.ones((3, 4)), np.ones(4), path)
 
@@ -104,7 +99,6 @@ def _write_graph(path):
 # reader name -> (writer, reader, magic, header fields it reads, payload item bytes)
 READERS = {
     "embeddings": (_write_embeddings, load_embeddings, EMBED_MAGIC, ("n", "h"), 4),
-    "model": (_write_model, load_model, MODEL_MAGIC, ("n", "h", "mu", "seed"), 8),
     "text_features": (_write_text_features, lambda p: load_text_features(p, expect_dim=4),
                       EMBED_MAGIC, ("l", "d"), 4),
     "fused": (_write_fused, load_fused, FUSED_MAGIC, ("l", "d", "v", "n_obj"), 4),

@@ -20,7 +20,7 @@ from victr.fusion import (
     load_fused,
     save_text_features,
 )
-from victr.gcn import load_embeddings, load_model, save_embeddings
+from victr.gcn import load_embeddings, save_embeddings
 from victr.graphstore import (
     EDGE_DTYPE,
     RelationalGraph,
@@ -156,8 +156,7 @@ def test_train_basic_and_positional_widths(toy_cfg):
     assert main(["train", "--config", cfg, "--graph", "left_of"]) == 0
     rows, _ = load_embeddings(out / "embeddings" / "left_of.victre")
     assert rows.shape[1] == 50
-    model, seed = load_model(out / "models" / "basic.victrm")
-    assert seed == 7 and model.hidden == 200
+    assert not (out / "models").exists()  # the trained weights are not written
     with open(out / "loss" / "basic.csv", encoding="utf-8") as f:
         rows = f.read().strip().splitlines()
     assert rows[0] == "epoch,loss" and len(rows) == 201
@@ -181,10 +180,11 @@ def test_train_seed_repetition_identical_bytes(toy_cfg):
     cfg, out = toy_cfg
     main(["parse", "--config", cfg])
     main(["build-graphs", "--config", cfg])
+    outputs = (out / "embeddings" / "basic.victre", out / "loss" / "basic.csv")
     main(["train", "--config", cfg, "--graph", "basic"])
-    first = (out / "models" / "basic.victrm").read_bytes()
+    first = [path.read_bytes() for path in outputs]
     main(["train", "--config", cfg, "--graph", "basic"])
-    assert (out / "models" / "basic.victrm").read_bytes() == first
+    assert [path.read_bytes() for path in outputs] == first
 
 
 def test_train_missing_graph_exit_2(toy_cfg, capsys):
@@ -576,7 +576,8 @@ def test_malformed_artifact_header_exit_2_without_traceback(fuse_cfg, stage, nam
     _rewrite_header(path, magic, edit)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-m", "victr.cli", stage, "--config", cfg],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and f"{path}: header" in proc.stderr
@@ -767,7 +768,7 @@ def test_parse_head_cycle_exit_2(tmp_path, toy_paths):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "victr.cli", "parse", "--config", cfg],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8", env=env, timeout=60)
     assert proc.returncode == 2
     assert re.search(r"cycle\.conllu:\d+: .*head cycle", proc.stderr)
 

@@ -17,10 +17,8 @@ from victr.gcn import (
     forward,
     init_model,
     load_embeddings,
-    load_model,
     object_labels,
     save_embeddings,
-    save_model,
     train,
 )
 from victr.geometry import GEOMETRIC_RELATIONS
@@ -313,17 +311,6 @@ def test_forward_permutation_equivariance():
     h1_p, logits_p = forward(permuted_model, p @ a_hat @ p.T)
     assert np.allclose(h1_p, h1[perm], atol=1e-12)
     assert np.allclose(logits_p, logits[perm], atol=1e-12)
-
-
-def test_model_file_round_trip(tmp_path):
-    _, model, _ = _random_setup(11)
-    path = tmp_path / "m.victrm"
-    save_model(model, path, seed=7)
-    loaded, seed = load_model(path)
-    assert seed == 7
-    for a, b in ((model.w1, loaded.w1), (model.b1, loaded.b1),
-                 (model.w2, loaded.w2), (model.b2, loaded.b2)):
-        assert np.array_equal(a, b)
 
 
 def test_embedding_file_round_trip(tmp_path):

@@ -8,6 +8,7 @@ from victr.geometry import (
     GEOMETRIC_RELATIONS,
     BoundingBox,
     classify_geometric_relation,
+    load_alias_table,
     match_objects_to_boxes,
 )
 from victr.sceneparse import SceneGraph
@@ -119,6 +120,14 @@ def test_match_alias():
     inst = _inst([(1, "dog", (0, 0, 5, 5))])
     matches = match_objects_to_boxes(_sg(["puppy"]), inst, {"puppy": "dog"})
     assert [oid for oid, _ in matches] == [0]
+
+
+def test_alias_table_rejects_a_lemma_given_two_categories(tmp_path):
+    # an identical repeat is allowed; case does not make another lemma
+    path = tmp_path / "aliases.tsv"
+    path.write_text("puppy\tdog\npuppy\tdog\nPuppy\tcat\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: .*{path}:1 "):
+        load_alias_table(path)
 
 
 def test_match_prefers_largest_area():

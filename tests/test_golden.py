@@ -17,9 +17,9 @@ from victr.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-DIGEST = "a89ae3e9841f5a4e9734174ac0194d04d7ead219d6a8d5e22fec1393f2c2e8c2"
+DIGEST = "afc48d5da71a5335f3e12ed020a5b4405012f0756768e71b123c6668c11eba7f"
 STDOUT = {
-    "parse": "parsed 20 captions: 60 objects, 33 relations, 8 attributes\n",
+    "parse": "parsed 20 captions: 60 objects, 42 relations, 8 attributes\n",
     "build-graphs": (
         "basic: 41 nodes, 38 edges, weight sums ok\n"
         "left_of: 41 nodes, 8 edges, weight sums ok\n"
@@ -30,7 +30,7 @@ STDOUT = {
         "surrounding: 41 nodes, 2 edges, weight sums ok\n"
     ),
     "stats": (
-        "scene graphs: 20 captions, 60 objects (25 distinct), 33 relations, 8 attributes\n"
+        "scene graphs: 20 captions, 60 objects (25 distinct), 42 relations, 8 attributes\n"
         "basic graph: 41 nodes, 38 edges, weight sums ok\n"
         "left_of graph: 41 nodes, 8 edges, weight sums ok\n"
         "right_of graph: 41 nodes, 2 edges, weight sums ok\n"

@@ -1,25 +1,26 @@
 import json
 
 import pytest
+from copy_layout_reference import copy_layout_expand_quantifiers, copy_layout_extract_scene_graph
 from helpers import default_quantifiers
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from victr.ingest import DependencyGraph, Token, base_deprel
 from victr.sceneparse import (
     NOUN_TAGS,
-    OBJECT_RELS,
     SUBJECT_RELS,
+    CountedParse,
     QuantifierLexicon,
     SceneGraph,
     SuperClassLexicon,
     expand_quantifiers,
     extract_scene_graph,
     load_quantifier_lexicon,
+    load_superclass_lexicon,
     scene_graph_from_json,
     scene_graph_to_json,
 )
-from victr.sceneparse import _is_plural_noun
 
 NO_SUPERS = SuperClassLexicon({})  # every object's super-class is "other"
 
@@ -101,14 +102,10 @@ def test_digit_nummod():
         ]
     )
     out = expand_quantifiers(g, default_quantifiers())
-    assert [t.lemma for t in out.tokens] == ["dog", "dog", "dog", "bark"]
-
-
-@pytest.mark.parametrize("cid", ["101", "102", "105", "106", "107", "112", "115", "119"])
-def test_expand_idempotent(toy_dep_by_caption, qlex, cid):
-    once = expand_quantifiers(toy_dep_by_caption[cid], qlex)
-    twice = expand_quantifiers(once, qlex)
-    assert twice == once
+    assert [t.lemma for t in out.tokens] == ["dog", "bark"] and out.copies == {2: 3}
+    assert extract_scene_graph(out, NO_SUPERS).objects == ((0, "dog", "other"),
+                                                          (1, "dog", "other"),
+                                                          (2, "dog", "other"))
 
 
 def test_expanded_object_count_arithmetic(toy_dep_by_caption):
@@ -230,6 +227,19 @@ def test_quantifier_lexicon_tsv_round_trip(tmp_path, toy_paths):
     assert lex.phrase_map["a lot of"] == "MANY"
 
 
+@pytest.mark.parametrize("load, rows", [
+    (lambda p: load_quantifier_lexicon(p, many_value=3, max_duplication=10),
+     ["two\t2", "two\t2", "Two\t3"]),
+    (load_superclass_lexicon, ["dog\tanimal", "dog\tanimal", "Dog\tpet"]),
+], ids=["quantifier", "superclass"])
+def test_lexicon_rejects_a_key_given_two_values(tmp_path, load, rows):
+    # an identical repeat is allowed; case does not make another key
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: .*{path}:1 "):
+        load(path)
+
+
 def test_scene_graph_json_round_trip(toy_dep_by_caption, qlex, slex):
     sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex), slex)
     assert scene_graph_from_json(scene_graph_to_json(sg)) == sg
@@ -306,8 +316,8 @@ def test_digit_numeral_below_one_is_ignored(numeral):
 
 
 def test_numeral_replaces_phrase_count():
-    # "a group of five dogs run": five dogs, not MANY = 3, and nothing is
-    # left for a second expansion to count again
+    # "a group of five dogs run": five dogs, not MANY = 3; the phrase and the
+    # numeral are spliced out and "dogs" takes over the subject "group" was
     g = _dep(
         [
             ("a", "a", "DET", 2, "det"),
@@ -320,10 +330,10 @@ def test_numeral_replaces_phrase_count():
     )
     lex = default_quantifiers()
     out = expand_quantifiers(g, lex)
-    assert [(t.lemma, t.head, t.deprel) for t in out.tokens] == [("dog", 6, "nsubj")] * 5 + [
-        ("run", 0, "root")
-    ]
-    assert expand_quantifiers(out, lex) == out
+    assert [(t.index, t.lemma, t.head, t.deprel) for t in out.tokens] == [
+        (5, "dog", 6, "nsubj"), (6, "run", 0, "root")]
+    assert out.copies == {5: 5}
+    assert [w for _, w, _ in extract_scene_graph(out, NO_SUPERS).objects] == ["dog"] * 5
 
 
 @pytest.mark.parametrize("numerals, phrases", [({"zero": 0}, {}), ({}, {"no more": 0})])
@@ -377,60 +387,6 @@ def _token_trees(draw):
     ))
 
 
-def _phrase_targets(g, lex):
-    """The nouns that quantifier phrases count: the phrase pass, written plainly."""
-    words = [t.surface.lower() for t in g.tokens]
-    phrases = sorted((key.split(" ") for key in lex.phrase_map), key=lambda p: -len(p))
-    targets, i = set(), 0
-    while i < len(words):
-        for phrase in phrases:
-            end = i + len(phrase)
-            target = next((t.index for t in g.tokens[end:]
-                           if t.upos in NOUN_TAGS and t.index not in targets), None)
-            if words[i:end] == phrase and target is not None:
-                targets.add(target)
-                i = end
-                break
-        else:
-            i += 1
-    return targets
-
-
-def _changed_by_count_fixes(g, lex):
-    """True for the inputs where the two count fixes part from the reference:
-    a digit nummod of a noun that is not a decimal >= 1, or any numeral on a
-    noun that a phrase counts."""
-    nouns = {t.index for t in g.tokens if t.upos in NOUN_TAGS}
-    targets = _phrase_targets(g, lex)
-    for c in g.tokens:
-        rel = base_deprel(c.deprel)
-        if rel == "nummod" and c.head in nouns and c.surface.isdigit() and not (
-                c.surface.isdecimal() and int(c.surface) >= 1):
-            return True
-        numeral = (c.lemma.lower() in lex.numeral_map or c.surface.lower() in lex.numeral_map
-                   or rel == "nummod" and c.surface.isdigit())
-        if rel in ("nummod", "det") and numeral and c.head in targets:
-            return True
-    return False
-
-
-def _check_valid(out):
-    # both constructors validate: a tree of contiguous tokens, then object ids,
-    # attribute and relation references
-    DependencyGraph(out.caption_id, out.image_id, out.tokens)
-    extract_scene_graph(out, NO_SUPERS)
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_token_trees(), st.sampled_from([1, 2, 10]))
-def test_expansion_matches_reference_on_random_trees(g, cap):
-    lex = default_quantifiers(max_duplication=cap)
-    assume(not _changed_by_count_fixes(g, lex))
-    out = expand_quantifiers(g, lex)
-    assert out == reference_expand_quantifiers(g, lex)
-    _check_valid(out)
-
-
 @st.composite
 def _noun_phrase_trees(draw):
     """Noun phrases (at most one quantifier phrase or numeral, adjectives, a
@@ -479,164 +435,79 @@ def _noun_phrase_trees(draw):
     ))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_noun_phrase_trees())
-def test_expansion_idempotent_on_noun_phrase_trees(g):
-    lex = default_quantifiers()
-    once = expand_quantifiers(g, lex)
-    assert expand_quantifiers(once, lex) == once
-    _check_valid(once)
 
 
-# The quadratic implementation that the linear one replaced, kept verbatim
-# (only renamed) as the reference its outputs are compared against.
-def reference_expand_quantifiers(g: DependencyGraph, lex: QuantifierLexicon) -> DependencyGraph:
-    """Duplicate counted noun nodes (with their adjective dependents).
+def _copies(out) -> dict[int, int]:
+    return out.copies if isinstance(out, CountedParse) else {}
 
-    Quantifier words and phrases are consumed, so the operation is
-    idempotent. A bare plural direct object inherits its subject's count.
-    """
-    toks = list(g.tokens)
-    n = len(toks)
-    by_index = {t.index: t for t in toks}
-    pending: dict[int, int] = {}  # noun token index -> raw count
-    consumed: set[int] = set()
 
-    # phrase pass: longest surface match wins at each position
-    lowered = [t.surface.lower() for t in toks]
-    phrase_words = sorted(
-        ((k.split(" "), v) for k, v in lex.phrase_map.items()),
-        key=lambda kv: -len(kv[0]),
-    )
-    i = 0
-    while i < n:
-        matched = False
-        for words, value in phrase_words:
-            k = len(words)
-            if i + k > n or lowered[i : i + k] != words:
-                continue
-            span = {toks[j].index for j in range(i, i + k)}
-            if span & consumed:
-                continue
-            target = next(
-                (t for t in toks[i + k :] if t.upos in NOUN_TAGS
-                 and t.index not in consumed and t.index not in pending),
-                None,
-            )
-            if target is None:
-                continue
-            pending[target.index] = lex.resolve(value)
-            consumed |= span
-            i += k
-            matched = True
-            break
-        if not matched:
-            i += 1
-
-    # numeral pass: nummod/det children drawn from the numeral map
-    for t in toks:
-        if t.upos not in NOUN_TAGS or t.index in pending or t.index in consumed:
+def _layout_agrees(out) -> bool:
+    """True where writing counted nouns out as token copies gave the same scene
+    graph: every noun counted more than once has no dependents but ``amod``
+    adjectives and is not the subject of a noun. The copy layout attached
+    those dependents, and a noun's subject, to the first copy only."""
+    nouns = {t.index for t in out.tokens if t.upos in NOUN_TAGS}
+    for t in out.tokens:
+        if _copies(out).get(t.index, 1) == 1:
             continue
-        for c in toks:
-            if c.head != t.index or c.index in consumed:
-                continue
-            rel = base_deprel(c.deprel)
-            if rel not in ("nummod", "det"):
-                continue
-            value = lex.numeral_map.get(c.lemma.lower())
-            if value is None:
-                value = lex.numeral_map.get(c.surface.lower())
-            if value is None and rel == "nummod" and c.surface.isdigit():
-                value = int(c.surface)
-            if value is None:
-                continue  # unknown quantifier words are ignored
-            pending[t.index] = value
-            consumed.add(c.index)
-            break
+        if any(c.upos != "ADJ" or base_deprel(c.deprel) != "amod" for c in out.children[t.index]):
+            return False
+        if base_deprel(t.deprel) in SUBJECT_RELS and t.head in nouns:
+            return False
+    return True
 
-    # effective structure once consumed tokens are spliced out
-    eff_head: dict[int, int] = {}
-    eff_rel: dict[int, str] = {}
-    for t in toks:
-        if t.index in consumed:
-            continue
-        head, rel = t.head, t.deprel
-        while head != 0 and head in consumed:
-            anc = by_index[head]
-            if t.index in pending:
-                rel = anc.deprel  # the counted noun takes over its governor's role
-            head = anc.head
-        eff_head[t.index] = head
-        eff_rel[t.index] = rel
 
-    # a plural direct object inherits the count of its verb's counted subject
-    for v in toks:
-        if v.upos != "VERB" or v.index in consumed:
-            continue
-        subj_count = None
-        for t in toks:
-            if (t.index in eff_head and eff_head[t.index] == v.index
-                    and eff_rel[t.index].split(":", 1)[0] in SUBJECT_RELS
-                    and t.index in pending):
-                subj_count = pending[t.index]
-                break
-        if subj_count is None:
-            continue
-        for t in toks:
-            if (t.index in eff_head and eff_head[t.index] == v.index
-                    and eff_rel[t.index].split(":", 1)[0] in OBJECT_RELS
-                    and _is_plural_noun(t) and t.index not in pending):
-                pending[t.index] = subj_count
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_token_trees(), _noun_phrase_trees()), st.sampled_from([1, 2, 10]))
+def test_counted_nouns_relate_every_copy(g, cap):
+    lex = default_quantifiers(max_duplication=cap)
+    out = expand_quantifiers(g, lex)
+    sg = extract_scene_graph(out, NO_SUPERS)
+    layout = copy_layout_extract_scene_graph(copy_layout_expand_quantifiers(g, lex), NO_SUPERS)
+    assert sg.objects == layout.objects
+    if _layout_agrees(out):
+        assert sg == layout
+        return
+    # elsewhere: the copy layout with one copy per noun, whose every object
+    # then stands for all the copies of its noun
+    single = copy_layout_extract_scene_graph(
+        copy_layout_expand_quantifiers(g, default_quantifiers(max_duplication=1)), NO_SUPERS)
+    spans, first = [], 0
+    for t in out.tokens:
+        if t.upos in NOUN_TAGS:
+            spans.append(range(first, first + _copies(out).get(t.index, 1)))
+            first = spans[-1].stop
+    assert len(spans) == len(single.objects)
+    assert set(sg.relations) == {(si, p, oi) for s, p, o in single.relations
+                                 for si in spans[s] for oi in spans[o]}
+    assert set(sg.attributes) == {(oi, w) for o, w in single.attributes for oi in spans[o]}
 
-    # adjective dependents ride along with each copy of their noun
-    deferred: dict[int, list[Token]] = {idx: [] for idx in pending}
-    deferred_ids: set[int] = set()
-    for t in toks:
-        if t.index in consumed or t.upos != "ADJ":
-            continue
-        head = eff_head.get(t.index, 0)
-        if head in pending and eff_rel[t.index].split(":", 1)[0] == "amod":
-            deferred[head].append(t)
-            deferred_ids.add(t.index)
 
-    # emit: (surface, lemma, upos, deprel, head_ref); head_ref is an original
-    # token index, 0 for root, or ("new", i) pointing at an emitted position
-    emitted: list[tuple] = []
-    first_pos: dict[int, int] = {}
+def _caption(rows):
+    """A parse from (surface, lemma, upos, head, deprel) rows; numbers are NUM."""
+    return _dep([(s, l, "NUM" if s == "two" else u, h, d) for s, l, u, h, d in rows])
 
-    def emit(tok: Token, rel: str, head_ref):
-        emitted.append((tok.surface, tok.lemma, tok.upos, rel, head_ref))
-        if tok.index not in first_pos:
-            first_pos[tok.index] = len(emitted) - 1
 
-    for t in toks:
-        if t.index in consumed or t.index in deferred_ids:
-            continue
-        if t.index in pending:
-            copies = min(pending[t.index], lex.max_duplication)
-            for _ in range(copies):
-                for adj in deferred[t.index]:
-                    emit(adj, eff_rel[adj.index], ("new", None))  # fixed up below
-                noun_pos = len(emitted)
-                emit(t, eff_rel[t.index], eff_head[t.index])
-                for back in range(len(deferred[t.index])):
-                    pos = noun_pos - 1 - back
-                    surface, lemma, upos, rel, _ = emitted[pos]
-                    emitted[pos] = (surface, lemma, upos, rel, ("new", noun_pos))
-        else:
-            emit(t, eff_rel[t.index], eff_head[t.index])
-
-    tokens = []
-    for pos, (surface, lemma, upos, rel, head_ref) in enumerate(emitted):
-        if isinstance(head_ref, tuple):
-            head = head_ref[1] + 1
-        elif head_ref == 0:
-            head = 0
-        else:
-            head = first_pos[head_ref] + 1
-        tokens.append(
-            Token(index=pos + 1, surface=surface, lemma=lemma, upos=upos,
-                  head=head, deprel=rel)
-        )
-    return DependencyGraph(caption_id=g.caption_id, image_id=g.image_id,
-                           tokens=tuple(tokens))
+# the four constructions where a counted noun's case marker or subject
+# reached only its first copy: each relation now holds for every copy
+@pytest.mark.parametrize("rows, relations", [
+    pytest.param([("two", "two", "", 2, "nummod"), ("dogs", "dog", "NOUN", 0, "root"),
+                  ("on", "on", "ADP", 5, "case"), ("the", "the", "DET", 5, "det"),
+                  ("grass", "grass", "NOUN", 2, "nmod")],
+                 ((0, "on", 2), (1, "on", 2)), id="two dogs on the grass"),
+    pytest.param([("a", "a", "DET", 2, "det"), ("dog", "dog", "NOUN", 3, "nsubj"),
+                  ("sits", "sit", "VERB", 0, "root"), ("on", "on", "ADP", 6, "case"),
+                  ("two", "two", "", 6, "nummod"), ("rocks", "rock", "NOUN", 3, "obl")],
+                 ((0, "sit on", 1), (0, "sit on", 2)), id="a dog sits on two rocks"),
+    pytest.param([("two", "two", "", 2, "nummod"), ("men", "man", "NOUN", 6, "nsubj"),
+                  ("are", "be", "AUX", 6, "cop"), ("on", "on", "ADP", 6, "case"),
+                  ("the", "the", "DET", 6, "det"), ("skateboard", "skateboard", "NOUN", 0, "root")],
+                 ((0, "on", 2), (1, "on", 2)), id="two men are on the skateboard"),
+    pytest.param([("a", "a", "DET", 2, "det"), ("man", "man", "NOUN", 0, "root"),
+                  ("on", "on", "ADP", 5, "case"), ("two", "two", "", 5, "nummod"),
+                  ("horses", "horse", "NOUN", 2, "nmod")],
+                 ((0, "on", 1), (0, "on", 2)), id="a man on two horses"),
+])
+def test_counted_noun_relates_every_copy(rows, relations):
+    sg = extract_scene_graph(expand_quantifiers(_caption(rows), default_quantifiers()), NO_SUPERS)
+    assert sg.relations == relations
