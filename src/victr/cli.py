@@ -1,6 +1,8 @@
-"""Command-line pipeline: parse -> build-graphs -> train -> compose -> fuse -> project.
+"""Command-line pipeline: parse -> build-graphs -> train -> compose -> fuse -> project,
+and stats, which reports on the first two stages' files.
 
-Each command reads the previous stage's files from the output directory,
+Settings come from the config file (``--config``); only ``--out-dir`` overrides
+one. Each command reads the previous stage's files from the output directory,
 so stages can be rerun and tested in isolation. Exit codes: 0 success,
 2 input error, 3 internal invariant breach.
 """
@@ -32,6 +34,7 @@ _PALETTE = (
 
 
 def _require_file(path, what: str, hint: str = ""):
+    """path, which must exist; what names it, with its config key if it has one."""
     if path is None:
         raise ValueError(f"no {what} configured{'; ' + hint if hint else ''}")
     if not os.path.exists(path):
@@ -104,8 +107,8 @@ def _quantifier_lexicon(cfg) -> sp.QuantifierLexicon:
 
 def _superclass_lexicon(cfg) -> sp.SuperClassLexicon:
     if cfg.superclass_lexicon:
-        _require_file(cfg.superclass_lexicon, "super-class lexicon")
-        return sp.load_superclass_lexicon(cfg.superclass_lexicon)
+        return sp.load_superclass_lexicon(
+            _require_file(cfg.superclass_lexicon, "super-class lexicon"))
     if cfg.instances:
         return sp.SuperClassLexicon(
             ingest.load_categories(_require_file(cfg.instances, "instances file")))
@@ -113,8 +116,8 @@ def _superclass_lexicon(cfg) -> sp.SuperClassLexicon:
 
 
 def cmd_parse(cfg: PipelineConfig) -> int:
-    _require_file(cfg.conllu, "CoNLL-U file")
-    _require_file(cfg.captions, "captions file")
+    _require_file(cfg.conllu, "CoNLL-U file (config key conllu)")
+    _require_file(cfg.captions, "captions file (config key captions)")
     dep_graphs = ingest.load_conllu(cfg.conllu)
     image_of = ingest.load_captions(cfg.captions)
     for g in dep_graphs:
@@ -161,10 +164,11 @@ def cmd_parse(cfg: PipelineConfig) -> int:
 
 def cmd_build_graphs(cfg: PipelineConfig) -> int:
     corpus = _load_scene_graphs(cfg)
-    _require_file(cfg.instances, "instances file",
+    _require_file(cfg.instances, "instances file (config key instances)",
                   hint="positional graphs need bounding boxes")
     boxes_of = ingest.load_instances(cfg.instances)
-    aliases = geo.load_alias_table(cfg.alias_table) if cfg.alias_table else {}
+    aliases = (geo.load_alias_table(_require_file(cfg.alias_table, "alias table"))
+               if cfg.alias_table else {})
 
     vocab = gs.build_vocabulary(corpus)
     basic = gs.compute_weights(gs.accumulate_counts(corpus, vocab))
@@ -187,18 +191,30 @@ def cmd_build_graphs(cfg: PipelineConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: PipelineConfig, graph_name: str) -> int:
-    names = GRAPH_NAMES if graph_name == "all" else (graph_name,)
-    for name in names:
-        path = _require_file(
-            os.path.join(cfg.out_dir, "graphs", f"{name}.victrg"),
-            f"{name} graph file", hint="run the build-graphs stage first",
-        )
-        graph = gs.deserialize_graph(path)
+def _load_graph(cfg, name: str) -> tuple[str, gs.RelationalGraph]:
+    """The path of graphs/<name>.victrg and its graph, whose header must give
+    the kind its file name says."""
+    path = _require_file(os.path.join(cfg.out_dir, "graphs", f"{name}.victrg"),
+                         f"{name} graph file", hint="run the build-graphs stage first")
+    graph = gs.deserialize_graph(path)
+    if graph.kind != name:  # later stages take a graph's kind from its file name
+        raise ValueError(f"{path}: header kind {graph.kind!r} differs from the file name")
+    return path, graph
+
+
+def _width(cfg, name: str) -> int:
+    """The configured embedding width of graph name."""
+    return cfg.basic_width if name == "basic" else cfg.positional_width
+
+
+def cmd_train(cfg: PipelineConfig) -> int:
+    """Train a GCN on each of the seven graphs, basic first."""
+    for name in GRAPH_NAMES:
+        path, graph = _load_graph(cfg, name)
         labels, classes = gcn.object_labels(graph.vocab)
         if not labels:
-            raise ValueError(f"{name} graph has no labeled object nodes")
-        hidden = cfg.basic_width if name == "basic" else cfg.positional_width
+            raise ValueError(f"{path}: no labeled object nodes")
+        hidden = _width(cfg, name)
         a_hat = gs.normalized_adjacency(graph)
         model = gcn.init_model(len(graph.vocab), hidden, len(classes), cfg.seed)
         model, history = gcn.train(model, a_hat, labels, cfg)
@@ -229,23 +245,20 @@ def cmd_train(cfg: PipelineConfig, graph_name: str) -> int:
 
 
 def _load_tables(cfg):
-    graph_dir = os.path.join(cfg.out_dir, "graphs")
-    basic_graph = gs.deserialize_graph(
-        _require_file(os.path.join(graph_dir, "basic.victrg"), "basic graph file",
-                      hint="run the build-graphs stage first")
-    )
-    vocab = basic_graph.vocab
-    want_hash = vocab.content_hash()
-    emb_dir = os.path.join(cfg.out_dir, "embeddings")
+    """The basic graph's vocabulary and the seven embedding tables composed over
+    it; each table must have a row per node at its graph's configured width."""
+    basic_path, basic = _load_graph(cfg, "basic")
+    vocab, want_hash = basic.vocab, basic.vocab.content_hash()
     rows = {}
     for name in GRAPH_NAMES:
-        rows[name], got_hash = gcn.load_embeddings(
-            _require_file(os.path.join(emb_dir, f"{name}.victre"),
-                          f"{name} embeddings",
-                          hint=f"run the train stage with --graph {name} (or all)")
-        )
+        path = _require_file(os.path.join(cfg.out_dir, "embeddings", f"{name}.victre"),
+                             f"{name} embeddings", hint="run the train stage first")
+        rows[name], got_hash = gcn.load_embeddings(path)
+        if rows[name].shape != (len(vocab), _width(cfg, name)):
+            raise ValueError(f"{path}: {rows[name].shape[0]} rows of width {rows[name].shape[1]}, "
+                             f"expected {len(vocab)} of width {_width(cfg, name)}")
         if got_hash != want_hash:
-            raise ValueError(f"{name} embeddings were trained on a different vocabulary")
+            raise ValueError(f"{path}: trained on a vocabulary other than {basic_path}'s")
     return vocab, emb.compose_tables(vocab, rows.pop("basic"), rows)
 
 
@@ -306,7 +319,8 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     A caption's token surfaces come from the parse stage's tokens.json, so no
     corpus input is read again. With features_dir, the caption's text features
     come from features_dir/<caption id>.victre, one word row per token;
-    otherwise they are built in, one row per distinct token.
+    otherwise they are built in, one row per distinct token. Each E_vs file
+    must have the scene width the config gives, 2(B + 6P) + B.
     """
     evs_dir = os.path.join(cfg.out_dir, "evs")
     caption_ids = _caption_ids(evs_dir, ".victre", "E_vs files", "compose")
@@ -319,19 +333,21 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
                 f"{tokens_path}: no record of caption {cid}, whose E_vs file is in {evs_dir}")
         if not (features_dir or tokens_by_caption[cid]):
             raise ValueError(f"caption {cid} has no tokens in {tokens_path}")
+    visual_dim = 2 * (cfg.basic_width + 6 * cfg.positional_width) + cfg.basic_width
+    w = _fusion_weights(cfg, weights_path, visual_dim)
     if not features_dir:  # built-in features and queries: one row per distinct token
         tokens, token_ids = fus.distinct_tokens(tokens_by_caption[cid] for cid in caption_ids)
         table = fus.builtin_text_features(tokens, seed=cfg.seed, dim=cfg.text_width)
+        queries = table @ w
 
     fused_dir = os.path.join(cfg.out_dir, "fused")
     os.makedirs(fused_dir, exist_ok=True)
-    w = None
     for i, cid in enumerate(caption_ids):
-        vs_rows, _ = gcn.load_embeddings(os.path.join(evs_dir, f"{cid}.victre"))
-        if w is None:  # the first caption's rows give the visual width
-            visual_dim = vs_rows.shape[1]
-            w = _fusion_weights(cfg, weights_path, visual_dim)
-            queries = None if features_dir else table @ w
+        evs_path = os.path.join(evs_dir, f"{cid}.victre")
+        vs_rows, _ = gcn.load_embeddings(evs_path)
+        if vs_rows.shape[1] != visual_dim:
+            raise ValueError(f"{evs_path}: rows of width {vs_rows.shape[1]}, "
+                             f"expected the configured scene width {visual_dim}")
         if features_dir:
             path = _require_file(os.path.join(features_dir, f"{cid}.victre"),
                                  f"text features for caption {cid}")
@@ -384,17 +400,19 @@ def _write_svg(path, words, coords, colors):
         f.write("\n".join(parts) + "\n")
 
 
-def cmd_project(cfg: PipelineConfig, kind: str, svg: bool) -> int:
+def cmd_project(cfg: PipelineConfig, svg: bool) -> int:
+    """Write the object words' 2-d projection to projection/object.tsv and, with
+    svg, a scatter coloured by super-class to projection/object.svg."""
     vocab, tables = _load_tables(cfg)
-    words, rows = emb.projection_rows(tables, kind)
+    words, rows = emb.projection_rows(tables)
     coords = emb.pca_project(rows, out_dim=2)
     proj_dir = os.path.join(cfg.out_dir, "projection")
     os.makedirs(proj_dir, exist_ok=True)
-    tsv_path = os.path.join(proj_dir, f"{kind}.tsv")
+    tsv_path = os.path.join(proj_dir, "object.tsv")
     with open(tsv_path, "w", encoding="utf-8") as f:
         for word, (x, y) in zip(words, coords):
-            f.write(f"{word}\t{kind}\t{float(x)!r}\t{float(y)!r}\n")
-    svg_path = os.path.join(proj_dir, f"{kind}.svg")
+            f.write(f"{word}\tobject\t{float(x)!r}\t{float(y)!r}\n")
+    svg_path = os.path.join(proj_dir, "object.svg")
     if svg:
         super_of = {
             w: vocab.object_super_class.get(i, "other")
@@ -402,11 +420,11 @@ def cmd_project(cfg: PipelineConfig, kind: str, svg: bool) -> int:
         }
         classes = sorted(set(super_of.values()) | {"other"})
         color_of = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(classes)}
-        colors = [color_of.get(super_of.get(w, "other"), "#333333") for w in words]
+        colors = [color_of[super_of[w]] for w in words]
         _write_svg(svg_path, words, coords, colors)
     elif os.path.exists(svg_path):  # an earlier run's plot of other embeddings
         os.remove(svg_path)
-    print(f"projected {len(words)} {kind} vectors to {tsv_path}")
+    print(f"projected {len(words)} object vectors to {tsv_path}")
     return 0
 
 
@@ -429,10 +447,9 @@ def cmd_stats(cfg: PipelineConfig) -> int:
         )
     if os.path.isdir(graph_dir):
         for name in GRAPH_NAMES:
-            path = os.path.join(graph_dir, f"{name}.victrg")
-            if not os.path.exists(path):
+            if not os.path.exists(os.path.join(graph_dir, f"{name}.victrg")):
                 continue
-            g = gs.deserialize_graph(path)  # checks the weight sums
+            _, g = _load_graph(cfg, name)  # checks the weight sums
             print(
                 f"{name} graph: {len(g.vocab)} nodes, {g.edge_count()} edges, "
                 f"weight sums ok"
@@ -444,37 +461,37 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--out-dir", help="artifact directory (default: out)")
-    common.add_argument("--seed", type=int, help="override the configured seed")
-    common.add_argument("--caption-mode", choices=["all", "richest"],
-                        help="parse every caption or only the richest per image")
 
     parser = argparse.ArgumentParser(
         prog="victr",
         description="Scene-graph text representation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("parse", parents=[common],
-                   help="dependency parses -> scene graph JSON")
-    sub.add_parser("build-graphs", parents=[common],
-                   help="scene graphs -> basic + positional relational graphs")
-    p_train = sub.add_parser("train", parents=[common],
-                             help="train a GCN on one graph (or all seven)")
-    p_train.add_argument("--graph", default="basic",
-                         choices=("all",) + GRAPH_NAMES)
-    sub.add_parser("compose", parents=[common],
-                   help="embeddings -> per-caption visual semantic matrices")
-    p_fuse = sub.add_parser("fuse", parents=[common],
-                            help="attend text features over visual semantics")
-    p_fuse.add_argument("--weights", help=".npy file with the fusion weight matrix")
+
+    def stage(name, run, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    stage("parse", lambda cfg, args: cmd_parse(cfg),
+          help="dependency parses -> scene graph JSON")
+    stage("build-graphs", lambda cfg, args: cmd_build_graphs(cfg),
+          help="scene graphs -> basic + positional relational graphs")
+    stage("train", lambda cfg, args: cmd_train(cfg),
+          help="train a GCN on each of the seven graphs"
+          ).add_argument("--graph", choices=["all"], help="all seven graphs, as by default")
+    stage("compose", lambda cfg, args: cmd_compose(cfg),
+          help="embeddings -> per-caption visual semantic matrices")
+    p_fuse = stage("fuse", lambda cfg, args: cmd_fuse(cfg, args.weights, args.text_features),
+                   help="attend text features over visual semantics")
+    p_fuse.add_argument("--weights", help=".npy file with a learned fusion weight matrix")
     p_fuse.add_argument("--text-features",
-                        help="directory of per-caption text feature files")
-    p_proj = sub.add_parser("project", parents=[common],
-                            help="2-d principal-component projection of embeddings")
-    p_proj.add_argument("--kind", default="object",
-                        choices=["object", "relation", "attribute"],
-                        help="which words to project, each kind on its own")
-    p_proj.add_argument("--svg", action="store_true", help="also write an SVG scatter")
-    sub.add_parser("stats", parents=[common], help="report corpus and graph statistics")
+                        help="directory of per-caption text feature files of a downstream model")
+    stage("project", lambda cfg, args: cmd_project(cfg, args.svg),
+          help="2-d principal-component projection of the object words' vectors"
+          ).add_argument("--svg", action="store_true", help="also write an SVG scatter")
+    stage("stats", lambda cfg, args: cmd_stats(cfg),
+          help="report corpus and graph statistics")
     return parser
 
 
@@ -482,32 +499,13 @@ def _resolve_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.caption_mode:
-        cfg.caption_mode = args.caption_mode
     return cfg
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "parse":
-            return cmd_parse(cfg)
-        if args.command == "build-graphs":
-            return cmd_build_graphs(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, args.graph)
-        if args.command == "compose":
-            return cmd_compose(cfg)
-        if args.command == "fuse":
-            return cmd_fuse(cfg, args.weights, args.text_features)
-        if args.command == "project":
-            return cmd_project(cfg, args.kind, args.svg)
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(_resolve_config(args), args)
     except InvariantError as e:
         print(f"invariant breach: {e}", file=sys.stderr)
         return 3

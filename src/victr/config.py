@@ -1,4 +1,4 @@
-"""Pipeline configuration: key = value text files with CLI overrides."""
+"""Pipeline configuration: key = value text files; the CLI overrides out_dir only."""
 
 import math
 from dataclasses import dataclass, fields
@@ -68,6 +68,8 @@ def load_config(path) -> PipelineConfig:
             key, value = key.strip(), value.strip()
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+            if not value:  # an empty out_dir or file path would name the working directory
+                raise ValueError(f"{path}:{ln}: {key!r} has no value")
             if key in line_of:
                 raise ValueError(f"{path}:{ln}: {key!r} is already set at {path}:{line_of[key]}")
             line_of[key] = ln

@@ -131,10 +131,7 @@ def pca_project(vectors, out_dim: int = 2) -> np.ndarray:
     return centered @ components.T
 
 
-def projection_rows(tables: ComposedTables, kind: str) -> tuple[list[str], np.ndarray]:
-    """Sorted words of one kind and their composed vectors, one row each."""
-    if kind not in (OBJECT, RELATION, ATTRIBUTE):
-        raise ValueError(f"unknown projection kind {kind!r}")
-    items = sorted((w, i) for i, w in tables.vocab.words_of_kind(kind))
-    width = tables.basic_width if kind == ATTRIBUTE else tables.full_width
-    return [w for w, _ in items], tables.vectors[[i for _, i in items], :width]
+def projection_rows(tables: ComposedTables) -> tuple[list[str], np.ndarray]:
+    """Sorted object words and their composed vectors, one row each."""
+    items = sorted((w, i) for i, w in tables.vocab.words_of_kind(OBJECT))
+    return [w for w, _ in items], tables.vectors[[i for _, i in items]]

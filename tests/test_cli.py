@@ -13,7 +13,7 @@ import pytest
 import victr.cli
 import victr.gcn
 from victr.binio import EMBED_MAGIC, GRAPH_MAGIC, read_container, write_container
-from victr.cli import main
+from victr.cli import GRAPH_NAMES, main
 from victr.fusion import (
     builtin_text_features,
     init_fusion_parameters,
@@ -31,17 +31,19 @@ from victr.graphstore import (
 
 
 def _cfg_file(tmp_path, toy_paths, out_dir, **extra):
-    lines = [
-        f"conllu = {toy_paths['conllu']}",
-        f"captions = {toy_paths['captions']}",
-        f"instances = {toy_paths['instances']}",
-        f"superclass_lexicon = {toy_paths['superclasses']}",
-        f"quantifier_lexicon = {toy_paths['quantifiers']}",
-        f"alias_table = {toy_paths['aliases']}",
-        f"out_dir = {out_dir}",
-        "seed = 7",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    """A config of the toy_paths files; a path given as "" leaves its key unset."""
+    settings = {
+        "conllu": toy_paths["conllu"],
+        "captions": toy_paths["captions"],
+        "instances": toy_paths["instances"],
+        "superclass_lexicon": toy_paths["superclasses"],
+        "quantifier_lexicon": toy_paths["quantifiers"],
+        "alias_table": toy_paths["aliases"],
+        "out_dir": out_dir,
+        "seed": 7,
+        **extra,
+    }
+    lines = [f"{k} = {v}" for k, v in settings.items() if v != ""]
     path = tmp_path / "config.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -62,9 +64,10 @@ def test_parse_writes_one_json_per_caption(toy_cfg, capsys):
 
 
 @pytest.mark.parametrize("mode", ["all", "richest"])
-def test_parse_writes_kept_captions_tokens(toy_cfg, toy_dep_graphs, mode):
-    cfg, out = toy_cfg
-    assert main(["parse", "--config", cfg, "--caption-mode", mode]) == 0
+def test_parse_writes_kept_captions_tokens(tmp_path, toy_paths, toy_dep_graphs, mode):
+    out = tmp_path / "out"
+    cfg = _cfg_file(tmp_path, toy_paths, out, caption_mode=mode)
+    assert main(["parse", "--config", cfg]) == 0
     kept = {name[:-len(".json")] for name in os.listdir(out / "scene_graphs")}
     text = (out / "tokens.json").read_text(encoding="utf-8")
     assert text.count("\n") == 1 and text.endswith("\n")  # one compact line
@@ -74,9 +77,10 @@ def test_parse_writes_kept_captions_tokens(toy_cfg, toy_dep_graphs, mode):
     assert len(kept) == (20 if mode == "all" else 10)
 
 
-def test_parse_richest_keeps_one_per_image(toy_cfg):
-    cfg, out = toy_cfg
-    assert main(["parse", "--config", cfg, "--caption-mode", "richest"]) == 0
+def test_parse_richest_keeps_one_per_image(tmp_path, toy_paths):
+    out = tmp_path / "out"
+    cfg = _cfg_file(tmp_path, toy_paths, out, caption_mode="richest")
+    assert main(["parse", "--config", cfg]) == 0
     files = sorted(os.listdir(out / "scene_graphs"))
     assert len(files) == 10  # ten images in the toy corpus
     # image 1: the plural-horses caption is richer than the singular one
@@ -150,12 +154,11 @@ def test_train_basic_and_positional_widths(toy_cfg):
     cfg, out = toy_cfg
     main(["parse", "--config", cfg])
     main(["build-graphs", "--config", cfg])
-    assert main(["train", "--config", cfg, "--graph", "basic"]) == 0
-    rows, _ = load_embeddings(out / "embeddings" / "basic.victre")
-    assert rows.shape[1] == 200
-    assert main(["train", "--config", cfg, "--graph", "left_of"]) == 0
-    rows, _ = load_embeddings(out / "embeddings" / "left_of.victre")
-    assert rows.shape[1] == 50
+    assert main(["train", "--config", cfg]) == 0
+    assert sorted(os.listdir(out / "embeddings")) == sorted(f"{n}.victre" for n in GRAPH_NAMES)
+    for name in GRAPH_NAMES:
+        rows, _ = load_embeddings(out / "embeddings" / f"{name}.victre")
+        assert rows.shape[1] == (200 if name == "basic" else 50)
     assert not (out / "models").exists()  # the trained weights are not written
     with open(out / "loss" / "basic.csv", encoding="utf-8") as f:
         rows = f.read().strip().splitlines()
@@ -166,7 +169,7 @@ def test_train_positional_rows_outside_participants_zero(toy_cfg):
     cfg, out = toy_cfg
     main(["parse", "--config", cfg])
     main(["build-graphs", "--config", cfg])
-    assert main(["train", "--config", cfg, "--graph", "left_of"]) == 0
+    assert main(["train", "--config", cfg]) == 0
     rows, _ = load_embeddings(out / "embeddings" / "left_of.victre")
     graph = deserialize_graph(out / "graphs" / "left_of.victrg")
     inside = graph.participants()
@@ -180,16 +183,30 @@ def test_train_seed_repetition_identical_bytes(toy_cfg):
     cfg, out = toy_cfg
     main(["parse", "--config", cfg])
     main(["build-graphs", "--config", cfg])
-    outputs = (out / "embeddings" / "basic.victre", out / "loss" / "basic.csv")
-    main(["train", "--config", cfg, "--graph", "basic"])
+    outputs = [out / sub / f"{name}{suffix}" for name in GRAPH_NAMES
+               for sub, suffix in (("embeddings", ".victre"), ("loss", ".csv"))]
+    main(["train", "--config", cfg])
     first = [path.read_bytes() for path in outputs]
-    main(["train", "--config", cfg, "--graph", "basic"])
+    main(["train", "--config", cfg, "--graph", "all"])  # the same seven graphs
     assert [path.read_bytes() for path in outputs] == first
+
+
+@pytest.mark.parametrize("argv", [["train", "--graph", "basic"], ["train", "--graph", "above"],
+                                  ["parse", "--seed", "8"], ["parse", "--caption-mode", "all"],
+                                  ["project", "--kind", "object"]],
+                         ids=["train_basic", "train_above", "seed", "caption_mode", "kind"])
+def test_removed_options_exit_2(toy_cfg, argv):
+    # the config file is the one source of settings, and train trains all seven graphs
+    cfg, out = toy_cfg
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--config", cfg])
+    assert e.value.code == 2
+    assert not out.exists()
 
 
 def test_train_missing_graph_exit_2(toy_cfg, capsys):
     cfg, _ = toy_cfg
-    assert main(["train", "--config", cfg, "--graph", "above"]) == 2
+    assert main(["train", "--config", cfg]) == 2
     assert "build-graphs" in capsys.readouterr().err
 
 
@@ -216,7 +233,7 @@ def test_compose_fuse_project_chain(toy_cfg, capsys):
     assert fused.word_repr.shape == (6, 1456)
     assert np.allclose(fused.attention.sum(axis=1), 1.0, atol=1e-6)
 
-    assert main(["project", "--config", cfg, "--kind", "object", "--svg"]) == 0
+    assert main(["project", "--config", cfg, "--svg"]) == 0
     tsv = (out / "projection" / "object.tsv").read_text(encoding="utf-8")
     rows = [line.split("\t") for line in tsv.strip().splitlines()]
     assert all(len(r) == 4 for r in rows)
@@ -255,20 +272,23 @@ def test_project_without_svg_drops_earlier_svg(toy_cfg):
     _run_through_train(cfg)
     assert main(["project", "--config", cfg, "--svg"]) == 0
     assert (out / "projection" / "object.svg").exists()
-    assert main(["train", "--config", cfg, "--graph", "all", "--seed", "8"]) == 0
-    assert main(["project", "--config", cfg, "--seed", "8"]) == 0
+    Path(cfg).write_text(Path(cfg).read_text(encoding="utf-8").replace("seed = 7", "seed = 8"),
+                         encoding="utf-8")
+    assert main(["train", "--config", cfg]) == 0
+    assert main(["project", "--config", cfg]) == 0
     assert (out / "projection" / "object.tsv").exists()
     assert not (out / "projection" / "object.svg").exists()
 
 
-def test_parse_richest_after_all_drops_stale_scene_graphs(toy_cfg, tmp_path, capsys):
+def test_parse_richest_after_all_drops_stale_scene_graphs(toy_cfg, tmp_path, toy_paths,
+                                                          capsys):
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg]) == 0
     assert len(os.listdir(out / "scene_graphs")) == 20
-    assert main(["parse", "--config", cfg, "--caption-mode", "richest"]) == 0
+    cfg = _cfg_file(tmp_path, toy_paths, out, caption_mode="richest")
+    assert main(["parse", "--config", cfg]) == 0
     fresh = tmp_path / "fresh"
-    assert main(["parse", "--config", cfg, "--caption-mode", "richest",
-                 "--out-dir", str(fresh)]) == 0
+    assert main(["parse", "--config", cfg, "--out-dir", str(fresh)]) == 0
     assert sorted(os.listdir(out / "scene_graphs")) == sorted(os.listdir(fresh / "scene_graphs"))
     capsys.readouterr()
     assert main(["stats", "--config", cfg]) == 0
@@ -583,6 +603,68 @@ def test_malformed_artifact_header_exit_2_without_traceback(fuse_cfg, stage, nam
     assert "Traceback" not in proc.stderr and f"{path}: header" in proc.stderr
 
 
+@pytest.mark.parametrize("stage", ["train", "compose", "stats"])
+def test_graph_kind_differs_from_file_name_exit_2(fuse_cfg, capsys, stage):
+    # a basic.victrg that says left_of used to train and report as basic
+    cfg, out = fuse_cfg
+    path = out / "graphs" / "basic.victrg"
+    _rewrite_header(path, GRAPH_MAGIC, lambda header: header.update(kind="left_of"))
+    assert main([stage, "--config", cfg]) == 2
+    assert f"{path}: header kind 'left_of' differs from the file name" in capsys.readouterr().err
+
+
+def _reshape(factor):
+    """A header edit that keeps n * h: n times factor rows of width h / factor."""
+    def edit(header):
+        header["n"], header["h"] = header["n"] * factor, header["h"] // factor
+    return edit
+
+
+@pytest.mark.parametrize("stage, name, edit, message", [
+    ("fuse", "evs/101.victre", _reshape(2),
+     "rows of width 600, expected the configured scene width 1200"),
+    ("compose", "embeddings/basic.victre", _reshape(5), "205 rows of width 40, expected 41 of "
+     "width 200"),
+    ("project", "embeddings/above.victre", _reshape(2), "82 rows of width 25, expected 41 of "
+     "width 50"),
+    ("compose", "embeddings/inside.victre", lambda header: header.update(vocab_hash="0" * 16),
+     "trained on a vocabulary other than "),
+], ids=["evs_fuse", "basic_compose", "above_project", "vocab_hash_compose"])
+def test_artifact_of_other_shape_names_its_path_exit_2(fuse_cfg, capsys, stage, name, edit,
+                                                       message):
+    cfg, out = fuse_cfg
+    path = out / name
+    _rewrite_header(path, EMBED_MAGIC, edit)
+    assert main([stage, "--config", cfg]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_embeddings_of_another_configured_width_exit_2(fuse_cfg, capsys):
+    # a config whose widths changed after train: compose names the first stale table
+    cfg, out = fuse_cfg
+    Path(cfg).write_text(Path(cfg).read_text(encoding="utf-8") + "basic_width = 100\n",
+                         encoding="utf-8")
+    assert main(["compose", "--config", cfg]) == 2
+    assert (f"{out / 'embeddings' / 'basic.victre'}: 41 rows of width 200, expected 41 of "
+            "width 100") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, key, message", [
+    ("parse", "conllu", "no CoNLL-U file (config key conllu) configured"),
+    ("parse", "captions", "no captions file (config key captions) configured"),
+    ("build-graphs", "instances", "no instances file (config key instances) configured; "
+     "positional graphs need bounding boxes"),
+], ids=["conllu", "captions", "instances"])
+def test_unset_input_names_its_config_key_exit_2(tmp_path, toy_paths, capsys, stage, key,
+                                                 message):
+    cfg = _cfg_file(tmp_path, toy_paths, tmp_path / "out")
+    assert main(["parse", "--config", cfg]) == 0
+    cfg = _cfg_file(tmp_path, {**toy_paths, key: ""}, tmp_path / "out")
+    capsys.readouterr()
+    assert main([stage, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("weight, message", [
     (np.nan, "edge weights hold non-finite values"), (-1.0, "weight family of object node"),
 ], ids=["nan", "negative"])
@@ -593,7 +675,7 @@ def test_graph_weights_checked_where_read_exit_2(fuse_cfg, capsys, weight, messa
     records = np.frombuffer(payload, dtype=EDGE_DTYPE).copy()
     records["weight"][np.flatnonzero(records["src"] != records["dst"])[0]] = weight
     write_container(path, GRAPH_MAGIC, header, records.tobytes())
-    for argv in (["train", "--graph", "basic"], ["stats"], ["compose"]):
+    for argv in (["train"], ["stats"], ["compose"]):
         assert main(argv + ["--config", cfg]) == 2, argv
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err, argv
@@ -733,8 +815,8 @@ def test_project_requires_two_vectors(tmp_path, toy_paths, capsys):
     )
     main(["parse", "--config", str(cfg)])
     main(["build-graphs", "--config", str(cfg)])
-    main(["train", "--config", str(cfg), "--graph", "all"])
-    assert main(["project", "--config", str(cfg), "--kind", "object"]) == 2
+    main(["train", "--config", str(cfg)])
+    assert main(["project", "--config", str(cfg)]) == 2
     assert "at least 2" in capsys.readouterr().err
 
 
@@ -782,7 +864,7 @@ def test_train_edge_outside_vocabulary_exit_2(tmp_path, capsys):
     path = tmp_path / "out" / "graphs" / "basic.victrg"
     path.parent.mkdir(parents=True)
     serialize_graph(graph, path)
-    assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
+    assert main(["train", "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "basic.victrg" in err and "outside the vocabulary" in err
 
@@ -800,7 +882,7 @@ def test_train_edge_breaking_kind_structure_exit_2(tmp_path, capsys, bad, kinds)
     path = tmp_path / "out" / "graphs" / "basic.victrg"
     path.parent.mkdir(parents=True)
     serialize_graph(RelationalGraph(vocab=vocab, kind="basic", edges=edges), path)
-    assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
+    assert main(["train", "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{path}: edge" in err and f"{bad} is {kinds}, not" in err
 
@@ -817,7 +899,7 @@ def test_train_unordered_graph_records_exit_2(tmp_path, capsys, order):
     path = tmp_path / "out" / "graphs" / "basic.victrg"
     path.parent.mkdir(parents=True)
     serialize_graph(RelationalGraph(vocab=vocab, kind="basic", edges=edges[order]), path)
-    assert main(["train", "--out-dir", str(tmp_path / "out"), "--graph", "basic"]) == 2
+    assert main(["train", "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "strictly ascending in (src, dst)" in err
 

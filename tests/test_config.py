@@ -36,15 +36,24 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
     ("learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
     ("learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
     ("caption_mode = some", "caption_mode must be 'all' or 'richest', got 'some'"),
+    ("out_dir =", "'out_dir' has no value"),
+    ("conllu = ", "'conllu' has no value"),
+    ("quantifier_lexicon =", "'quantifier_lexicon' has no value"),
+    ("superclass_lexicon =", "'superclass_lexicon' has no value"),
+    ("epochs =", "'epochs' has no value"),
 ], ids=["unknown_key", "no_equals", "bad_int", "float_for_int", "bad_float",
-        "zero_epochs", "negative_rate", "nan_rate", "infinite_rate", "caption_mode"])
-def test_bad_line_names_path_and_line(tmp_path, capsys, line, message):
+        "zero_epochs", "negative_rate", "nan_rate", "infinite_rate", "caption_mode",
+        "no_out_dir", "no_conllu", "no_quantifier_lexicon", "no_superclass_lexicon",
+        "no_epochs"])
+def test_bad_line_names_path_and_line(tmp_path, monkeypatch, capsys, line, message):
     path = _write(tmp_path, f"# settings\n\nseed = 3\n{line}\n")
     with pytest.raises(ValueError) as e:
         load_config(path)
     assert str(e.value) == f"{path}:4: {message}"
-    assert main(["stats", "--config", str(path)]) == 2
+    monkeypatch.chdir(tmp_path)  # "out_dir =" once wrote into the working directory
+    assert main(["parse", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}:4: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
 
 
 def test_repeated_key_names_both_lines(tmp_path, capsys):
@@ -62,11 +71,11 @@ def _resolve(argv):
 
 
 def test_flags_override_the_file(tmp_path):
-    path = _write(tmp_path, "seed = 3\nout_dir = from_file\ncaption_mode = all\nepochs = 9\n")
-    cfg = _resolve(["parse", "--config", str(path), "--seed", "0",
-                    "--out-dir", str(tmp_path / "o"), "--caption-mode", "richest"])
-    assert (cfg.seed, cfg.out_dir, cfg.caption_mode, cfg.epochs) == (
-        0, str(tmp_path / "o"), "richest", 9)
+    # --out-dir is the one setting a flag gives
+    path = _write(tmp_path, "seed = 3\nout_dir = from_file\ncaption_mode = richest\nepochs = 9\n")
+    cfg = _resolve(["parse", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert cfg == PipelineConfig(seed=3, out_dir=str(tmp_path / "o"), caption_mode="richest",
+                                 epochs=9)
 
 
 def test_file_values_hold_without_flags(tmp_path):

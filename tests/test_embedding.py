@@ -235,18 +235,13 @@ def test_pca_deterministic():
     assert np.array_equal(pca_project(x), pca_project(x.copy()))
 
 
-def test_projection_rows_kinds():
+def test_projection_rows_are_object_words():
     vocab, basic, positional = _tables(b=4, p=2)
     tables = compose_tables(vocab, basic, positional)
-    words, rows = projection_rows(tables, "object")
+    words, rows = projection_rows(tables)
     assert words == ["horse", "man"]
     assert rows.shape == (2, 16)
     assert np.array_equal(rows[1], _vector(tables, "man", OBJECT))
-    words, rows = projection_rows(tables, "attribute")
-    assert words == ["brown"]
-    assert rows.shape == (1, 4)
-    with pytest.raises(ValueError, match="unknown projection kind"):
-        projection_rows(tables, "everything")
 
 
 # Reference: the dict-of-vectors composition that the (V + 1, width) array
@@ -334,8 +329,7 @@ def test_array_composition_matches_dict_reference(seed):
         stop = start + len(g.objects)
         assert np.array_equal(scene_visual_semantics([g], tables).rows, got[start:stop])
         start = stop
-    for kind in (OBJECT, RELATION, ATTRIBUTE):
-        words, rows = projection_rows(tables, kind)
-        items = sorted(ref[kind].items())
-        assert words == [w for w, _ in items]
-        assert np.array_equal(rows, np.array([v for _, v in items]))
+    words, rows = projection_rows(tables)
+    items = sorted(ref[OBJECT].items())
+    assert words == [w for w, _ in items]
+    assert np.array_equal(rows, np.array([v for _, v in items]))

@@ -146,9 +146,11 @@ def test_text_features_sentence_defaults_to_mean_word(tmp_path):
     (tmp_path / "tokens.json").write_text(
         json.dumps({"captions": [{"id": "5", "tokens": ["a", "dog", "a"]}]}), encoding="utf-8")
     (tmp_path / "evs").mkdir()
-    save_embeddings(np.random.default_rng(26).standard_normal((2, 6)),
+    save_embeddings(np.random.default_rng(26).standard_normal((2, 15)),
                     tmp_path / "evs" / "5.victre", vocab_hash="h")
-    cfg = PipelineConfig(out_dir=str(tmp_path), text_width=4, seed=3)
+    # E_vs rows are 2(B + 6P) + B = 15 wide
+    cfg = PipelineConfig(out_dir=str(tmp_path), text_width=4, seed=3, basic_width=1,
+                         positional_width=1)
     assert cmd_fuse(cfg, None, None) == 0
     fused, _ = load_fused(tmp_path / "fused" / "5.victrf")
     words = builtin_text_features(["a", "dog", "a"], seed=3, dim=4)

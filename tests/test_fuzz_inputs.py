@@ -10,11 +10,17 @@ Parse reads the instances' categories too, since that config gives no
 super-class lexicon; build-graphs reads their boxes.
 
 Lines: each example deletes, duplicates or cuts one line of the CoNLL-U
-file or of a TSV file (quantifier lexicon, super-class lexicon, alias
-table), or appends a junk tab field to it, then runs ``parse`` and
-``build-graphs``.
+file, of a TSV file (quantifier lexicon, super-class lexicon, alias table)
+or of the config file, or appends a junk tab field to it, then runs
+``parse`` and ``build-graphs`` in the example's directory, which a config
+without ``out_dir`` writes into.
 
-Every stage must exit 0 or 2, and an exit-2 message must name the mutated file.
+Artifacts: each example flips one bit of, cuts, or edits header fields of
+one graph, embeddings or E_vs file of a run through ``compose`` (at 2
+epochs), then runs the stages that read the file.
+
+Every stage must exit 0 or 2, and an exit-2 message must name the mutated
+file; for the config file, its key or the path its line gives will do.
 """
 
 import contextlib
@@ -22,6 +28,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import tempfile
 
 import pytest
@@ -58,25 +65,36 @@ MUTATIONS = st.tuples(st.sampled_from(["captions", "instances", "scene_graph", "
                       st.lists(st.integers(0, 63), max_size=4), VALUES)
 
 
-def _run(out_dir, inputs, stage) -> tuple[int, str]:
-    """Run one stage in-process on a config of ``inputs`` (config key -> path)."""
-    cfg = os.path.join(out_dir, "config.txt")
+def _config_lines(inputs, out_dir) -> list[str]:
+    """Config lines of ``inputs`` (config key -> path) and out_dir, at 2 epochs."""
+    return [f"{key} = {path}\n" for key, path in inputs.items()] + [
+        f"out_dir = {out_dir}\n", "epochs = 2\n"]
+
+
+def _run(root, stage, lines=None, inputs=JSON_INPUTS) -> tuple[int, str]:
+    """Run one stage in-process in directory root, on a config of ``lines``
+    (by default, of ``inputs`` and the output directory root/out)."""
+    cfg = os.path.join(root, "config.txt")
     with open(cfg, "w", encoding="utf-8") as f:
-        f.writelines(f"{key} = {path}\n" for key, path in inputs.items())
-        f.write(f"out_dir = {os.path.join(out_dir, 'out')}\n")
+        f.writelines(_config_lines(inputs, os.path.join(root, "out")) if lines is None else lines)
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(stage.split() + ["--config", cfg])
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(stage.split() + ["--config", cfg])
+    finally:
+        os.chdir(cwd)
     return code, err.getvalue()
 
 
-def _check_stages(out_dir, inputs, stages, bad) -> None:
-    """Each stage exits 0 or 2, and stops the run at 2 with bad's path in its message."""
+def _check_stages(root, stages, names, **config) -> None:
+    """Each stage exits 0 or 2, and stops the run at 2 with one of names in its message."""
     for stage in stages:
-        code, err = _run(out_dir, inputs, stage)
+        code, err = _run(root, stage, **config)
         assert code in (0, 2), (stage, err)
         if code == 2:
-            assert bad in err, (stage, err)
+            assert any(name in err for name in names), (stage, err)
             break
 
 
@@ -84,8 +102,8 @@ def _check_stages(out_dir, inputs, stages, bad) -> None:
 def composed(tmp_path_factory):
     """A directory whose out/ holds the clean toy corpus run through compose."""
     root = tmp_path_factory.mktemp("composed")
-    for stage in ("parse", "build-graphs", "train --graph all", "compose"):
-        code, err = _run(str(root), JSON_INPUTS, stage)
+    for stage in ("parse", "build-graphs", "train", "compose"):
+        code, err = _run(str(root), stage)
         assert code == 0, (stage, err)
     return root
 
@@ -130,7 +148,7 @@ def test_mutated_json_input_exits_0_or_2(composed, mutation):
             doc = json.load(f)
         with open(bad, "w", encoding="utf-8") as f:
             json.dump(_mutate(doc, path, value), f)
-        _check_stages(tmp, inputs, stages, bad)
+        _check_stages(tmp, stages, [bad], inputs=inputs)
 
 
 def _mutate_line(lines, pick, edit, cut):
@@ -144,20 +162,85 @@ def _mutate_line(lines, pick, edit, cut):
 
 
 # (file, line, edit, cut position)
-LINE_MUTATIONS = st.tuples(st.sampled_from(LINE_FILES), st.integers(0, 1000),
+LINE_MUTATIONS = st.tuples(st.sampled_from(LINE_FILES + ("config",)), st.integers(0, 1000),
                            st.sampled_from(["delete", "duplicate", "cut", "junk"]),
                            st.integers(0, 80))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+# the CoNLL-U file unset: the message names its key
+@example(("config", 0, "delete", 0))
+# out_dir unset: the stages write to out/ in the working directory
+@example(("config", len(LINE_INPUTS), "delete", 0))
+@example(("config", len(LINE_INPUTS), "cut", len("out_dir =")))
 @given(mutation=LINE_MUTATIONS)
 def test_mutated_input_line_exits_0_or_2(mutation):
     target, pick, edit, cut = mutation
     with tempfile.TemporaryDirectory() as tmp:
         inputs = dict(LINE_INPUTS)
+        if target == "config":  # a relative out_dir: no cut of it leaves tmp
+            lines = _config_lines(inputs, "out")
+            mutated = _mutate_line(lines, pick, edit, cut)
+            # a message may name the config file, the line's key or its (edited) path
+            i = pick % len(lines)
+            edited = mutated[i] if edit in ("cut", "junk") else lines[i]
+            names = (os.path.join(tmp, "config.txt"), lines[i].partition("=")[0].strip(),
+                     edited.partition("=")[2].strip())
+            _check_stages(tmp, ("parse", "build-graphs"), [n for n in names if n], lines=mutated)
+            return
         with open(inputs[target], encoding="utf-8") as f:
             lines = f.readlines()
         bad = inputs[target] = os.path.join(tmp, os.path.basename(inputs[target]))
         with open(bad, "w", encoding="utf-8") as f:
             f.writelines(_mutate_line(lines, pick, edit, cut))
-        _check_stages(tmp, inputs, ("parse", "build-graphs"), bad)
+        _check_stages(tmp, ("parse", "build-graphs"), [bad], inputs=inputs)
+
+
+# artifact under out/ -> the stages that read it, in pipeline order
+ARTIFACTS = {
+    os.path.join("graphs", "basic.victrg"): ("train", "compose", "project", "stats"),
+    os.path.join("graphs", "left_of.victrg"): ("train", "stats"),
+    os.path.join("embeddings", "basic.victre"): ("compose", "project"),
+    os.path.join("embeddings", "above.victre"): ("compose", "project"),
+    os.path.join("evs", "101.victre"): ("fuse",),
+}
+HEADER_FIELDS = ("n", "h", "nnz", "kind", "vocab", "vocab_hash", "version")
+# (file, edit, position, header fields to set)
+ARTIFACT_MUTATIONS = st.tuples(
+    st.sampled_from(sorted(ARTIFACTS)), st.sampled_from(["flip", "cut", "header"]),
+    st.integers(0, 2**20), st.dictionaries(st.sampled_from(HEADER_FIELDS), VALUES,
+                                           min_size=1, max_size=2))
+
+
+def _mutate_container(blob: bytes, edit, pos, fields) -> bytes:
+    """blob with bit pos // len(blob) % 8 of byte pos % len(blob) flipped,
+    cut to its first pos % len(blob) bytes, or its header fields set to
+    fields (the payload's checksum still holds)."""
+    if edit == "flip":
+        i = pos % len(blob)
+        return blob[:i] + bytes([blob[i] ^ 1 << pos // len(blob) % 8]) + blob[i + 1:]
+    if edit == "cut":
+        return blob[:pos % len(blob)]
+    (size,) = struct.unpack_from("<I", blob, 8)  # after the 7-byte magic and '\n'
+    header = {**json.loads(blob[12:12 + size]), **fields}
+    head = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size:]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+# the toy caption 101 has 4 objects, so its E_vs file holds 4 rows of width 1200
+@example((os.path.join("evs", "101.victre"), "header", 0, {"n": 8, "h": 600}))
+# the toy vocabulary has 41 nodes; basic embeddings are 200 wide
+@example((os.path.join("embeddings", "basic.victre"), "header", 0, {"n": 205, "h": 40}))
+@example((os.path.join("graphs", "basic.victrg"), "header", 0, {"kind": "left_of"}))
+@given(mutation=ARTIFACT_MUTATIONS)
+def test_mutated_artifact_exits_0_or_2(composed, mutation):
+    name, edit, pos, fields = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(composed / "out", os.path.join(tmp, "out"))
+        bad = os.path.join(tmp, "out", name)
+        with open(bad, "rb") as f:
+            blob = f.read()
+        with open(bad, "wb") as f:
+            f.write(_mutate_container(blob, edit, pos, fields))
+        _check_stages(tmp, ARTIFACTS[name], [bad])
