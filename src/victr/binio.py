@@ -21,6 +21,15 @@ in the order listed, each in row order, with no padding.
   header: ``caption_id`` (str), ``l`` words, ``d`` text width, ``v``
   visual width, ``n_obj`` objects.
   payload <f4: attention (l, n_obj), words (l, d + v), sentence (d + v,).
+``VICTRS1`` scene-graph corpus (``sceneparse``), the kept captions in id order:
+  header: ``n`` captions; ``objects``, ``attributes``, ``relations``, ``tokens``
+  rows; ``text`` bytes of the string table.
+  payload <i4: captions (n, 2) (caption id, image id); offsets (n + 1, 4), each
+  caption's first row of objects, attributes, relations, tokens, then the row
+  counts; objects (word, super-class); attributes (object row, word); relations
+  (subject row, predicate, object row); tokens. Then ``text``: the string table,
+  a compact JSON list. Words, classes and ids are positions in it. It is
+  payload, not header, so that the CRC covers it.
 
 Header counts are ints >= 0 (``header_ints``). ``unpack`` checks the
 payload size the header implies and that every value is finite.
@@ -42,6 +51,7 @@ class FormatError(ValueError):
 GRAPH_MAGIC = b"VICTRG1"
 EMBED_MAGIC = b"VICTRE1"
 FUSED_MAGIC = b"VICTRF1"
+CORPUS_MAGIC = b"VICTRS1"
 
 VERSION = 1
 
@@ -63,7 +73,7 @@ def read_container(path, magic: bytes) -> tuple[dict, bytes]:
         blob = f.read()
     if len(blob) < len(magic) + 1 + 8:
         raise FormatError(f"{path}: truncated file")
-    if blob[: len(magic)] != magic:
+    if blob[: len(magic) + 1] != magic + b"\n":
         raise FormatError(
             f"{path}: wrong magic {blob[:len(magic)]!r}, expected {magic!r}"
         )

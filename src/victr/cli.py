@@ -9,6 +9,7 @@ so stages can be rerun and tested in isolation. Exit codes: 0 success,
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -53,49 +54,16 @@ def _remove_stale(directory, suffix: str, caption_ids: set[str]) -> None:
             os.remove(os.path.join(directory, name))
 
 
-def _scene_graph_dir(cfg) -> str:
-    return os.path.join(cfg.out_dir, "scene_graphs")
+def _corpus_path(cfg) -> str:
+    return os.path.join(cfg.out_dir, "corpus.victrs")
 
 
-def _tokens_path(cfg) -> str:
-    return os.path.join(cfg.out_dir, "tokens.json")
-
-
-def _caption_ids(directory, suffix: str, what: str, stage: str) -> list[str]:
-    """The caption ids of the <caption id><suffix> files in directory, in id
-    order; an error names the stage that writes them if there are none."""
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"{directory} missing; run the {stage} stage first")
-    caption_ids = sorted((f[: -len(suffix)] for f in os.listdir(directory) if f.endswith(suffix)),
-                         key=ingest._id_sort_key)
-    if not caption_ids:
-        raise FileNotFoundError(f"no {what} in {directory}; run the {stage} stage first")
-    return caption_ids
-
-
-def _load_scene_graphs(cfg) -> list[sp.SceneGraph]:
-    """Every scene graph in id order. An object word must have one super-class
-    in all of them, as parse writes them: graphstore relies on it."""
-    sg_dir = _scene_graph_dir(cfg)
-    graphs = []
-    super_of: dict[str, str] = {}  # object word -> its super-class
-    for cid in _caption_ids(sg_dir, ".json", "scene graphs", "parse"):
-        path = os.path.join(sg_dir, f"{cid}.json")
-        with open(path, encoding="utf-8") as f:
-            try:
-                sg = sp.scene_graph_from_json(f.read())
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from None
-        if sg.caption_id != cid:  # later stages name their files by this id
-            raise ValueError(f"{path}: caption_id {sg.caption_id!r} differs from the file name")
-        for _, word, sup in sg.objects:
-            if super_of.setdefault(word, sup) != sup:
-                first = next(g for g in graphs + [sg] if any(w == word for _, w, _ in g.objects))
-                first_path = os.path.join(sg_dir, f"{first.caption_id}.json")
-                raise ValueError(f"{path}: object word {word!r} has super-class {sup!r}, "
-                                 f"but {first_path} gives it {super_of[word]!r}")
-        graphs.append(sg)
-    return graphs
+def _load_corpus(cfg) -> sp.Corpus:
+    path = _require_file(_corpus_path(cfg), "scene-graph corpus", hint="run the parse stage first")
+    corpus = sp.load_corpus(path)
+    if not len(corpus):
+        raise ValueError(f"{path}: no captions; the parse stage kept none")
+    return corpus
 
 
 def _quantifier_lexicon(cfg) -> sp.QuantifierLexicon:
@@ -141,29 +109,29 @@ def cmd_parse(cfg: PipelineConfig) -> int:
         keep = {ingest.select_richest_caption(graphs) for graphs in by_image.values()}
         parsed = [sg for sg in parsed if sg.caption_id in keep]
 
-    sg_dir = _scene_graph_dir(cfg)
+    sg_dir = os.path.join(cfg.out_dir, "scene_graphs")
     os.makedirs(sg_dir, exist_ok=True)
-    n_obj = n_rel = n_attr = 0
-    for sg in parsed:
+    for sg in parsed:  # an export to read; later stages read the corpus file
         with open(os.path.join(sg_dir, f"{sg.caption_id}.json"), "w",
                   encoding="utf-8") as f:
             f.write(sp.scene_graph_to_json(sg))
-        n_obj += len(sg.objects)
-        n_rel += len(sg.relations)
-        n_attr += len(sg.attributes)
-    kept = {sg.caption_id for sg in parsed}
-    _remove_stale(sg_dir, ".json", kept)
-    with open(_tokens_path(cfg), "w", encoding="utf-8") as f:
-        f.write(ingest.caption_tokens_json(g for g in dep_graphs if g.caption_id in kept))
+    _remove_stale(sg_dir, ".json", {sg.caption_id for sg in parsed})
+    parsed.sort(key=lambda sg: ingest._id_sort_key(sg.caption_id))
+    tokens = {g.caption_id: g.tokens for g in dep_graphs}
+    corpus = sp.pack_corpus(parsed, ([t.surface for t in tokens[sg.caption_id]] for sg in parsed))
+    sp.save_corpus(corpus, _corpus_path(cfg))
+    stale = os.path.join(cfg.out_dir, "tokens.json")  # earlier versions' token file
+    if os.path.exists(stale):
+        os.remove(stale)
     print(
-        f"parsed {len(parsed)} captions: {n_obj} objects, "
-        f"{n_rel} relations, {n_attr} attributes"
+        f"parsed {len(corpus)} captions: {len(corpus.objects)} objects, "
+        f"{len(corpus.relations)} relations, {len(corpus.attributes)} attributes"
     )
     return 0
 
 
 def cmd_build_graphs(cfg: PipelineConfig) -> int:
-    corpus = _load_scene_graphs(cfg)
+    corpus = _load_corpus(cfg)
     _require_file(cfg.instances, "instances file (config key instances)",
                   hint="positional graphs need bounding boxes")
     boxes_of = ingest.load_instances(cfg.instances)
@@ -174,8 +142,7 @@ def cmd_build_graphs(cfg: PipelineConfig) -> int:
     basic = gs.compute_weights(gs.accumulate_counts(corpus, vocab))
     gs.verify_weight_sums(basic)
 
-    matches = [dict(geo.match_objects_to_boxes(sg, boxes_of, aliases))
-               for sg in corpus]
+    matches = geo.match_objects_to_boxes(corpus, boxes_of, aliases)
     positional = gs.build_positional_graphs(corpus, vocab, matches)
     for g in positional.values():
         gs.verify_weight_sums(g)
@@ -209,6 +176,9 @@ def _width(cfg, name: str) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     """Train a GCN on each of the seven graphs, basic first."""
+    models = os.path.join(cfg.out_dir, "models")  # earlier versions' trained weights
+    if os.path.isdir(models):
+        _remove_stale(models, ".victrm", set())
     for name in GRAPH_NAMES:
         path, graph = _load_graph(cfg, name)
         labels, classes = gcn.object_labels(graph.vocab)
@@ -263,32 +233,27 @@ def _load_tables(cfg):
 
 
 def cmd_compose(cfg: PipelineConfig) -> int:
-    """Write each scene graph's E_vs matrix to evs/<caption id>.victre.
+    """Write each caption's E_vs matrix to evs/<caption id>.victre.
 
-    Row i of that file is object i of scene_graphs/<caption id>.json, which
-    holds the object's id and word; no other file repeats them. Whole captions
-    are composed in blocks of at most COMPOSE_BLOCK_ROWS rows (a larger caption
-    is a block on its own), so memory stays fixed as the corpus grows.
+    Row i of that file is object i of the caption's scene graph, whose word
+    the corpus holds; no other file repeats it. Whole captions are composed
+    in blocks of at most COMPOSE_BLOCK_ROWS rows (a larger caption is a
+    block on its own), so memory stays fixed as the corpus grows.
     """
-    corpus = _load_scene_graphs(cfg)
+    corpus = _load_corpus(cfg)
     vocab, tables = _load_tables(cfg)
     vocab_hash = vocab.content_hash()
     evs_dir = os.path.join(cfg.out_dir, "evs")
     os.makedirs(evs_dir, exist_ok=True)
-    blocks, size = [[]], 0
-    for sg in corpus:
-        if blocks[-1] and size + len(sg.objects) > COMPOSE_BLOCK_ROWS:
-            blocks.append([])
-            size = 0
-        blocks[-1].append(sg)
-        size += len(sg.objects)
-    for block in blocks:
-        rows = emb.scene_visual_semantics(block, tables).rows
-        ends = np.cumsum([len(sg.objects) for sg in block])[:-1]
-        for sg, part in zip(block, np.split(rows, ends)):
-            gcn.save_embeddings(part, os.path.join(evs_dir, f"{sg.caption_id}.victre"),
-                                vocab_hash=vocab_hash)
-    _remove_stale(evs_dir, ".victre", {sg.caption_id for sg in corpus})
+    starts, lo = corpus.offsets[:, 0], 0
+    while lo < len(corpus):
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + COMPOSE_BLOCK_ROWS, "right")) - 1)
+        rows = emb.scene_visual_semantics(corpus.select(lo, hi), tables).rows
+        for cid, part in zip(corpus.caption_ids[lo:hi],
+                             np.split(rows, starts[lo + 1:hi] - starts[lo])):
+            gcn.save_embeddings(part, os.path.join(evs_dir, f"{cid}.victre"), vocab_hash=vocab_hash)
+        lo = hi
+    _remove_stale(evs_dir, ".victre", set(corpus.caption_ids))
     print(
         f"composed visual semantic matrices for {len(corpus)} captions "
         f"(width {tables.scene_width})"
@@ -314,36 +279,36 @@ def _fusion_weights(cfg, weights_path: str | None, visual_dim: int) -> np.ndarra
 
 def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
              features_dir: str | None) -> int:
-    """Write each E_vs file's fused text representation to fused/<caption id>.victrf.
+    """Write each caption's fused text representation to fused/<caption id>.victrf.
 
-    A caption's token surfaces come from the parse stage's tokens.json, so no
-    corpus input is read again. With features_dir, the caption's text features
-    come from features_dir/<caption id>.victre, one word row per token;
-    otherwise they are built in, one row per distinct token. Each E_vs file
-    must have the scene width the config gives, 2(B + 6P) + B.
+    A caption's token surfaces come from the parse stage's corpus file, so no
+    corpus input is read again, and its E_vs matrix from evs/<caption id>.victre.
+    With features_dir, the caption's text features come from
+    features_dir/<caption id>.victre, one word row per token; otherwise they
+    are built in, one row per distinct token. Each E_vs file must have the
+    scene width the config gives, 2(B + 6P) + B.
     """
     evs_dir = os.path.join(cfg.out_dir, "evs")
-    caption_ids = _caption_ids(evs_dir, ".victre", "E_vs files", "compose")
-    tokens_path = _require_file(_tokens_path(cfg), "caption token file",
-                                hint="run the parse stage first")
-    tokens_by_caption = ingest.load_caption_tokens(tokens_path)
-    for cid in caption_ids:
-        if cid not in tokens_by_caption:
-            raise ValueError(
-                f"{tokens_path}: no record of caption {cid}, whose E_vs file is in {evs_dir}")
-        if not (features_dir or tokens_by_caption[cid]):
-            raise ValueError(f"caption {cid} has no tokens in {tokens_path}")
+    corpus_path, corpus = _corpus_path(cfg), _load_corpus(cfg)
+    caption_ids, starts = corpus.caption_ids, corpus.offsets[:, 3].tolist()
+    evs_paths = [_require_file(os.path.join(evs_dir, f"{cid}.victre"),
+                               f"E_vs file of caption {cid}", hint="run the compose stage first")
+                 for cid in caption_ids]
+    token_ids = [corpus.tokens[a:b].tolist() for a, b in zip(starts, starts[1:])]  # string ids
+    if not (features_dir or all(token_ids)):
+        raise ValueError(f"caption {caption_ids[token_ids.index([])]} has no tokens in "
+                         f"{corpus_path}")
     visual_dim = 2 * (cfg.basic_width + 6 * cfg.positional_width) + cfg.basic_width
     w = _fusion_weights(cfg, weights_path, visual_dim)
     if not features_dir:  # built-in features and queries: one row per distinct token
-        tokens, token_ids = fus.distinct_tokens(tokens_by_caption[cid] for cid in caption_ids)
-        table = fus.builtin_text_features(tokens, seed=cfg.seed, dim=cfg.text_width)
+        tokens, token_rows = fus.distinct_tokens(token_ids)
+        table = fus.builtin_text_features([corpus.strings[t] for t in tokens],
+                                          seed=cfg.seed, dim=cfg.text_width)
         queries = table @ w
 
     fused_dir = os.path.join(cfg.out_dir, "fused")
     os.makedirs(fused_dir, exist_ok=True)
-    for i, cid in enumerate(caption_ids):
-        evs_path = os.path.join(evs_dir, f"{cid}.victre")
+    for i, (cid, evs_path) in enumerate(zip(caption_ids, evs_paths)):
         vs_rows, _ = gcn.load_embeddings(evs_path)
         if vs_rows.shape[1] != visual_dim:
             raise ValueError(f"{evs_path}: rows of width {vs_rows.shape[1]}, "
@@ -352,12 +317,12 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
             path = _require_file(os.path.join(features_dir, f"{cid}.victre"),
                                  f"text features for caption {cid}")
             words, sentence = fus.load_text_features(path, expect_dim=cfg.text_width)
-            if len(words) != len(tokens_by_caption[cid]):
+            if len(words) != len(token_ids[i]):
                 raise ValueError(f"{path}: {len(words)} word rows, but caption {cid} has "
-                                 f"{len(tokens_by_caption[cid])} tokens in {tokens_path}")
+                                 f"{len(token_ids[i])} tokens in {corpus_path}")
             query = words @ w
         else:  # rows of table @ W: table[ids] @ W may round differently in the last bit
-            words, query = table[token_ids[i]], queries[token_ids[i]]
+            words, query = table[token_rows[i]], queries[token_rows[i]]
             sentence = words.mean(axis=0)
         fused = fus.fuse(words, sentence, query, vs_rows)
         fus.save_fused(
@@ -429,21 +394,18 @@ def cmd_project(cfg: PipelineConfig, svg: bool) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig) -> int:
-    sg_dir = _scene_graph_dir(cfg)
+    corpus_path = _corpus_path(cfg)
     graph_dir = os.path.join(cfg.out_dir, "graphs")
-    if not os.path.isdir(sg_dir) and not os.path.isdir(graph_dir):
+    if not os.path.exists(corpus_path) and not os.path.isdir(graph_dir):
         raise FileNotFoundError(
             f"nothing to report under {cfg.out_dir}; run the parse stage first"
         )
-    if os.path.isdir(sg_dir):
-        corpus = _load_scene_graphs(cfg)
-        n_obj = sum(len(sg.objects) for sg in corpus)
-        n_rel = sum(len(sg.relations) for sg in corpus)
-        n_attr = sum(len(sg.attributes) for sg in corpus)
-        words = {w for sg in corpus for _, w, _ in sg.objects}
+    if os.path.exists(corpus_path):
+        corpus = _load_corpus(cfg)
         print(
-            f"scene graphs: {len(corpus)} captions, {n_obj} objects "
-            f"({len(words)} distinct), {n_rel} relations, {n_attr} attributes"
+            f"scene graphs: {len(corpus)} captions, {len(corpus.objects)} objects "
+            f"({len(np.unique(corpus.objects[:, 0]))} distinct), {len(corpus.relations)} "
+            f"relations, {len(corpus.attributes)} attributes"
         )
     if os.path.isdir(graph_dir):
         for name in GRAPH_NAMES:
@@ -457,6 +419,7 @@ def cmd_stats(cfg: PipelineConfig) -> int:
     return 0
 
 
+@functools.cache  # argparse parsers hold reference cycles: build one, not one per call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GEOMETRIC_RELATIONS
-from .graphstore import ATTRIBUTE, OBJECT, RELATION, Vocabulary
+from .graphstore import ATTRIBUTE, OBJECT, RELATION, Vocabulary, node_ids
 
 
 @dataclass
@@ -61,30 +61,24 @@ def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> Composed
     return ComposedTables(vocab=vocab, vectors=vectors, basic_width=basic.shape[1])
 
 
-def scene_visual_semantics(scene_graphs, tables: ComposedTables) -> VisualSemanticMatrix:
-    """One row per object of each scene graph, in order: E_o || mean E_a || mean E_r.
+def scene_visual_semantics(corpus, tables: ComposedTables) -> VisualSemanticMatrix:
+    """One row per object row of a ``sceneparse.Corpus``: E_o || mean E_a || mean E_r.
 
-    The rows carry no ids: the scene graphs say which object each row is. A
+    The rows carry no ids: the corpus says which object each row is. A
     segment is zero when its object has no attributes or no relations; an
     object pools a relation whether it is its subject or its object.
     """
     fw, bw = tables.full_width, tables.basic_width
-    row_of, zero = tables.vocab.index, len(tables.vocab)  # (word, kind) -> row; zero: unknown
-    objects, attrs, attr_of, rels, rel_of = [], [], [], [], []
-    for sg in scene_graphs:
-        first = len(objects)  # the row of sg's object 0; object oid is row first + oid
-        objects += [row_of.get((w, OBJECT), zero) for _, w, _ in sg.objects]
-        attrs += [row_of.get((w, ATTRIBUTE), zero) for _, w in sg.attributes]
-        attr_of += [first + oid for oid, _ in sg.attributes]
-        rels += [row_of.get((p, RELATION), zero) for _, p, _ in sg.relations]
-        rel_of += [first + end for s, _, o in sg.relations for end in (s, o)]
-
-    rows = np.zeros((len(objects), tables.scene_width))
-    rows[:, :fw] = tables.vectors[objects]
-    _segment_means(rows[:, fw : fw + bw], np.array(attr_of), np.array(attrs),
-                   tables.vectors[:, :bw])
+    vocab, strings, vectors = tables.vocab, corpus.strings, tables.vectors
+    attr, rel = corpus.attributes, corpus.relations
+    rows = np.zeros((len(corpus.objects), tables.scene_width))
+    # node -1, a word outside the vocabulary, picks the last row of vectors: zeros
+    rows[:, :fw] = vectors[node_ids(vocab, strings, corpus.objects[:, 0], OBJECT)]
+    _segment_means(rows[:, fw : fw + bw], attr[:, 0],
+                   node_ids(vocab, strings, attr[:, 1], ATTRIBUTE), vectors[:, :bw])
     # a triple pools into its subject, then its object
-    _segment_means(rows[:, fw + bw :], np.array(rel_of), np.repeat(rels, 2), tables.vectors)
+    _segment_means(rows[:, fw + bw :], rel[:, ::2].ravel(),
+                   np.repeat(node_ids(vocab, strings, rel[:, 1], RELATION), 2), vectors)
     return VisualSemanticMatrix(rows=rows)
 
 

@@ -27,25 +27,27 @@ def classify_geometric_relation(s: BoundingBox, o: BoundingBox) -> str:
     return "above" if dy > 0 else "below"
 
 
-def match_objects_to_boxes(sg, boxes_of, aliases: dict[str, str]) -> list[tuple[int, BoundingBox]]:
-    """Greedily pair scene-graph objects with annotated boxes of their category.
+def match_objects_to_boxes(corpus, boxes_of, aliases: dict[str, str]) -> dict[int, BoundingBox]:
+    """Greedily pair each caption's objects in a ``sceneparse.Corpus`` with boxes.
 
     boxes_of maps an image id to its [(category name, box)], as
-    ``ingest.load_instances`` returns it. Objects claim, in document order,
-    the largest unclaimed box whose category equals their lemma (or its
-    alias); of equal boxes, the first annotated. Unmatched objects are
-    dropped; no box is handed out twice. An image without boxes matches none.
+    ``ingest.load_instances`` returns it. A caption's objects claim, in order,
+    the largest box of its image, not yet claimed by the caption, whose
+    category equals their word (or its alias); of equal boxes, the first
+    annotated. Unmatched objects are dropped. Returns object row -> box.
     """
-    pool: dict[str, list[BoundingBox]] = {}
-    for category, box in boxes_of.get(sg.image_id, ()):
-        pool.setdefault(category, []).append(box)
-    for boxes in pool.values():
-        boxes.sort(key=lambda b: -b.area)  # stable, so equal areas keep their order
-    matches = []
-    for oid, word, _ in sg.objects:
-        boxes = pool.get(word if word in pool else aliases.get(word))
-        if boxes:
-            matches.append((oid, boxes.pop(0)))
+    strings, starts, matches = corpus.strings, corpus.offsets[:, 0].tolist(), {}
+    for i, image in enumerate(corpus.captions[:, 1].tolist()):
+        pool: dict[str, list[BoundingBox]] = {}
+        for category, box in boxes_of.get(strings[image], ()):
+            pool.setdefault(category, []).append(box)
+        for boxes in pool.values():
+            boxes.sort(key=lambda b: -b.area)  # stable, so equal areas keep their order
+        for row, word in enumerate(corpus.objects[starts[i]:starts[i + 1], 0].tolist(), starts[i]):
+            word = strings[word]
+            boxes = pool.get(word if word in pool else aliases.get(word))
+            if boxes:
+                matches[row] = boxes.pop(0)
     return matches
 
 

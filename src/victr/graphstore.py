@@ -47,12 +47,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def require(self, word: str, kind: str) -> int:
-        idx = self.index.get((word, kind))
-        if idx is None:
-            raise InvariantError(f"out-of-vocabulary {kind} word {word!r}")
-        return idx
-
     @cached_property
     def kind_codes(self) -> np.ndarray:
         """Each node's kind as its int8 position in ``KINDS``."""
@@ -119,49 +113,52 @@ def _misplaced(vocab: Vocabulary, src: np.ndarray, dst: np.ndarray) -> np.ndarra
 
 
 def build_vocabulary(corpus) -> Vocabulary:
-    """One node per distinct (word, kind), ordered by first appearance.
+    """One node per distinct (word, kind) of a ``sceneparse.Corpus``, by first appearance.
 
-    Relation triples are walked subject, predicate, object, then
-    attributes, then any leftover objects. An object node's super-class is
-    that of the word's first occurrence; the scene-graph reader
-    (``cli._load_scene_graphs``) guarantees that every occurrence agrees.
+    Each caption is walked in turn: its relation triples subject, predicate,
+    object, then its attributes as object, attribute, then its objects. An
+    object node's super-class is that of the word's first occurrence;
+    ``sceneparse.load_corpus`` guarantees that every occurrence agrees.
     """
-    corpus = list(corpus)
-    if not corpus:
+    if not len(corpus):
         raise ValueError("build_vocabulary: empty corpus")
-    nodes: list[tuple[str, str]] = []
-    index: dict[tuple[str, str], int] = {}
-    super_class: dict[int, str] = {}
-
-    def add(word: str, kind: str) -> int:
-        key = (word, kind)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(key)
-        return index[key]
-
-    def add_object(obj: tuple[int, str, str]) -> None:
-        _, word, sup = obj
-        super_class.setdefault(add(word, OBJECT), sup)
-
-    for sg in corpus:
-        objects = sg.objects
-        for s, p, o in sg.relations:
-            add_object(objects[s])
-            add(p, RELATION)
-            add_object(objects[o])
-        for oid, attr in sg.attributes:
-            add_object(objects[oid])
-            add(attr, ATTRIBUTE)
-        for obj in objects:
-            add_object(obj)
-    return Vocabulary(nodes=nodes, object_super_class=super_class)
+    objects, rel, attr = corpus.objects, corpus.relations, corpus.attributes
+    word = objects[:, 0].astype(np.int64) * 3  # a key is string id * 3 + kind code
+    keys = np.concatenate([
+        np.stack([word[rel[:, 0]], rel[:, 1] * 3 + 1, word[rel[:, 2]]], axis=1).ravel(),
+        np.stack([word[attr[:, 0]], attr[:, 1] * 3 + 2], axis=1).ravel(), word])
+    # sort the keys into the walk by (caption, part), each part in its own order
+    n_obj, n_attr, n_rel, _ = np.diff(corpus.offsets, axis=0).T
+    step = np.arange(len(corpus)) * 3
+    step = np.concatenate([np.repeat(step, 3 * n_rel), np.repeat(step + 1, 2 * n_attr),
+                           np.repeat(step + 2, n_obj)])
+    keys, first = np.unique(keys[np.argsort(step, kind="stable")], return_index=True)
+    keys = keys[np.argsort(first)].tolist()
+    words, first_row = np.unique(objects[:, 0], return_index=True)
+    super_of = dict(zip(words.tolist(), objects[first_row, 1].tolist()))
+    strings = corpus.strings
+    return Vocabulary(nodes=[(strings[k // 3], KINDS[k % 3]) for k in keys],
+                      object_super_class={i: strings[super_of[k // 3]]
+                                          for i, k in enumerate(keys) if k % 3 == 0})
 
 
-def _relation_nodes(sg, vocab: Vocabulary) -> list[tuple[int, int, int]]:
-    """sg's relation triples, in order, as (subject, predicate, object) node ids."""
-    node = [vocab.require(word, OBJECT) for _, word, _ in sg.objects]
-    return [(node[s], vocab.require(p, RELATION), node[o]) for s, p, o in sg.relations]
+def node_ids(vocab: Vocabulary, strings: list[str], column: np.ndarray, kind: str) -> np.ndarray:
+    """The node of (strings[i], kind) for each string id i in column; -1 where vocab has none."""
+    ids, inverse = np.unique(column, return_inverse=True)
+    nodes = np.array([vocab.index.get((strings[i], kind), -1) for i in ids.tolist()], dtype=np.intp)
+    return nodes[inverse]
+
+
+def _nodes(corpus, vocab: Vocabulary) -> list[np.ndarray]:
+    """The nodes of the objects', predicates' and attributes' words; each must be in vocab."""
+    columns = ((corpus.objects[:, 0], OBJECT), (corpus.relations[:, 1], RELATION),
+               (corpus.attributes[:, 1], ATTRIBUTE))
+    nodes = [node_ids(vocab, corpus.strings, column, kind) for column, kind in columns]
+    for (column, kind), ids in zip(columns, nodes):
+        if (ids < 0).any():
+            raise InvariantError(f"out-of-vocabulary {kind} word "
+                                 f"{corpus.strings[column[np.argmin(ids)]]!r}")
+    return nodes
 
 
 def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
@@ -171,15 +168,10 @@ def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
     of that edge equals the number of times the attribute modified the
     object, which is exactly the attribute->object occurrence count.
     """
-    src, dst = [], []
-    for sg in corpus:
-        for si, pi, oi in _relation_nodes(sg, vocab):
-            src += (si, pi)
-            dst += (pi, oi)
-        for oid, attr in sg.attributes:
-            src.append(vocab.require(sg.objects[oid][1], OBJECT))
-            dst.append(vocab.require(attr, ATTRIBUTE))
-    return _count_edges(vocab, "basic", src, dst)
+    (obj, pred, attr), rel = _nodes(corpus, vocab), corpus.relations
+    return _count_edges(vocab, "basic",
+                        np.concatenate([obj[rel[:, 0]], pred, obj[corpus.attributes[:, 0]]]),
+                        np.concatenate([pred, obj[rel[:, 2]], attr]))
 
 
 def compute_weights(graph: RelationalGraph) -> RelationalGraph:
@@ -223,25 +215,21 @@ def verify_weight_sums(graph: RelationalGraph) -> None:
         raise InvariantError(f"{graph.kind} graph: {breach}")
 
 
-def build_positional_graphs(corpus, vocab: Vocabulary, box_matches
-                            ) -> dict[str, RelationalGraph]:
+def build_positional_graphs(corpus, vocab: Vocabulary, box_of: dict) -> dict[str, RelationalGraph]:
     """Split relation-triple counts across six graphs keyed by box geometry.
 
-    box_matches runs parallel to corpus: per caption, a map object_id ->
-    BoundingBox (may be empty). A triple contributes only when both of its
-    objects have boxes, and then to exactly one graph.
+    box_of maps object rows of the corpus to their ``BoundingBox``, as
+    ``geometry.match_objects_to_boxes`` gives it. A triple contributes only
+    when both of its objects have boxes, and then to exactly one graph.
     """
-    ids = {p: ([], []) for p in GEOMETRIC_RELATIONS}  # label -> (src ids, dst ids)
-    for sg, matches in zip(corpus, box_matches):
-        if not matches:
-            continue
-        for (s, _, o), (si, pi, oi) in zip(sg.relations, _relation_nodes(sg, vocab)):
-            if s in matches and o in matches:
-                src, dst = ids[classify_geometric_relation(matches[s], matches[o])]
-                src += (si, pi)
-                dst += (pi, oi)
-    return {p: compute_weights(_count_edges(vocab, p, *ids[p]))
-            for p in GEOMETRIC_RELATIONS}
+    (obj, pred, _), rel = _nodes(corpus, vocab), corpus.relations
+    boxed = np.flatnonzero(np.isin(rel[:, ::2], list(box_of)).all(axis=1))
+    rows = {p: [] for p in GEOMETRIC_RELATIONS}  # label -> its relation rows
+    for r, (s, _, o) in zip(boxed.tolist(), rel[boxed].tolist()):
+        rows[classify_geometric_relation(box_of[s], box_of[o])].append(r)
+    return {p: compute_weights(_count_edges(vocab, p, np.concatenate([obj[rel[r, 0]], pred[r]]),
+                                            np.concatenate([pred[r], obj[rel[r, 2]]])))
+            for p, r in rows.items()}
 
 
 class Adjacency:
@@ -358,7 +346,12 @@ def _header_vocabulary(doc, n: int, path) -> Vocabulary:
             for key, sup in supers.items()):
         raise ValueError(f"{path}: header vocab 'super' must map object node ids to strings")
     super_class = {int(key): sup for key, sup in supers.items()}
-    return Vocabulary(nodes=list(zip(words, kinds)), object_super_class=super_class)
+    vocab = Vocabulary(nodes=list(zip(words, kinds)), object_super_class=super_class)
+    if len(vocab.index) < n:  # a node given twice: the index keeps only its last position
+        i = next(i for i, node in enumerate(vocab.nodes) if vocab.index[node] != i)
+        raise ValueError(f"{path}: header vocab node {vocab.index[vocab.nodes[i]]} repeats node "
+                         f"{i}, {vocab.nodes[i][1]} {vocab.nodes[i][0]!r}")
+    return vocab
 
 
 def deserialize_graph(path) -> RelationalGraph:

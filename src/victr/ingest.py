@@ -18,21 +18,14 @@ so ``true`` is not an integer; other fields are ignored.
   each box once and keeps it as (category name, ``BoundingBox``) under its
   image id; ``load_categories`` reads and checks the categories alone.
 - Scene graphs (``sceneparse.scene_graph_to_json``), one file
-  ``scene_graphs/<caption id>.json`` per caption: an object with
-  ``caption_id``, ``image_id`` (strings) and lists ``objects`` of {``id``:
-  integer; ``word``, ``super_class``: strings}, ``attributes`` of
-  {``object_id``: integer; ``word``: string} and ``relations`` of
-  {``subject``, ``object``: integers naming objects; ``predicate``: string}.
-  A scene graph's caption id is its file name. An object's ``id`` is its
-  position in ``objects`` (0, 1, 2, ...), and an object word has one
-  ``super_class`` across all the files, as the parse stage writes them.
-- Caption tokens (``TOKEN_FIELDS``), one file ``tokens.json`` written by the
-  parse stage for the fuse stage, one compact line: an object whose
-  ``captions`` list holds {``id``: string, used once; ``tokens``: a list of
-  strings}, one entry per kept caption in scene-graph order. ``tokens`` are
-  the caption's CoNLL-U surfaces as ``load_conllu`` keeps them, so they may be
-  empty. ``caption_tokens_json`` writes the file and ``load_caption_tokens``
-  reads it.
+  ``scene_graphs/<caption id>.json`` per kept caption, which the parse
+  stage exports for reading; no stage reads them back (later stages read
+  ``corpus.victrs``, see ``binio``). Each is an object with ``caption_id``,
+  ``image_id`` (strings) and lists ``objects`` of {``id``: integer;
+  ``word``, ``super_class``: strings}, ``attributes`` of {``object_id``:
+  integer; ``word``: string} and ``relations`` of {``subject``, ``object``:
+  integers naming objects; ``predicate``: string}. An object's ``id`` is its
+  position in ``objects`` (0, 1, 2, ...).
 
 Messages name the file and the place, as ``<path>: annotations[3].bbox``.
 """
@@ -49,7 +42,6 @@ ID = {int, str}
 CAPTION_FIELDS = {"id": ID, "image_id": ID, "caption": {str}}
 CATEGORY_FIELDS = {"id": ID, "name": {str}, "supercategory": {str}}
 BOX_FIELDS = {"image_id": ID, "category_id": ID, "bbox": {list}}
-TOKEN_FIELDS = {"id": {str}, "tokens": {list}}
 # a caption id names files <id>.json, <id>.victre and <id>.victrf: with the
 # longest suffix it must fit the 255-byte name limit of common file systems
 MAX_ID_BYTES = 255 - len(".victre")
@@ -157,13 +149,23 @@ class BoundingBox:
         )
 
 
+def caption_id_fault(cid: str) -> str | None:
+    """Why cid cannot name a stage's files, or None if it can: it must not be
+    empty, ``.`` or ``..``, hold ``/``, ``\\`` or NUL, or pass ``MAX_ID_BYTES`` in UTF-8."""
+    if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
+        return f"caption_id {cid!r} cannot be a file name"
+    if len(cid.encode("utf-8")) > MAX_ID_BYTES:
+        return (f"caption_id of {len(cid.encode('utf-8'))} bytes is too long for a file name "
+                f"(at most {MAX_ID_BYTES})")
+    return None
+
+
 def load_conllu(path) -> list[DependencyGraph]:
     """Read a CoNLL-U file into one DependencyGraph per sentence.
 
     Requires ``# caption_id = <id>`` and ``# image_id = <id>`` comments per
-    sentence. Each caption id is used once and names files in later stages,
-    so it is not empty, ``.`` or ``..``, holds no ``/``, ``\\`` or NUL and is at
-    most ``MAX_ID_BYTES`` long in UTF-8.
+    sentence. Each caption id is used once and names files in later stages
+    (``caption_id_fault``).
     Multi-word token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
     """
     graphs = []
@@ -184,11 +186,9 @@ def load_conllu(path) -> list[DependencyGraph]:
                 f"{path}:{line_no}: sentence without '# image_id =' comment"
             )
         cid = meta["caption_id"]
-        if cid in ("", ".", "..") or any(c in cid for c in "/\\\0"):
-            raise ConlluError(f"{path}:{id_line}: caption_id {cid!r} cannot be a file name")
-        if len(cid.encode("utf-8")) > MAX_ID_BYTES:
-            raise ConlluError(f"{path}:{id_line}: caption_id of {len(cid.encode('utf-8'))} "
-                              f"bytes is too long for a file name (at most {MAX_ID_BYTES})")
+        fault = caption_id_fault(cid)
+        if fault:
+            raise ConlluError(f"{path}:{id_line}: {fault}")
         if cid in id_lines:
             raise ConlluError(
                 f"{path}:{id_line}: duplicate caption_id {cid}, first given at line {id_lines[cid]}"
@@ -290,27 +290,6 @@ def load_captions(path) -> dict[str, str]:
             raise ValueError(f"{path}: annotations[{i}]: duplicate caption id {cid}")
         image_of[cid] = str(image_id)
     return image_of
-
-
-def caption_tokens_json(graphs) -> str:
-    """The token file (see above) of the DependencyGraphs ``graphs``, in their order."""
-    doc = {"captions": [{"id": g.caption_id, "tokens": [t.surface for t in g.tokens]}
-                        for g in graphs]}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def load_caption_tokens(path) -> dict[str, list[str]]:
-    """Caption id -> token surfaces, from a token file (see above)."""
-    tokens: dict[str, list[str]] = {}
-    records = json_records(_json_file(path), "captions", TOKEN_FIELDS, path)
-    for i, (cid, surfaces) in enumerate(records):
-        if cid in tokens:
-            raise ValueError(f"{path}: captions[{i}]: duplicate caption id {cid}")
-        if not set(map(type, surfaces)) <= {str}:
-            bad = next(s for s in surfaces if type(s) is not str)
-            raise ValueError(f"{path}: captions[{i}].tokens must hold strings, got {bad!r}")
-        tokens[cid] = surfaces
-    return tokens
 
 
 def load_categories(path) -> dict[str, str]:

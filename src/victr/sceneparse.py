@@ -10,13 +10,24 @@ relations (verb/preposition links between two objects). A noun counted k
 times (at most ``max_duplication``) gives k consecutive objects, its copies;
 its ``amod`` adjectives go on every copy, and every relation rule relates
 every copy of its subject to every copy of its object, subject copies first.
+
+``pack_corpus`` packs the kept scene graphs and token surfaces into int32
+columns, the file ``corpus.victrs`` that later stages read (``load_corpus``).
 """
 
+import itertools
 import json
+import math
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
-from .ingest import DependencyGraph, Token, base_deprel, json_records, tsv_pairs
+import numpy as np
+
+from . import binio
+from .ingest import DependencyGraph, Token, base_deprel, caption_id_fault, json_records, tsv_pairs
 
 NOUN_TAGS = {"NOUN", "PROPN"}
 SUBJECT_RELS = {"nsubj", "nsubjpass"}
@@ -28,30 +39,14 @@ MANY = "MANY"
 
 @dataclass(frozen=True)
 class SceneGraph:
+    """One caption's graph: objects by position, no self-relation, no repeated
+    triple. Stages read it packed, where ``load_corpus`` checks all of that."""
+
     caption_id: str
     image_id: str
     objects: tuple[tuple[int, str, str], ...]  # (object_id, word, super_class); objects[id] has id
     attributes: tuple[tuple[int, str], ...]  # (object_id, attribute_word)
     relations: tuple[tuple[int, str, int], ...]  # (subject_id, predicate, object_id)
-
-    def __post_init__(self):
-        for i, (oid, _, _) in enumerate(self.objects):
-            if oid != i:
-                raise ValueError(f"caption {self.caption_id}: objects[{i}] has id {oid}; "
-                                 "an object's id must be its position")
-        known = range(len(self.objects))
-        for oid, _ in self.attributes:
-            if oid not in known:
-                raise ValueError(f"caption {self.caption_id}: attribute on unknown object {oid}")
-        seen = set()
-        for s, p, o in self.relations:
-            if s not in known or o not in known:
-                raise ValueError(f"caption {self.caption_id}: relation on unknown object")
-            if s == o:
-                raise ValueError(f"caption {self.caption_id}: self-relation on object {s}")
-            if (s, p, o) in seen:
-                raise ValueError(f"caption {self.caption_id}: duplicate relation triple")
-            seen.add((s, p, o))
 
 
 @dataclass
@@ -431,3 +426,126 @@ def scene_graph_from_json(text: str) -> SceneGraph:
     ((caption_id, image_id),) = json_records(doc, None, _SCENE_GRAPH_IDS, "scene graph")
     return SceneGraph(caption_id, image_id, *(json_records(doc, key, fields, "scene graph")
                                               for key, fields in _SCENE_GRAPH_LISTS.items()))
+
+
+@dataclass(eq=False)
+class Corpus:
+    """Scene graphs and token surfaces of many captions as int32 columns, whose
+    words, classes, tokens and ids index ``strings``. Caption i has the rows
+    ``offsets[i]`` to ``offsets[i + 1]`` of objects, attributes, relations and
+    tokens; its object k is object row ``offsets[i, 0] + k``."""
+
+    strings: list[str]
+    captions: np.ndarray  # (n, 2): caption id, image id
+    offsets: np.ndarray  # (n + 1, 4)
+    objects: np.ndarray  # (rows, 2): word, super-class
+    attributes: np.ndarray  # (rows, 2): object row, word
+    relations: np.ndarray  # (rows, 3): subject row, predicate, object row
+    tokens: np.ndarray  # (rows,)
+
+    def __len__(self) -> int:
+        return len(self.captions)
+
+    @cached_property
+    def caption_ids(self) -> list[str]:
+        return [self.strings[i] for i in self.captions[:, 0].tolist()]
+
+    def select(self, lo: int, hi: int) -> "Corpus":
+        """Captions lo to hi - 1 as a corpus, over the same string table."""
+        (o, a, r, t), (o_end, a_end, r_end, t_end) = self.offsets[[lo, hi]].tolist()
+        return Corpus(self.strings, self.captions[lo:hi], self.offsets[lo:hi + 1] - (o, a, r, t),
+                      self.objects[o:o_end], self.attributes[a:a_end] - (o, 0),
+                      self.relations[r:r_end] - (o, 0, o), self.tokens[t:t_end])
+
+
+def pack_corpus(graphs, token_lists) -> Corpus:
+    """The scene graphs, each with its caption's token surfaces, as a Corpus, in order."""
+    ids: dict[str, int] = {}
+    sid = lambda text: ids.setdefault(text, len(ids))  # noqa: E731
+    captions, offsets, objects, attributes, relations, tokens = (array("i") for _ in range(6))
+    offsets.extend((0, 0, 0, 0))
+    for sg, surfaces in zip(graphs, token_lists):
+        first = len(objects) // 2  # the row of sg's object 0
+        captions.extend((sid(sg.caption_id), sid(sg.image_id)))
+        objects.extend(i for _, word, sup in sg.objects for i in (sid(word), sid(sup)))
+        attributes.extend(i for oid, word in sg.attributes for i in (first + oid, sid(word)))
+        relations.extend(i for s, p, o in sg.relations for i in (first + s, sid(p), first + o))
+        tokens.extend(map(sid, surfaces))
+        offsets.extend((len(objects) // 2, len(attributes) // 2, len(relations) // 3, len(tokens)))
+    return Corpus(list(ids), *(np.frombuffer(c, dtype=np.int32).reshape(-1, width) for c, width in (
+        (captions, 2), (offsets, 4), (objects, 2), (attributes, 2), (relations, 3))),
+        np.frombuffer(tokens, dtype=np.int32))
+
+
+def save_corpus(corpus: Corpus, path) -> None:
+    text = json.dumps(corpus.strings, separators=(",", ":")).encode("utf-8")
+    header = {"n": len(corpus), **{rows: len(getattr(corpus, rows)) for rows in (
+        "objects", "attributes", "relations", "tokens")}, "text": len(text)}
+    binio.write_container(path, binio.CORPUS_MAGIC, header, binio.pack(
+        (corpus.captions, corpus.offsets, corpus.objects, corpus.attributes, corpus.relations,
+         corpus.tokens), "<i4") + text)
+
+
+def load_corpus(path) -> Corpus:
+    """The corpus in a corpus file, checked for what ``SceneGraph`` promises
+    and for one super-class per object word; ValueError naming the path."""
+    header, payload = binio.read_container(path, binio.CORPUS_MAGIC)
+    n, n_obj, n_attr, n_rel, n_tok, n_text = binio.header_ints(
+        header, path, "n", "objects", "attributes", "relations", "tokens", "text")
+    shapes = ((n, 2), (n + 1, 4), (n_obj, 2), (n_attr, 2), (n_rel, 3), (n_tok,))
+    ends = list(itertools.accumulate(map(math.prod, shapes)))  # Python ints: no wrap-around
+    if len(payload) != 4 * ends[-1] + n_text:
+        raise ValueError(f"{path}: payload size {len(payload)}, expected "
+                         f"{4 * ends[-1] + n_text} for the header's counts")
+    flat = np.frombuffer(payload, dtype="<i4", count=ends[-1])
+    captions, offsets, objects, attributes, relations, tokens = (
+        part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes))
+    try:
+        strings = json.loads(payload[4 * ends[-1]:])
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: string table is not JSON text ({e})") from None
+    if (type(strings) is not list or not set(map(type, strings)) <= {str}
+            or len(set(strings)) < len(strings)):
+        raise ValueError(f"{path}: string table is not a list of distinct strings")
+    if (offsets[0].any() or (np.diff(offsets, axis=0) < 0).any()
+            or offsets[-1].tolist() != [n_obj, n_attr, n_rel, n_tok]):
+        raise ValueError(f"{path}: caption offsets must rise from 0 to the column lengths")
+    ids = np.concatenate([captions.ravel(), objects.ravel(), attributes[:, 1], relations[:, 1],
+                          tokens])
+    if ids.size and not 0 <= ids.min() <= ids.max() < len(strings):
+        raise ValueError(f"{path}: a string id outside the table of {len(strings)} strings")
+    corpus = Corpus(strings, captions, offsets, objects, attributes, relations, tokens)
+    for cid, k in Counter(corpus.caption_ids).items():
+        why = caption_id_fault(cid) or (k > 1 and f"duplicate caption id {cid}")
+        if why:
+            raise ValueError(f"{path}: {why}")
+
+    def caption_of(column: int, row) -> str:  # column 0, 1, 2: objects, attributes, relations
+        return corpus.caption_ids[np.searchsorted(offsets[1:, column], row, side="right")]
+
+    def refuse(column: int, rows: np.ndarray, what: str) -> None:
+        if rows.size:
+            raise ValueError(f"{path}: caption {caption_of(column, rows[0])}: {what}")
+
+    counts = np.diff(offsets, axis=0)
+    for column, name, held in ((1, "an attribute", attributes[:, :1]),
+                               (2, "a relation", relations[:, ::2])):
+        first = np.repeat(offsets[:-1, 0], counts[:, column])  # of the caption's objects
+        end = first + np.repeat(counts[:, 0], counts[:, column])
+        outside = (held < first[:, None]) | (held >= end[:, None])
+        refuse(column, np.flatnonzero(outside.any(axis=1)),
+               f"{name} names an object outside the caption")
+    refuse(2, np.flatnonzero(relations[:, 0] == relations[:, 2]), "a self-relation")
+    # a triple as one int64 key: subject row, predicate, object row less subject row
+    key = ((relations[:, 0].astype(np.int64) * len(strings) + relations[:, 1])
+           * (2 * counts[:, 0].max(initial=0) + 1) + relations[:, 2] - relations[:, 0])
+    order = np.argsort(key, kind="stable")
+    refuse(2, order[1:][np.diff(key[order]) == 0], "a duplicate relation triple")
+    _, first, inverse = np.unique(objects[:, 0], return_index=True, return_inverse=True)
+    first = first[inverse]  # per object row, the first row of its word
+    other = np.flatnonzero(objects[:, 1] != objects[first, 1])
+    if other.size:
+        (word, sup), was = (strings[i] for i in objects[other[0]]), first[other[0]]
+        refuse(0, other, f"object word {word!r} has super-class {sup!r}, but caption "
+               f"{caption_of(0, was)} gives it {strings[objects[was, 1]]!r}")
+    return corpus

@@ -4,15 +4,20 @@ geometric relation, a CoNLL-U writer.
 
 ``random_scene_graphs`` draws seeded random graphs for property checks of
 graph building; ``two_clique_scene_graphs`` gives two disconnected
-communities whose object super-classes a GCN can separate. The benchmark
+communities whose object super-classes a GCN can separate; ``corpus_of``
+packs such graphs into the ``Corpus`` that graph building reads. The benchmark
 generates its own corpora (``perfbench/corpus.py``).
 """
+
+import struct
+import zlib
 
 import numpy as np
 
 from victr.config import PipelineConfig
 from victr.gcn import GcnModel, _label_arrays, _loss_and_grads
-from victr.sceneparse import QuantifierLexicon, SceneGraph
+from victr.sceneparse import (Corpus, QuantifierLexicon, SceneGraph, load_corpus, pack_corpus,
+                             save_corpus)
 
 
 INVERSE_RELATION = {
@@ -180,3 +185,60 @@ def to_conllu(graphs) -> str:
             )
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + ("\n" if chunks else "")
+
+
+def corpus_of(graphs) -> Corpus:
+    """The scene graphs as one Corpus, as the parse stage packs them, without tokens."""
+    graphs = list(graphs)
+    return pack_corpus(graphs, [()] * len(graphs))
+
+
+def box_rows(graphs, box_matches) -> dict:
+    """Per-graph maps object id -> box as one map of the corpus's object rows,
+    the form ``match_objects_to_boxes`` gives."""
+    rows, first = {}, 0
+    for sg, matches in zip(graphs, box_matches):
+        rows.update({first + oid: box for oid, box in matches.items()})
+        first += len(sg.objects)
+    return rows
+
+
+def edit_corpus(path, edit) -> None:
+    """Rewrite the corpus file at path after edit(corpus) has changed its
+    string list or column arrays in place, or as the Corpus edit returns.
+    The file stays a well-formed container (counts and checksum agree), so
+    only ``load_corpus``'s checks can refuse what edit did."""
+    c = load_corpus(path)
+    corpus = Corpus(list(c.strings), *(np.array(a) for a in (
+        c.captions, c.offsets, c.objects, c.attributes, c.relations, c.tokens)))
+    save_corpus(edit(corpus) or corpus, path)
+
+
+def unpack_scene_graph(corpus: Corpus, i: int) -> SceneGraph:
+    """Caption i of a Corpus as the SceneGraph that was packed."""
+    s = corpus.strings
+    (o, a, r, _), (o_end, a_end, r_end, _) = corpus.offsets[i:i + 2].tolist()
+    caption_id, image_id = corpus.captions[i].tolist()
+    return SceneGraph(
+        s[caption_id], s[image_id],
+        tuple((k, s[w], s[c]) for k, (w, c) in enumerate(corpus.objects[o:o_end].tolist())),
+        tuple((row - o, s[w]) for row, w in corpus.attributes[a:a_end].tolist()),
+        tuple((x - o, s[p], y - o) for x, p, y in corpus.relations[r:r_end].tolist()))
+
+
+def unpack_tokens(corpus: Corpus, i: int) -> list[str]:
+    """Caption i's token surfaces."""
+    first, end = corpus.offsets[i:i + 2, 3].tolist()
+    return [corpus.strings[t] for t in corpus.tokens[first:end].tolist()]
+
+
+def rewrite_container(path, edit) -> None:
+    """Rewrite a container file as edit(header bytes, payload) returns them,
+    with the payload's checksum made to match."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    (size,) = struct.unpack_from("<I", blob, 8)  # after the 7-byte magic and '\n'
+    head, payload = edit(blob[12:12 + size], blob[12 + size:-4])
+    with open(path, "wb") as f:
+        f.write(blob[:8] + struct.pack("<I", len(head)) + head + payload
+                + struct.pack("<I", zlib.crc32(payload)))

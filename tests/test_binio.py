@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from helpers import random_scene_graphs
+from helpers import corpus_of, random_scene_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +92,7 @@ def _write_fused(path):
 
 
 def _write_graph(path):
-    corpus = random_scene_graphs(3, n_graphs=4)
+    corpus = corpus_of(random_scene_graphs(3, n_graphs=4))
     serialize_graph(compute_weights(accumulate_counts(corpus, build_vocabulary(corpus))), path)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import edit_corpus, rewrite_container, unpack_scene_graph, unpack_tokens
 
 import victr.cli
 import victr.gcn
-from victr.binio import EMBED_MAGIC, GRAPH_MAGIC, read_container, write_container
+from victr.binio import CORPUS_MAGIC, EMBED_MAGIC, GRAPH_MAGIC, read_container, write_container
 from victr.cli import GRAPH_NAMES, main
 from victr.fusion import (
     builtin_text_features,
@@ -28,6 +30,7 @@ from victr.graphstore import (
     deserialize_graph,
     serialize_graph,
 )
+from victr.sceneparse import load_corpus, scene_graph_from_json
 
 
 def _cfg_file(tmp_path, toy_paths, out_dir, **extra):
@@ -65,15 +68,18 @@ def test_parse_writes_one_json_per_caption(toy_cfg, capsys):
 
 @pytest.mark.parametrize("mode", ["all", "richest"])
 def test_parse_writes_kept_captions_tokens(tmp_path, toy_paths, toy_dep_graphs, mode):
+    # the corpus file holds the kept captions' scene graphs, as exported, and token surfaces
     out = tmp_path / "out"
     cfg = _cfg_file(tmp_path, toy_paths, out, caption_mode=mode)
     assert main(["parse", "--config", cfg]) == 0
     kept = {name[:-len(".json")] for name in os.listdir(out / "scene_graphs")}
-    text = (out / "tokens.json").read_text(encoding="utf-8")
-    assert text.count("\n") == 1 and text.endswith("\n")  # one compact line
-    assert json.loads(text) == {"captions": [
-        {"id": g.caption_id, "tokens": [t.surface for t in g.tokens]}
-        for g in toy_dep_graphs if g.caption_id in kept]}
+    corpus = load_corpus(out / "corpus.victrs")
+    assert corpus.caption_ids == sorted(kept, key=int)
+    tokens = {g.caption_id: [t.surface for t in g.tokens] for g in toy_dep_graphs}
+    for i, cid in enumerate(corpus.caption_ids):
+        assert unpack_tokens(corpus, i) == tokens[cid]
+        doc = (out / "scene_graphs" / f"{cid}.json").read_text(encoding="utf-8")
+        assert unpack_scene_graph(corpus, i) == scene_graph_from_json(doc)
     assert len(kept) == (20 if mode == "all" else 10)
 
 
@@ -114,8 +120,8 @@ def test_build_graphs_writes_seven_files(toy_cfg):
         ("basic", "left_of", "right_of", "above", "below", "inside", "surrounding")
     )
     basic = deserialize_graph(out / "graphs" / "basic.victrg")
-    man = basic.vocab.require("man", "object")
-    ride = basic.vocab.require("ride", "relation")
+    man = basic.vocab.index["man", "object"]
+    ride = basic.vocab.index["ride", "relation"]
     # hand count over the toy corpus: ride triples with man subject
     # 101 contributes 4 (2x2 cross product), 102 contributes 2, 104 one
     edges = basic.edges
@@ -148,6 +154,44 @@ def test_build_graphs_rerun_byte_identical(toy_cfg):
         for name in os.listdir(out / "graphs")
     }
     assert first == second
+
+
+def test_parse_removes_token_file_of_earlier_versions(toy_cfg):
+    cfg, out = toy_cfg
+    out.mkdir()
+    (out / "tokens.json").write_text('{"captions": []}\n', encoding="utf-8")
+    assert main(["parse", "--config", cfg]) == 0
+    assert not (out / "tokens.json").exists() and (out / "corpus.victrs").exists()
+
+
+def test_train_removes_model_files_of_earlier_versions(toy_cfg):
+    cfg, out = toy_cfg
+    main(["parse", "--config", cfg])
+    main(["build-graphs", "--config", cfg])
+    (out / "models").mkdir()
+    old = [out / "models" / f"{name}.victrm" for name in GRAPH_NAMES]
+    for path in old:
+        path.write_bytes(b"weights an earlier version wrote")
+    keep = out / "models" / "notes.txt"
+    keep.write_text("not a stage output", encoding="utf-8")
+    assert main(["train", "--config", cfg]) == 0
+    assert not any(path.exists() for path in old) and keep.exists()
+
+
+def test_stages_after_parse_read_no_scene_graph_json(toy_cfg, tmp_path, toy_paths):
+    """The JSON files are an export: without them every later output is the same."""
+    cfg, out = toy_cfg
+    bare = tmp_path / "bare"
+    for directory in (out, bare):
+        assert main(["parse", "--config", cfg, "--out-dir", str(directory)]) == 0
+    shutil.rmtree(bare / "scene_graphs")
+    for stage in ("build-graphs", "train", "compose", "fuse", "project --svg", "stats"):
+        for directory in (out, bare):
+            assert main(stage.split() + ["--config", cfg, "--out-dir", str(directory)]) == 0
+    shutil.rmtree(out / "scene_graphs")
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(bare) for p in bare.rglob("*") if p.is_file())
+    assert all((out / f).read_bytes() == (bare / f).read_bytes() for f in files)
 
 
 def test_train_basic_and_positional_widths(toy_cfg):
@@ -315,97 +359,88 @@ def test_compose_and_fuse_drop_foreign_outputs(toy_cfg):
     assert len(os.listdir(out / "fused")) == 20
 
 
-def _not_json(doc):
-    return "{not json"
+def _header_not_json(path):
+    rewrite_container(path, lambda head, payload: (b"{not json", payload))
 
 
-def _drop_relations(doc):
-    del doc["relations"]
-    return json.dumps(doc)
+def _header_without_relations(path):
+    _rewrite_header(path, CORPUS_MAGIC, lambda header: header.pop("relations"))
 
 
-def _objects_not_a_list(doc):
-    doc["objects"] = 5
-    return json.dumps(doc)
+def _objects_count_a_list(path):
+    _rewrite_header(path, CORPUS_MAGIC, lambda header: header.update(objects=[60]))
 
 
-def _string_object_id(doc):
-    doc["objects"][0]["id"] = "0"
-    return json.dumps(doc)
+def _word_id_outside_table(path):
+    edit_corpus(path, lambda c: c.objects.__setitem__((0, 0), len(c.strings)))
 
 
-def _number_as_word(doc):
-    doc["objects"][0]["word"] = 7
-    return json.dumps(doc)
+def _text_not_utf8(path):
+    rewrite_container(path, lambda head, payload: (head, payload[:-1] + b"\xff"))
 
 
 @pytest.mark.parametrize("corrupt", [
-    _not_json, _drop_relations, _objects_not_a_list, _string_object_id, _number_as_word,
+    _header_not_json, _header_without_relations, _objects_count_a_list, _word_id_outside_table,
+    _text_not_utf8,
 ], ids=["not_json", "missing_key", "objects_int", "string_id", "non_string_word"])
 def test_build_graphs_malformed_scene_graph_exit_2(toy_cfg, capsys, corrupt):
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg]) == 0
-    path = out / "scene_graphs" / "101.json"
-    path.write_text(corrupt(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+    path = out / "corpus.victrs"
+    corrupt(path)
     capsys.readouterr()
     assert main(["build-graphs", "--config", cfg]) == 2
     assert f"{path}: " in capsys.readouterr().err
 
 
-def test_compose_scene_graph_id_differs_from_file_name_exit_2(toy_cfg, capsys):
-    # compose names each E_vs file by the scene graph's caption id, so a
-    # mismatched id would write 101's file twice and 102's never
+def test_compose_repeated_caption_id_exit_2(toy_cfg, capsys):
+    # compose names each E_vs file by its caption's id, so a repeated id
+    # would write 101's file twice and 102's never
     cfg, out = toy_cfg
     _run_through_train(cfg)
-    path = out / "scene_graphs" / "102.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    path.write_text(json.dumps({**doc, "caption_id": "101"}), encoding="utf-8")
+    path = out / "corpus.victrs"
+    edit_corpus(path, lambda c: c.captions.__setitem__((1, 0), c.captions[0, 0]))
     capsys.readouterr()
     assert main(["compose", "--config", cfg]) == 2
-    assert f"{path}: caption_id '101' differs from the file name" in capsys.readouterr().err
+    assert f"{path}: duplicate caption id 101" in capsys.readouterr().err
     assert not (out / "evs").exists()
 
 
-def _renumber(doc, new_id):
-    """doc with each object id i replaced by new_id[i], its attributes and
-    relations renumbered to match: the same graph under other ids."""
-    for obj in doc["objects"]:
-        obj["id"] = new_id[obj["id"]]
-    for attr in doc["attributes"]:
-        attr["object_id"] = new_id[attr["object_id"]]
-    for rel in doc["relations"]:
-        rel["subject"], rel["object"] = new_id[rel["subject"]], new_id[rel["object"]]
-    return doc
+def _object_of_another_caption(c):
+    """Caption 104's first relation names caption 103's first object as its subject."""
+    c.relations[c.offsets[3, 2], 0] = c.offsets[2, 0]
 
 
 @pytest.mark.parametrize("stage", ["build-graphs", "compose", "stats"])
 def test_scene_graph_object_ids_not_positions_exit_2(toy_cfg, capsys, stage):
-    # every stage finds object i at objects[i], so ids [1, 0] are refused
+    # every stage finds object k of caption i at row offsets[i, 0] + k, so a
+    # relation may name only rows of its own caption
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg]) == 0
-    path = out / "scene_graphs" / "104.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert len(doc["objects"]) == 2 and doc["relations"]
-    path.write_text(json.dumps(_renumber(doc, {0: 1, 1: 0})), encoding="utf-8")
+    path = out / "corpus.victrs"
+    edit_corpus(path, _object_of_another_caption)
     capsys.readouterr()
     assert main([stage, "--config", cfg]) == 2
-    assert f"{path}: caption 104: objects[0] has id 1;" in capsys.readouterr().err
+    assert (f"{path}: caption 104: a relation names an object outside the caption"
+            in capsys.readouterr().err)
 
 
 def test_build_graphs_word_with_two_super_classes_exit_2(toy_cfg, capsys):
-    # an object node has one super-class, so the files must agree on each word's
+    # an object node has one super-class, so the captions must agree on each word's
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg]) == 0
-    first, second = out / "scene_graphs" / "101.json", out / "scene_graphs" / "102.json"
-    doc = json.loads(second.read_text(encoding="utf-8"))
-    man = next(o for o in doc["objects"] if o["word"] == "man")
-    assert man["super_class"] == "person"
-    man["super_class"] = "animal"
-    second.write_text(json.dumps(doc), encoding="utf-8")
+    path = out / "corpus.victrs"
+
+    def man_an_animal_in_102(c):
+        man, animal = c.strings.index("man"), c.strings.index("animal")
+        rows = np.arange(c.offsets[1, 0], c.offsets[2, 0])
+        c.objects[rows[c.objects[rows, 0] == man], 1] = animal
+
+    edit_corpus(path, man_an_animal_in_102)
     capsys.readouterr()
     assert main(["build-graphs", "--config", cfg]) == 2
-    assert (f"{second}: object word 'man' has super-class 'animal', but {first} gives it "
-            "'person'") in capsys.readouterr().err
+    assert (f"{path}: caption 102: object word 'man' has super-class 'animal', but caption 101 "
+            "gives it 'person'") in capsys.readouterr().err
     assert not (out / "graphs").exists()
 
 
@@ -413,13 +448,12 @@ def test_project_svg_escapes_words(toy_cfg):
     # lemmas are free text: "&" and "<" must not break the SVG's XML
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg]) == 0
-    for name, word in (("101.json", "at&t"), ("102.json", "<x>")):
-        path = out / "scene_graphs" / name
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        for obj in doc["objects"]:
-            if obj["word"] == "man":
-                obj["word"] = word
-        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def rename(c):
+        for word, new in (("man", "at&t"), ("horse", "<x>")):
+            c.strings[c.strings.index(word)] = new
+
+    edit_corpus(out / "corpus.victrs", rename)
     assert main(["build-graphs", "--config", cfg]) == 0
     assert main(["train", "--config", cfg, "--graph", "all"]) == 0
     assert main(["project", "--config", cfg, "--svg"]) == 0
@@ -603,6 +637,20 @@ def test_malformed_artifact_header_exit_2_without_traceback(fuse_cfg, stage, nam
     assert "Traceback" not in proc.stderr and f"{path}: header" in proc.stderr
 
 
+@pytest.mark.parametrize("stage", ["train", "stats"])
+def test_graph_header_repeating_a_node_exit_2(fuse_cfg, capsys, stage):
+    # "horse" renamed "man": two object nodes of one word would split its counts
+    cfg, out = fuse_cfg
+    path = out / "graphs" / "basic.victrg"
+    words = read_container(path, GRAPH_MAGIC)[0]["vocab"]["words"]
+    man, horse = words.index("man"), words.index("horse")
+    _rewrite_header(path, GRAPH_MAGIC, lambda header: header["vocab"]["words"].__setitem__(
+        horse, "man"))
+    assert main([stage, "--config", cfg]) == 2
+    assert (f"{path}: header vocab node {horse} repeats node {man}, object 'man'"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("stage", ["train", "compose", "stats"])
 def test_graph_kind_differs_from_file_name_exit_2(fuse_cfg, capsys, stage):
     # a basic.victrg that says left_of used to train and report as basic
@@ -714,32 +762,23 @@ def test_fuse_bad_weights_exit_2(fuse_cfg, tmp_path, capsys, write, message):
     assert not (out / "fused").exists() or not any((out / "fused").iterdir())
 
 
-def _edit_tokens(out, edit):
-    """Rewrite out/tokens.json as edit(doc) gives it, a document or raw text."""
-    path = out / "tokens.json"
-    doc = edit(json.loads(path.read_text(encoding="utf-8")))
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
-    return path
-
-
-def _caption(doc, cid):
-    return next(c for c in doc["captions"] if c["id"] == cid)
-
-
-def _without_tokens(doc):
-    _caption(doc, "102")["tokens"] = []
-    return doc
+def _without_tokens(c):
+    """c with caption 102's tokens taken out."""
+    first, end = c.offsets[1:3, 3]
+    c.offsets[2:, 3] -= end - first
+    return dataclasses.replace(c, tokens=np.delete(c.tokens, np.s_[first:end]))
 
 
 def test_fuse_caption_without_tokens_exit_2(fuse_cfg, capsys):
     cfg, out = fuse_cfg
-    path = _edit_tokens(out, _without_tokens)
+    path = out / "corpus.victrs"
+    edit_corpus(path, _without_tokens)
     assert main(["fuse", "--config", cfg]) == 2
     assert f"caption 102 has no tokens in {path}" in capsys.readouterr().err
 
 
 def test_fuse_reads_no_conllu(fuse_cfg, tmp_path, toy_paths):
-    """fuse takes token surfaces from parse's tokens.json, not from the corpus."""
+    """fuse takes token surfaces from parse's corpus file, not from the corpus input."""
     cfg, out = fuse_cfg
     assert main(["fuse", "--config", cfg]) == 0
     with_corpus = _fused_bytes(out)
@@ -749,36 +788,34 @@ def test_fuse_reads_no_conllu(fuse_cfg, tmp_path, toy_paths):
     assert len(with_corpus) == 20 and _fused_bytes(out) == with_corpus
 
 
-def _not_a_tokens_list(doc):
-    _caption(doc, "103")["tokens"] = "a man"
-    return doc
+def _token_count_a_string(path):
+    _rewrite_header(path, CORPUS_MAGIC, lambda header: header.update(tokens="12"))
 
 
-def _non_string_token(doc):
-    _caption(doc, "103")["tokens"][1] = 7
-    return doc
+def _token_outside_table(path):
+    edit_corpus(path, lambda c: c.tokens.__setitem__(c.offsets[2, 3] + 1, len(c.strings)))
 
 
-def _repeated_id(doc):
-    doc["captions"].append(dict(_caption(doc, "103")))
-    return doc
+def _repeated_id(path):
+    edit_corpus(path, lambda c: c.captions.__setitem__((3, 0), c.captions[2, 0]))
 
 
-def _no_record(doc):
-    doc["captions"].remove(_caption(doc, "103"))
-    return doc
+def _no_record(path):
+    """Caption 103 renamed 903, which has no E_vs file."""
+    edit_corpus(path, lambda c: c.strings.__setitem__(c.strings.index("103"), "903"))
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda doc: "{not json", "{path}: Expecting property name"),
-    (_not_a_tokens_list, "{path}: captions[2].tokens must be list, got 'a man'"),
-    (_non_string_token, "{path}: captions[2].tokens must hold strings, got 7"),
-    (_repeated_id, "{path}: captions[20]: duplicate caption id 103"),
-    (_no_record, "{path}: no record of caption 103, whose E_vs file is in "),
+@pytest.mark.parametrize("corrupt, message", [
+    (_header_not_json, "{path}: bad header"),
+    (_token_count_a_string, "{path}: header field 'tokens' must be an integer >= 0, got '12'"),
+    (_token_outside_table, "{path}: a string id outside the table of "),
+    (_repeated_id, "{path}: duplicate caption id 103"),
+    (_no_record, "E_vs file of caption 903 not found: "),
 ], ids=["not_json", "tokens_not_list", "non_string_token", "repeated_id", "no_record"])
-def test_fuse_malformed_tokens_file_exit_2(fuse_cfg, capsys, edit, message):
+def test_fuse_malformed_tokens_file_exit_2(fuse_cfg, capsys, corrupt, message):
     cfg, out = fuse_cfg
-    path = _edit_tokens(out, edit)
+    path = out / "corpus.victrs"
+    corrupt(path)
     assert main(["fuse", "--config", cfg]) == 2
     assert message.format(path=path) in capsys.readouterr().err
     assert not (out / "fused").exists()
@@ -786,9 +823,9 @@ def test_fuse_malformed_tokens_file_exit_2(fuse_cfg, capsys, edit, message):
 
 def test_fuse_without_tokens_file_exit_2(fuse_cfg, capsys):
     cfg, out = fuse_cfg
-    (out / "tokens.json").unlink()
+    (out / "corpus.victrs").unlink()
     assert main(["fuse", "--config", cfg]) == 2
-    assert (f"caption token file not found: {out / 'tokens.json'}; run the parse stage first"
+    assert (f"scene-graph corpus not found: {out / 'corpus.victrs'}; run the parse stage first"
             in capsys.readouterr().err)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_scene_graphs
+from helpers import corpus_of, random_scene_graphs
 
 from victr.cli import COMPOSE_BLOCK_ROWS
 from victr.embedding import (
@@ -28,7 +28,7 @@ BASE_SG = sg(1, ["man", "horse"], relations=[(0, "ride", 1)],
 
 
 def _tables(b=200, p=50, seed=0, positional_zero=False):
-    vocab = build_vocabulary([BASE_SG])
+    vocab = build_vocabulary(corpus_of([BASE_SG]))
     rng = np.random.default_rng(seed)
     basic = rng.standard_normal((len(vocab), b))
     positional = {}
@@ -41,7 +41,7 @@ def _tables(b=200, p=50, seed=0, positional_zero=False):
 def _vector(tables, word, kind):
     """The composed vector of (word, kind): basic segment only for attributes."""
     width = tables.basic_width if kind == ATTRIBUTE else tables.full_width
-    return tables.vectors[tables.vocab.require(word, kind), :width]
+    return tables.vectors[tables.vocab.index[word, kind], :width]
 
 
 def test_composed_widths_default_dims():
@@ -68,7 +68,7 @@ def test_unknown_words_map_to_zero_vectors():
     # a known word under another kind is unknown too
     graph = sg(1, ["zzyzx", "brown"], relations=[(0, "man", 1)],
                attributes=[(0, "zzyzx"), (1, "horse")])
-    rows = scene_visual_semantics([graph], tables).rows
+    rows = scene_visual_semantics(corpus_of([graph]), tables).rows
     assert rows.shape == (2, 1200)
     assert not rows.any()
 
@@ -89,7 +89,7 @@ def test_table_size_mismatch_rejected():
 def test_positional_segment_order_is_fixed():
     vocab, basic, positional = _tables(b=2, p=1)
     tables = compose_tables(vocab, basic, positional)
-    idx = vocab.require("man", "object")
+    idx = vocab.index["man", "object"]
     want = np.concatenate(
         [basic[idx]] + [positional[name][idx] for name in GEOMETRIC_RELATIONS]
     )
@@ -99,7 +99,7 @@ def test_positional_segment_order_is_fixed():
 def test_scene_row_layout_no_attributes():
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics([BASE_SG], tables)
+    vs = scene_visual_semantics(corpus_of([BASE_SG]), tables)
     assert vs.rows.shape == (2, 1200)
     man_row = vs.rows[0]
     assert np.array_equal(man_row[:500], _vector(tables, "man", OBJECT))
@@ -109,12 +109,12 @@ def test_scene_row_layout_no_attributes():
 
 def test_scene_row_mean_pools_attributes():
     graph = sg(1, ["dog"], attributes=[(0, "brown"), (0, "big")])
-    vocab = build_vocabulary([graph])
+    vocab = build_vocabulary(corpus_of([graph]))
     rng = np.random.default_rng(1)
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: np.zeros((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics([graph], tables)
+    vs = scene_visual_semantics(corpus_of([graph]), tables)
     want = (_vector(tables, "brown", ATTRIBUTE) + _vector(tables, "big", ATTRIBUTE)) / 2
     fw = tables.full_width
     assert np.allclose(vs.rows[0, fw : fw + 4], want)
@@ -127,23 +127,23 @@ def test_scene_rows_differ_for_duplicate_words_with_different_attributes():
         attributes=((0, "brown"),),
         relations=(),
     )
-    vocab = build_vocabulary([graph])
+    vocab = build_vocabulary(corpus_of([graph]))
     rng = np.random.default_rng(2)
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: np.zeros((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics([graph], tables)
+    vs = scene_visual_semantics(corpus_of([graph]), tables)
     assert not np.array_equal(vs.rows[0], vs.rows[1])
 
 
 def test_scene_relation_segment_pools_both_sides():
     graph = sg(1, ["man", "horse"], relations=[(0, "ride", 1)])
-    vocab = build_vocabulary([graph])
+    vocab = build_vocabulary(corpus_of([graph]))
     rng = np.random.default_rng(3)
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: rng.standard_normal((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics([graph], tables)
+    vs = scene_visual_semantics(corpus_of([graph]), tables)
     fw, bw = tables.full_width, tables.basic_width
     # horse is the object side of the triple; it still pools "ride"
     assert np.array_equal(vs.rows[1, fw + bw :], _vector(tables, "ride", RELATION))
@@ -153,7 +153,7 @@ def test_scene_empty_graph():
     graph = sg(1, [])
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
-    vs = scene_visual_semantics([graph], tables)
+    vs = scene_visual_semantics(corpus_of([graph]), tables)
     assert vs.rows.shape == (0, 1200)
 
 
@@ -168,13 +168,13 @@ def test_scene_permutation_equivariant():
         relations=tuple((new_id[s], p, new_id[o]) for s, p, o in graph.relations),
         attributes=tuple((new_id[oid], a) for oid, a in graph.attributes),
     )
-    vocab = build_vocabulary([graph])
+    vocab = build_vocabulary(corpus_of([graph]))
     rng = np.random.default_rng(4)
     basic = rng.standard_normal((len(vocab), 4))
     positional = {name: rng.standard_normal((len(vocab), 2)) for name in GEOMETRIC_RELATIONS}
     tables = compose_tables(vocab, basic, positional)
-    a = scene_visual_semantics([graph], tables)
-    b = scene_visual_semantics([flipped], tables)
+    a = scene_visual_semantics(corpus_of([graph]), tables)
+    b = scene_visual_semantics(corpus_of([flipped]), tables)
     assert np.array_equal(b.rows, a.rows[list(order)])
 
 
@@ -301,7 +301,7 @@ def _random_scene_graph(rng, cid, n=None):
 @pytest.mark.parametrize("seed", range(4))
 def test_array_composition_matches_dict_reference(seed):
     rng = np.random.default_rng(seed)
-    vocab = build_vocabulary(random_scene_graphs(seed, n_graphs=30))
+    vocab = build_vocabulary(corpus_of(random_scene_graphs(seed, n_graphs=30)))
     b, p = int(rng.integers(1, 9)), int(rng.integers(1, 5))
     basic = rng.standard_normal((len(vocab), b))
     basic[rng.random(len(vocab)) < 0.2] = -0.0  # np.mean of -0.0 rows is +0.0
@@ -318,7 +318,7 @@ def test_array_composition_matches_dict_reference(seed):
     graphs[30:30] = [sg(60, []), _random_scene_graph(rng, 61, n=COMPOSE_BLOCK_ROWS + 44)]
     assert any(w not in ref[OBJECT] for sg in graphs for _, w, _ in sg.objects)
     assert any(len(sg.attributes) > len({oid for oid, _ in sg.attributes}) for sg in graphs)
-    got = scene_visual_semantics(graphs, tables).rows
+    got = scene_visual_semantics(corpus_of(graphs), tables).rows
     assert got.shape == (sum(len(g.objects) for g in graphs), tables.scene_width)
     want = np.concatenate([_reference_rows(g, ref, tables.basic_width, tables.full_width)
                            for g in graphs])
@@ -327,7 +327,7 @@ def test_array_composition_matches_dict_reference(seed):
     start = 0
     for g in graphs:  # a graph composed alone gives its slice of the block
         stop = start + len(g.objects)
-        assert np.array_equal(scene_visual_semantics([g], tables).rows, got[start:stop])
+        assert np.array_equal(scene_visual_semantics(corpus_of([g]), tables).rows, got[start:stop])
         start = stop
     words, rows = projection_rows(tables)
     items = sorted(ref[OBJECT].items())

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from victr.fusion import (
     save_text_features,
 )
 from victr.gcn import save_embeddings
+from victr.sceneparse import SceneGraph, pack_corpus, save_corpus
 
 
 def _text(l=3, d=4, seed=0):
@@ -143,8 +143,8 @@ def test_distinct_tokens_first_seen_order():
 
 def test_text_features_sentence_defaults_to_mean_word(tmp_path):
     # the fuse stage's built-in features: a caption's sentence is its mean word row
-    (tmp_path / "tokens.json").write_text(
-        json.dumps({"captions": [{"id": "5", "tokens": ["a", "dog", "a"]}]}), encoding="utf-8")
+    save_corpus(pack_corpus([SceneGraph("5", "5", (), (), ())], [["a", "dog", "a"]]),
+                tmp_path / "corpus.victrs")
     (tmp_path / "evs").mkdir()
     save_embeddings(np.random.default_rng(26).standard_normal((2, 15)),
                     tmp_path / "evs" / "5.victre", vocab_hash="h")

@@ -1,13 +1,11 @@
 """Properties: one malformed input file exits 0 or 2, never a traceback.
 
 JSON values: each example swaps one value of the toy corpus's
-``captions.json``, its ``instances.json``, one of its parsed scene-graph
-files or parse's ``tokens.json`` for null, a bool, an int, a float, a
-string, a list or an object. It then runs the stages that read the file
-in-process: ``parse``, ``build-graphs`` and ``stats``, or ``fuse`` for
-``tokens.json`` (the last two are mutated in a run through ``compose``).
-Parse reads the instances' categories too, since that config gives no
-super-class lexicon; build-graphs reads their boxes.
+``captions.json`` or its ``instances.json`` for null, a bool, an int, a
+float, a string, a list or an object. It then runs the stages that read the
+file in-process: ``parse``, ``build-graphs`` and ``stats``. Parse reads the
+instances' categories too, since that config gives no super-class lexicon;
+build-graphs reads their boxes.
 
 Lines: each example deletes, duplicates or cuts one line of the CoNLL-U
 file, of a TSV file (quantifier lexicon, super-class lexicon, alias table)
@@ -16,8 +14,11 @@ or of the config file, or appends a junk tab field to it, then runs
 without ``out_dir`` writes into.
 
 Artifacts: each example flips one bit of, cuts, or edits header fields of
-one graph, embeddings or E_vs file of a run through ``compose`` (at 2
-epochs), then runs the stages that read the file.
+parse's corpus file or one graph, embeddings or E_vs file of a run through
+``compose`` (at 2 epochs), or writes one int32 into the corpus file's
+payload with its checksum made to match, then runs the stages that read the
+file. Forged corpus files, one per check its reader makes, must stop each
+stage that reads them with exit 2.
 
 Every stage must exit 0 or 2, and an exit-2 message must name the mutated
 file; for the config file, its key or the path its line gives will do.
@@ -30,8 +31,10 @@ import os
 import shutil
 import struct
 import tempfile
+import zlib
 
 import pytest
+from helpers import edit_corpus, rewrite_container
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,10 +43,6 @@ from victr.cli import main
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOY = os.path.join(REPO, "data", "toy")
 LEXICONS = os.path.join(REPO, "data", "lexicons")
-# stage outputs mutated: (file under out/, the stages run on it); scene
-# graph 101 has objects, attributes and relations
-OUTPUTS = {"scene_graph": (os.path.join("scene_graphs", "101.json"), ("build-graphs", "stats")),
-           "tokens": ("tokens.json", ("fuse",))}
 JSON_INPUTS = {
     "conllu": os.path.join(TOY, "captions.conllu"),
     "captions": os.path.join(TOY, "captions.json"),
@@ -61,7 +60,7 @@ VALUES = st.one_of(
 )
 # (file, path to the value, new value); a path step that is an int picks a
 # key or index modulo the container's size, so any draw names a value
-MUTATIONS = st.tuples(st.sampled_from(["captions", "instances", "scene_graph", "tokens"]),
+MUTATIONS = st.tuples(st.sampled_from(["captions", "instances"]),
                       st.lists(st.integers(0, 63), max_size=4), VALUES)
 
 
@@ -123,32 +122,17 @@ def _mutate(doc, path, value):
 @example(("instances", ("annotations", 0, "image_id"), 1.0))
 @example(("instances", ("annotations", 0, "category_id"), True))
 @example(("captions", ("annotations", 0, "caption"), 5))
-@example(("scene_graph", ("objects", 0, "id"), "0"))
-# object ids [1, 0, 2, 3]: 101's two men swapped, the same graph but ids that are not positions
-@example(("scene_graph", ("objects",), [{"id": i, "word": w, "super_class": s} for i, w, s in
-                                        ((1, "man", "other"), (0, "man", "other"),
-                                         (2, "horse", "animal"), (3, "horse", "animal"))]))
-# 101's first "man" given a super-class that its second "man" does not have
-@example(("scene_graph", ("objects", 0, "super_class"), "animal"))
-@example(("tokens", ("captions", 0, "tokens", 0), 5))
 @given(mutation=MUTATIONS)
-def test_mutated_json_input_exits_0_or_2(composed, mutation):
+def test_mutated_json_input_exits_0_or_2(mutation):
     target, path, value = mutation
     with tempfile.TemporaryDirectory() as tmp:
         inputs = dict(JSON_INPUTS)
-        if target in OUTPUTS:
-            shutil.copytree(composed / "out", os.path.join(tmp, "out"))
-            source = bad = os.path.join(tmp, "out", OUTPUTS[target][0])
-            stages = OUTPUTS[target][1]
-        else:
-            source, bad = inputs[target], os.path.join(tmp, f"{target}.json")
-            inputs[target] = bad
-            stages = ("parse", "build-graphs", "stats")
-        with open(source, encoding="utf-8") as f:
+        bad = inputs[target] = os.path.join(tmp, f"{target}.json")
+        with open(JSON_INPUTS[target], encoding="utf-8") as f:
             doc = json.load(f)
         with open(bad, "w", encoding="utf-8") as f:
             json.dump(_mutate(doc, path, value), f)
-        _check_stages(tmp, stages, [bad], inputs=inputs)
+        _check_stages(tmp, ("parse", "build-graphs", "stats"), [bad], inputs=inputs)
 
 
 def _mutate_line(lines, pick, edit, cut):
@@ -196,51 +180,131 @@ def test_mutated_input_line_exits_0_or_2(mutation):
         _check_stages(tmp, ("parse", "build-graphs"), [bad], inputs=inputs)
 
 
-# artifact under out/ -> the stages that read it, in pipeline order
+# artifact under out/ -> the stages that read it, in pipeline order; build-graphs
+# goes last on the corpus file, so that no stage reads graphs rebuilt from a
+# corpus that its embeddings were not trained on
+CORPUS = "corpus.victrs"
 ARTIFACTS = {
+    CORPUS: ("stats", "compose", "fuse", "build-graphs"),
     os.path.join("graphs", "basic.victrg"): ("train", "compose", "project", "stats"),
     os.path.join("graphs", "left_of.victrg"): ("train", "stats"),
     os.path.join("embeddings", "basic.victre"): ("compose", "project"),
     os.path.join("embeddings", "above.victre"): ("compose", "project"),
     os.path.join("evs", "101.victre"): ("fuse",),
 }
-HEADER_FIELDS = ("n", "h", "nnz", "kind", "vocab", "vocab_hash", "version")
-# (file, edit, position, header fields to set)
+HEADER_FIELDS = ("n", "h", "nnz", "kind", "vocab", "vocab_hash", "version", "objects",
+                 "attributes", "relations", "tokens", "text")
+# (file, edit, position, header fields to set, int32 to write); "int" edits
+# only the corpus file, whose payload is int32 but for its string bytes
 ARTIFACT_MUTATIONS = st.tuples(
-    st.sampled_from(sorted(ARTIFACTS)), st.sampled_from(["flip", "cut", "header"]),
+    st.sampled_from(sorted(ARTIFACTS)), st.sampled_from(["flip", "cut", "header", "int"]),
     st.integers(0, 2**20), st.dictionaries(st.sampled_from(HEADER_FIELDS), VALUES,
-                                           min_size=1, max_size=2))
+                                           min_size=1, max_size=2), st.integers(-2, 300))
 
 
-def _mutate_container(blob: bytes, edit, pos, fields) -> bytes:
+def _mutate_container(blob: bytes, edit, pos, fields, value) -> bytes:
     """blob with bit pos // len(blob) % 8 of byte pos % len(blob) flipped,
-    cut to its first pos % len(blob) bytes, or its header fields set to
-    fields (the payload's checksum still holds)."""
+    cut to its first pos % len(blob) bytes, its header fields set to fields,
+    or int32 number pos % (payload size // 4) of its payload set to value
+    (the payload's checksum still holds)."""
     if edit == "flip":
         i = pos % len(blob)
         return blob[:i] + bytes([blob[i] ^ 1 << pos // len(blob) % 8]) + blob[i + 1:]
     if edit == "cut":
         return blob[:pos % len(blob)]
     (size,) = struct.unpack_from("<I", blob, 8)  # after the 7-byte magic and '\n'
-    header = {**json.loads(blob[12:12 + size]), **fields}
-    head = json.dumps(header).encode("utf-8")
-    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + size:]
+    header, payload = json.loads(blob[12:12 + size]), blob[12 + size:-4]
+    if edit == "int":
+        i = pos % (len(payload) // 4) * 4
+        payload = payload[:i] + struct.pack("<i", value) + payload[i + 4:]
+    head = json.dumps({**header, **fields} if edit == "header" else header).encode("utf-8")
+    return (blob[:8] + struct.pack("<I", len(head)) + head + payload
+            + struct.pack("<I", zlib.crc32(payload)))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # the toy caption 101 has 4 objects, so its E_vs file holds 4 rows of width 1200
-@example((os.path.join("evs", "101.victre"), "header", 0, {"n": 8, "h": 600}))
+@example((os.path.join("evs", "101.victre"), "header", 0, {"n": 8, "h": 600}, 0))
 # the toy vocabulary has 41 nodes; basic embeddings are 200 wide
-@example((os.path.join("embeddings", "basic.victre"), "header", 0, {"n": 205, "h": 40}))
-@example((os.path.join("graphs", "basic.victrg"), "header", 0, {"kind": "left_of"}))
+@example((os.path.join("embeddings", "basic.victre"), "header", 0, {"n": 205, "h": 40}, 0))
+@example((os.path.join("graphs", "basic.victrg"), "header", 0, {"kind": "left_of"}, 0))
+# int32 60 of the toy corpus file is an offset, caption 106's first object row,
+# and 125 the super-class of caption 101's first "man": here "animal"
+@example((CORPUS, "int", 60, {}, 8))
+@example((CORPUS, "int", 125, {}, 5))
+@example((CORPUS, "header", 0, {"text": 4}, 0))
 @given(mutation=ARTIFACT_MUTATIONS)
 def test_mutated_artifact_exits_0_or_2(composed, mutation):
-    name, edit, pos, fields = mutation
+    name, edit, pos, fields, value = mutation
+    if edit == "int" and name != CORPUS:
+        edit = "flip"
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(composed / "out", os.path.join(tmp, "out"))
         bad = os.path.join(tmp, "out", name)
         with open(bad, "rb") as f:
             blob = f.read()
         with open(bad, "wb") as f:
-            f.write(_mutate_container(blob, edit, pos, fields))
+            f.write(_mutate_container(blob, edit, pos, fields, value))
         _check_stages(tmp, ARTIFACTS[name], [bad])
+
+
+def _raw(edit_header=lambda header: None, edit_payload=lambda payload: payload):
+    """A forgery that edits the corpus file's header fields in place or
+    rewrites its payload bytes, with the checksum made to match."""
+    def edit(head, payload):
+        header = json.loads(head)
+        edit_header(header)
+        return json.dumps(header).encode("utf-8"), edit_payload(payload)
+    return lambda path: rewrite_container(path, edit)
+
+
+def _set(column, index, value):
+    """A forgery that sets one entry of a corpus column (value may read the corpus)."""
+    def edit(c):
+        getattr(c, column)[index] = value(c) if callable(value) else value
+    return lambda path: edit_corpus(path, edit)
+
+
+# each check the corpus reader makes -> (forgery, the message it gives); toy
+# caption 101 (rows 0-3) has two men riding two horses, brown: rows 0 and 1
+# are "man", 2 and 3 "horse", and row 4, caption 102's first, is "man" again
+FORGED_CORPUS = {
+    "payload_size": (_raw(lambda h: h.update(tokens=h["tokens"] + 1)), "payload size"),
+    "text_not_utf8": (_raw(edit_payload=lambda p: p[:-1] + b"\xff"),
+                      "string table is not JSON text"),
+    "table_not_strings": (_raw(lambda h: h.update(text=h["text"] + 2), lambda p: p[:-1] + b",7]"),
+                          "string table is not a list of distinct strings"),
+    "string_repeated": (_set("strings", 2, "person"), "not a list of distinct strings"),
+    "offsets_fall": (_set("offsets", (2, 0), 99), "caption offsets must rise"),
+    "offsets_short": (_set("offsets", (20, 1), 7), "caption offsets must rise"),
+    "word_id": (_set("objects", (0, 0), lambda c: len(c.strings)),
+                "a string id outside the table"),
+    "predicate_id": (_set("relations", (0, 1), -1), "a string id outside the table"),
+    "token_id": (_set("tokens", 0, lambda c: len(c.strings) + 5), "a string id outside"),
+    "caption_file_name": (_set("strings", 0, "../101"), "caption_id '../101' cannot be a file"),
+    "caption_repeated": (_set("captions", (1, 0), lambda c: c.captions[0, 0]),
+                         "duplicate caption id 101"),
+    "attribute_row": (_set("attributes", (0, 0), 4),
+                      "caption 101: an attribute names an object outside the caption"),
+    "relation_row": (_set("relations", (0, 2), -1),
+                     "caption 101: a relation names an object outside the caption"),
+    "self_relation": (_set("relations", (0, 2), 0), "caption 101: a self-relation"),
+    "repeated_triple": (_set("relations", 1, lambda c: c.relations[0]),
+                        "caption 101: a duplicate relation triple"),
+    "two_super_classes": (_set("objects", (4, 1), lambda c: c.strings.index("animal")),
+                          "caption 102: object word 'man' has super-class 'animal', but "
+                          "caption 101 gives it 'other'"),
+}
+
+
+@pytest.mark.parametrize("stage", ["build-graphs", "compose", "stats", "fuse"])
+@pytest.mark.parametrize("check", sorted(FORGED_CORPUS))
+def test_forged_corpus_exits_2_naming_it(composed, check, stage):
+    forge, message = FORGED_CORPUS[check]
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(composed / "out", os.path.join(tmp, "out"))
+        path = os.path.join(tmp, "out", CORPUS)
+        forge(path)
+        code, err = _run(tmp, stage)
+        assert code == 2, err
+        assert f"{path}: " in err and message in err, err

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gradient_check, masked_cross_entropy, two_clique_scene_graphs
+from helpers import corpus_of, gradient_check, masked_cross_entropy, two_clique_scene_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,7 +54,7 @@ def _random_setup(seed, n=6, hidden=5, mu=3):
 
 
 def _clique_fixture():
-    corpus = two_clique_scene_graphs()
+    corpus = corpus_of(two_clique_scene_graphs())
     vocab = build_vocabulary(corpus)
     graph = compute_weights(accumulate_counts(corpus, vocab))
     a_hat = normalized_adjacency(graph)

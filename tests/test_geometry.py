@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import INVERSE_RELATION
+from helpers import INVERSE_RELATION, corpus_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -96,30 +96,33 @@ def _inst(entries):
     return boxes
 
 
-def _sg(words, image_id="1"):
+def _sg(words, image_id="1", caption_id="1"):
     return SceneGraph(
-        caption_id="1", image_id=image_id,
+        caption_id=caption_id, image_id=image_id,
         objects=tuple((i, w, "other") for i, w in enumerate(words)),
         attributes=(), relations=(),
     )
 
 
+def _corpus(words, image_id="1"):
+    return corpus_of([_sg(words, image_id)])
+
+
 def test_match_unique_categories():
     inst = _inst([(1, "dog", (0, 0, 5, 5)), (1, "cat", (9, 9, 3, 3))])
-    matches = match_objects_to_boxes(_sg(["dog", "cat"]), inst, {})
-    assert [(oid, (b.x, b.y)) for oid, b in matches] == [(0, (0.0, 0.0)), (1, (9.0, 9.0))]
+    matches = match_objects_to_boxes(_corpus(["dog", "cat"]), inst, {})
+    assert [(row, (b.x, b.y)) for row, b in matches.items()] == [(0, (0.0, 0.0)),
+                                                                  (1, (9.0, 9.0))]
 
 
 def test_match_exhaustion():
     inst = _inst([(1, "dog", (0, 0, 5, 5))])
-    matches = match_objects_to_boxes(_sg(["dog", "dog"]), inst, {})
-    assert [oid for oid, _ in matches] == [0]
+    assert list(match_objects_to_boxes(_corpus(["dog", "dog"]), inst, {})) == [0]
 
 
 def test_match_alias():
     inst = _inst([(1, "dog", (0, 0, 5, 5))])
-    matches = match_objects_to_boxes(_sg(["puppy"]), inst, {"puppy": "dog"})
-    assert [oid for oid, _ in matches] == [0]
+    assert list(match_objects_to_boxes(_corpus(["puppy"]), inst, {"puppy": "dog"})) == [0]
 
 
 def test_alias_table_rejects_a_lemma_given_two_categories(tmp_path):
@@ -134,8 +137,8 @@ def test_match_prefers_largest_area():
     inst = _inst(
         [(1, "dog", (0, 0, 2, 2)), (1, "dog", (10, 10, 8, 8))]
     )
-    matches = match_objects_to_boxes(_sg(["dog"]), inst, {})
-    assert matches[0][1].area == 64
+    matches = match_objects_to_boxes(_corpus(["dog"]), inst, {})
+    assert matches[0].area == 64
 
 
 def test_match_never_reuses_a_box():
@@ -143,15 +146,15 @@ def test_match_never_reuses_a_box():
     entries = [(1, "dog", tuple(float(v) for v in rng.integers(1, 50, 4)))
                for _ in range(6)]
     inst = _inst(entries)
-    matches = match_objects_to_boxes(_sg(["dog"] * 10), inst, {})
+    matches = match_objects_to_boxes(_corpus(["dog"] * 10), inst, {})
     assert len(matches) == 6
-    corners = [(b.x, b.y, b.w, b.h) for _, b in matches]
+    corners = [(b.x, b.y, b.w, b.h) for b in matches.values()]
     assert len(set(corners)) == len(corners)
 
 
 def test_match_missing_image_matches_nothing():
     inst = _inst([(1, "dog", (0, 0, 5, 5))])
-    assert match_objects_to_boxes(_sg(["dog"], image_id="2"), inst, {}) == []
+    assert match_objects_to_boxes(_corpus(["dog"], image_id="2"), inst, {}) == {}
 
 
 def _reference_match(sg, inst, aliases):
@@ -172,10 +175,15 @@ def _reference_match(sg, inst, aliases):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["dog", "cat"]), st.integers(0, 3),
                           st.integers(1, 4), st.integers(1, 4)), max_size=8),
-       st.lists(st.sampled_from(["dog", "cat", "puppy", "cow"]), max_size=8))
-def test_match_equals_reference_scan(boxes, words):
-    # small integer sides: equal areas of different shapes are common
+       st.lists(st.lists(st.sampled_from(["dog", "cat", "puppy", "cow"]), max_size=8),
+                max_size=3))
+def test_match_equals_reference_scan(boxes, captions):
+    # small integer sides: equal areas of different shapes are common; each
+    # caption of the one image claims from all of its boxes
     inst = _inst([(1, name, (x, 0, w, h)) for name, x, w, h in boxes])
-    sg = _sg(words)
-    assert (match_objects_to_boxes(sg, inst, {"puppy": "dog"})
-            == _reference_match(sg, inst, {"puppy": "dog"}))
+    graphs = [_sg(words, caption_id=str(i)) for i, words in enumerate(captions)]
+    want, first = [], 0
+    for sg in graphs:
+        want += [(first + oid, b) for oid, b in _reference_match(sg, inst, {"puppy": "dog"})]
+        first += len(sg.objects)
+    assert list(match_objects_to_boxes(corpus_of(graphs), inst, {"puppy": "dog"}).items()) == want

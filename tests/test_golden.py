@@ -2,7 +2,8 @@
 
 The stages run in-process on ``data/toy/config.txt``. One sha256 covers
 every ``scene_graphs/*.json`` and ``graphs/*.victrg`` file (relative name
-and bytes, in sorted order); the three stages' stdout is compared as text.
+and bytes, in sorted order), and a second the bytes of ``corpus.victrs``;
+the three stages' stdout is compared as text.
 These files hold only counts and single float divisions, no BLAS products,
 so the digest is the same on every supported Python. A refactor that is
 meant to keep the outputs byte-identical must leave both values unchanged.
@@ -18,6 +19,7 @@ from victr.cli import main
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGEST = "afc48d5da71a5335f3e12ed020a5b4405012f0756768e71b123c6668c11eba7f"
+CORPUS_DIGEST = "642d41fb4df94b309dc7d4a223d19cead9139e6de1dad23a2aab1772aaf9beec"
 STDOUT = {
     "parse": "parsed 20 captions: 60 objects, 42 relations, 8 attributes\n",
     "build-graphs": (
@@ -64,3 +66,5 @@ def test_toy_outputs_match_golden_digest(tmp_path, monkeypatch):
         stdout[stage] = buf.getvalue()
     assert stdout == STDOUT
     assert _digest(out) == DIGEST
+    with open(os.path.join(out, "corpus.victrs"), "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == CORPUS_DIGEST

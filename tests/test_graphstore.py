@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import random_scene_graphs
+from helpers import box_rows, corpus_of, random_scene_graphs
 
 from victr.binio import GRAPH_MAGIC, FormatError, read_container
 from victr.errors import InvariantError
@@ -54,12 +54,12 @@ TOY_CORPUS = [
 
 
 def test_vocabulary_triple_order():
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
     assert vocab.nodes == [("man", OBJECT), ("ride", RELATION), ("horse", OBJECT)]
 
 
 def test_vocabulary_dedup_across_graphs():
-    vocab = build_vocabulary(TOY_CORPUS)
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
     assert [n for n in vocab.nodes if n == ("man", OBJECT)] == [("man", OBJECT)]
 
 
@@ -68,37 +68,37 @@ def test_vocabulary_shared_attribute_node():
         sg(1, ["dog"], attributes=[(0, "brown")]),
         sg(2, ["horse"], attributes=[(0, "brown")]),
     ]
-    vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus_of(corpus))
     assert sum(1 for n in vocab.nodes if n == ("brown", ATTRIBUTE)) == 1
 
 
 def test_vocabulary_empty_corpus():
     with pytest.raises(ValueError):
-        build_vocabulary([])
+        build_vocabulary(corpus_of([]))
 
 
 def test_vocabulary_super_class_per_object_node():
     supers = {"man": "person", "horse": "animal", "kite": "toy"}
     corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)], supers=supers),
               sg(2, ["horse", "kite"], supers=supers)]
-    vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus_of(corpus))
     assert {vocab.nodes[i][0]: sup for i, sup in vocab.object_super_class.items()} == supers
 
 
 def test_counts_single_triple():
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
-    g = accumulate_counts([MAN_RIDE_HORSE], vocab)
-    man, ride, horse = (vocab.require(*n) for n in
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
+    g = accumulate_counts(corpus_of([MAN_RIDE_HORSE]), vocab)
+    man, ride, horse = (vocab.index[n] for n in
                         [("man", OBJECT), ("ride", RELATION), ("horse", OBJECT)])
     assert edge_dict(g, "count") == {(man, ride): 1, (ride, horse): 1}
 
 
 def test_counts_hand_tallied_toy_corpus():
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = accumulate_counts(TOY_CORPUS, vocab)
-    man = vocab.require("man", OBJECT)
-    ride = vocab.require("ride", RELATION)
-    hold = vocab.require("hold", RELATION)
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = accumulate_counts(corpus_of(TOY_CORPUS), vocab)
+    man = vocab.index["man", OBJECT]
+    ride = vocab.index["ride", RELATION]
+    hold = vocab.index["hold", RELATION]
     assert edge_dict(g, "count")[(man, ride)] == 2
     assert edge_dict(g, "count")[(man, hold)] == 1
 
@@ -109,37 +109,38 @@ def test_attribute_counts_hand_tallied():
         sg(2, ["dog"], attributes=[(0, "brown")]),
         sg(3, ["horse"], attributes=[(0, "brown")]),
     ]
-    vocab = build_vocabulary(corpus)
-    g = accumulate_counts(corpus, vocab)
-    dog = vocab.require("dog", OBJECT)
-    horse = vocab.require("horse", OBJECT)
-    brown = vocab.require("brown", ATTRIBUTE)
+    vocab = build_vocabulary(corpus_of(corpus))
+    g = accumulate_counts(corpus_of(corpus), vocab)
+    dog = vocab.index["dog", OBJECT]
+    horse = vocab.index["horse", OBJECT]
+    brown = vocab.index["brown", ATTRIBUTE]
     # display edge object->attribute carries the attribute->object tally
     assert edge_dict(g, "count")[(dog, brown)] == 2
     assert edge_dict(g, "count")[(horse, brown)] == 1
 
 
 def test_out_of_vocabulary_errors():
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
     with pytest.raises(InvariantError, match="bike"):
-        accumulate_counts([sg(9, ["man", "bike"], relations=[(0, "ride", 1)])], vocab)
+        accumulate_counts(corpus_of([sg(9, ["man", "bike"], relations=[(0, "ride", 1)])]),
+                          vocab)
 
 
 def test_weights_eq1_hand_computed():
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
-    man = vocab.require("man", OBJECT)
-    ride = vocab.require("ride", RELATION)
-    hold = vocab.require("hold", RELATION)
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
+    man = vocab.index["man", OBJECT]
+    ride = vocab.index["ride", RELATION]
+    hold = vocab.index["hold", RELATION]
     assert edge_dict(g, "weight")[(man, ride)] == pytest.approx(2 / 3, abs=1e-12)
     assert edge_dict(g, "weight")[(man, hold)] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_weights_singleton_successor_is_one():
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
-    g = compute_weights(accumulate_counts([MAN_RIDE_HORSE], vocab))
-    ride = vocab.require("ride", RELATION)
-    horse = vocab.require("horse", OBJECT)
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
+    g = compute_weights(accumulate_counts(corpus_of([MAN_RIDE_HORSE]), vocab))
+    ride = vocab.index["ride", RELATION]
+    horse = vocab.index["horse", OBJECT]
     assert edge_dict(g, "weight")[(ride, horse)] == 1.0
 
 
@@ -149,18 +150,18 @@ def test_weights_eq3_attribute_conditioned():
         sg(2, ["dog"], attributes=[(0, "brown")]),
         sg(3, ["horse"], attributes=[(0, "brown")]),
     ]
-    vocab = build_vocabulary(corpus)
-    g = compute_weights(accumulate_counts(corpus, vocab))
-    dog = vocab.require("dog", OBJECT)
-    horse = vocab.require("horse", OBJECT)
-    brown = vocab.require("brown", ATTRIBUTE)
+    vocab = build_vocabulary(corpus_of(corpus))
+    g = compute_weights(accumulate_counts(corpus_of(corpus), vocab))
+    dog = vocab.index["dog", OBJECT]
+    horse = vocab.index["horse", OBJECT]
+    brown = vocab.index["brown", ATTRIBUTE]
     assert edge_dict(g, "weight")[(dog, brown)] == pytest.approx(2 / 3, abs=1e-12)
     assert edge_dict(g, "weight")[(horse, brown)] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_self_weights_present_and_in_range():
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
     weights = edge_dict(g, "weight")
     for i in range(len(vocab)):
         assert weights[(i, i)] == 1.0
@@ -170,36 +171,36 @@ def test_self_weights_present_and_in_range():
 def test_weight_families_sum_to_one_randomized():
     for seed in range(25):
         corpus = random_scene_graphs(seed, n_graphs=6)
-        vocab = build_vocabulary(corpus)
-        g = compute_weights(accumulate_counts(corpus, vocab))
+        vocab = build_vocabulary(corpus_of(corpus))
+        g = compute_weights(accumulate_counts(corpus_of(corpus), vocab))
         verify_weight_sums(g)
 
 
 def test_verify_weight_sums_catches_breakage():
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
-    man = vocab.require("man", OBJECT)
-    ride = vocab.require("ride", RELATION)
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
+    man = vocab.index["man", OBJECT]
+    ride = vocab.index["ride", RELATION]
     g.weights[(g.edges["src"] == man) & (g.edges["dst"] == ride)] += 0.5
     with pytest.raises(InvariantError):
         verify_weight_sums(g)
 
 
 def test_verify_weight_sums_catches_nan():
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
-    g.weights[(g.edges["src"] == vocab.require("man", OBJECT))
-              & (g.edges["dst"] == vocab.require("ride", RELATION))] = np.nan
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
+    g.weights[(g.edges["src"] == vocab.index["man", OBJECT])
+              & (g.edges["dst"] == vocab.index["ride", RELATION])] = np.nan
     with pytest.raises(InvariantError, match="sums to nan"):
         verify_weight_sums(g)
 
 
 def test_counts_additive_split_merge():
     corpus = random_scene_graphs(7, n_graphs=10)
-    vocab = build_vocabulary(corpus)
-    whole = accumulate_counts(corpus, vocab)
-    merged = edge_dict(accumulate_counts(corpus[:4], vocab), "count")
-    for key, c in edge_dict(accumulate_counts(corpus[4:], vocab), "count").items():
+    vocab = build_vocabulary(corpus_of(corpus))
+    whole = accumulate_counts(corpus_of(corpus), vocab)
+    merged = edge_dict(accumulate_counts(corpus_of(corpus[:4]), vocab), "count")
+    for key, c in edge_dict(accumulate_counts(corpus_of(corpus[4:]), vocab), "count").items():
         merged[key] = merged.get(key, 0) + c
     assert edge_dict(whole, "count") == merged
 
@@ -215,12 +216,12 @@ def _boxes(rel):
 
 
 def test_positional_single_assignment():
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
     s_box, o_box = _boxes("left_of")
-    graphs = build_positional_graphs([MAN_RIDE_HORSE], vocab, [{0: s_box, 1: o_box}])
-    man = vocab.require("man", OBJECT)
-    ride = vocab.require("ride", RELATION)
-    horse = vocab.require("horse", OBJECT)
+    graphs = build_positional_graphs(corpus_of([MAN_RIDE_HORSE]), vocab, {0: s_box, 1: o_box})
+    man = vocab.index["man", OBJECT]
+    ride = vocab.index["ride", RELATION]
+    horse = vocab.index["horse", OBJECT]
     assert edge_dict(graphs["left_of"], "count") == {(man, ride): 1, (ride, horse): 1}
     for name in GEOMETRIC_RELATIONS:
         if name != "left_of":
@@ -228,8 +229,8 @@ def test_positional_single_assignment():
 
 
 def test_positional_empty_matches():
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
-    graphs = build_positional_graphs([MAN_RIDE_HORSE], vocab, [{}])
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
+    graphs = build_positional_graphs(corpus_of([MAN_RIDE_HORSE]), vocab, {})
     assert all(edge_dict(g, "count") == {} for g in graphs.values())
 
 
@@ -238,14 +239,15 @@ def test_positional_same_pair_two_images():
         sg(1, ["cup", "table"], relations=[(0, "on", 1)]),
         sg(2, ["cup", "table"], relations=[(0, "on", 1)]),
     ]
-    vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus_of(corpus))
     inside = _boxes("inside")
     above = _boxes("above")
     graphs = build_positional_graphs(
-        corpus, vocab, [{0: inside[0], 1: inside[1]}, {0: above[0], 1: above[1]}]
+        corpus_of(corpus), vocab,
+        box_rows(corpus, [{0: inside[0], 1: inside[1]}, {0: above[0], 1: above[1]}])
     )
-    cup = vocab.require("cup", OBJECT)
-    on = vocab.require("on", RELATION)
+    cup = vocab.index["cup", OBJECT]
+    on = vocab.index["on", RELATION]
     assert edge_dict(graphs["inside"], "count")[(cup, on)] == 1
     assert edge_dict(graphs["above"], "count")[(cup, on)] == 1
 
@@ -253,7 +255,7 @@ def test_positional_same_pair_two_images():
 def test_positional_partition_exactly_one_graph():
     rng = np.random.default_rng(5)
     corpus = random_scene_graphs(11, n_graphs=8)
-    vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus_of(corpus))
     matches = []
     for g in corpus:
         m = {}
@@ -262,7 +264,7 @@ def test_positional_partition_exactly_one_graph():
             w, h = rng.integers(1, 80, 2)
             m[oid] = BoundingBox(float(x), float(y), float(w), float(h))
         matches.append(m)
-    graphs = build_positional_graphs(corpus, vocab, matches)
+    graphs = build_positional_graphs(corpus_of(corpus), vocab, box_rows(corpus, matches))
     total_triples = sum(len(g.relations) for g in corpus)
     # each triple contributes one o->r and one r->o count somewhere
     total_counts = sum(sum(edge_dict(g, "count").values()) for g in graphs.values())
@@ -282,13 +284,13 @@ def _ref_basic_counts(corpus, vocab):
     for sg in corpus:
         words = {oid: word for oid, word, _ in sg.objects}
         for s, p, o in sg.relations:
-            si = vocab.require(words[s], OBJECT)
-            pi = vocab.require(p, RELATION)
-            oi = vocab.require(words[o], OBJECT)
+            si = vocab.index[words[s], OBJECT]
+            pi = vocab.index[p, RELATION]
+            oi = vocab.index[words[o], OBJECT]
             _ref_bump(counts, (si, pi), (pi, oi))
         for oid, attr in sg.attributes:
-            oi = vocab.require(words[oid], OBJECT)
-            _ref_bump(counts, (oi, vocab.require(attr, ATTRIBUTE)))
+            oi = vocab.index[words[oid], OBJECT]
+            _ref_bump(counts, (oi, vocab.index[attr, ATTRIBUTE]))
     return counts
 
 
@@ -298,9 +300,9 @@ def _ref_positional_counts(corpus, vocab, box_matches):
         words = {oid: word for oid, word, _ in sg.objects}
         for s, p, o in sg.relations:
             if s in matches and o in matches:
-                si = vocab.require(words[s], OBJECT)
-                pi = vocab.require(p, RELATION)
-                oi = vocab.require(words[o], OBJECT)
+                si = vocab.index[words[s], OBJECT]
+                pi = vocab.index[p, RELATION]
+                oi = vocab.index[words[o], OBJECT]
                 label = classify_geometric_relation(matches[s], matches[o])
                 _ref_bump(graphs[label], (si, pi), (pi, oi))
     return graphs
@@ -341,11 +343,11 @@ def _corpus_with_boxes(draw):
 @given(_corpus_with_boxes())
 def test_record_graphs_match_dict_reference(tmp_path_factory, case):
     corpus, matches = case
-    vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus_of(corpus))
     want = {"basic": _ref_basic_counts(corpus, vocab),
             **_ref_positional_counts(corpus, vocab, matches)}
-    got = {"basic": compute_weights(accumulate_counts(corpus, vocab)),
-           **build_positional_graphs(corpus, vocab, matches)}
+    got = {"basic": compute_weights(accumulate_counts(corpus_of(corpus), vocab)),
+           **build_positional_graphs(corpus_of(corpus), vocab, box_rows(corpus, matches))}
     path = tmp_path_factory.mktemp("graphs") / "graph.victrg"
     for name, g in got.items():
         counts, weights = want[name], _ref_weights(want[name], vocab)
@@ -359,10 +361,10 @@ def test_record_graphs_match_dict_reference(tmp_path_factory, case):
 def test_normalized_adjacency_isolated_node():
     corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)]),
               sg(2, ["rock"])]
-    vocab = build_vocabulary(corpus)
-    g = compute_weights(accumulate_counts(corpus, vocab))
+    vocab = build_vocabulary(corpus_of(corpus))
+    g = compute_weights(accumulate_counts(corpus_of(corpus), vocab))
     a_hat = normalized_adjacency(g).toarray()
-    rock = vocab.require("rock", OBJECT)
+    rock = vocab.index["rock", OBJECT]
     row = np.zeros(len(vocab))
     row[rock] = 1.0
     assert np.allclose(a_hat[rock], row)
@@ -370,7 +372,7 @@ def test_normalized_adjacency_isolated_node():
 
 def test_normalized_adjacency_hand_example():
     # A = [[1, 1], [0, 1]] -> D = diag(2, 1) -> A_hat = [[1/2, 1/sqrt(2)], [0, 1]]
-    vocab = build_vocabulary([MAN_RIDE_HORSE])
+    vocab = build_vocabulary(corpus_of([MAN_RIDE_HORSE]))
     g = _graph(vocab, {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0, (2, 2): 1.0})
     a_hat = normalized_adjacency(g).toarray()
     assert a_hat[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -383,8 +385,8 @@ def test_normalized_adjacency_entrywise_oracle():
     rng = np.random.default_rng(17)
     for _ in range(20):
         corpus = random_scene_graphs(int(rng.integers(1000)), n_graphs=4)
-        vocab = build_vocabulary(corpus)
-        g = compute_weights(accumulate_counts(corpus, vocab))
+        vocab = build_vocabulary(corpus_of(corpus))
+        g = compute_weights(accumulate_counts(corpus_of(corpus), vocab))
         a_hat = normalized_adjacency(g).toarray()
         n = len(vocab)
         a = np.zeros((n, n))
@@ -400,8 +402,8 @@ def test_normalized_adjacency_entrywise_oracle():
 
 
 def test_serialize_round_trip(tmp_path):
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
     path = tmp_path / "basic.victrg"
     serialize_graph(g, path)
     loaded = deserialize_graph(path)
@@ -415,8 +417,8 @@ def test_serialize_round_trip(tmp_path):
 
 
 def test_serialize_deterministic_bytes(tmp_path):
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
     p1, p2 = tmp_path / "a.victrg", tmp_path / "b.victrg"
     serialize_graph(g, p1)
     serialize_graph(g, p2)
@@ -431,8 +433,8 @@ def test_wrong_magic_rejected(tmp_path):
 
 
 def test_corrupted_payload_rejected(tmp_path):
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
     path = tmp_path / "basic.victrg"
     serialize_graph(g, path)
     blob = bytearray(path.read_bytes())
@@ -446,9 +448,9 @@ def test_truncated_graph_file_rejected(tmp_path):
     # Cut after the header plus 4 bytes, the file is a well-formed container of
     # an empty payload: those bytes are the first record's src, node 0, which
     # equals the CRC-32 of nothing. The edge count in the header catches it.
-    vocab = build_vocabulary(TOY_CORPUS)
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
     path = tmp_path / "basic.victrg"
-    serialize_graph(compute_weights(accumulate_counts(TOY_CORPUS, vocab)), path)
+    serialize_graph(compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab)), path)
     blob = path.read_bytes()
     for cut in range(len(blob)):
         path.write_bytes(blob[:cut])
@@ -457,8 +459,8 @@ def test_truncated_graph_file_rejected(tmp_path):
 
 
 def test_deserialize_then_compute_weights_noop(tmp_path):
-    vocab = build_vocabulary(TOY_CORPUS)
-    g = compute_weights(accumulate_counts(TOY_CORPUS, vocab))
+    vocab = build_vocabulary(corpus_of(TOY_CORPUS))
+    g = compute_weights(accumulate_counts(corpus_of(TOY_CORPUS), vocab))
     path = tmp_path / "basic.victrg"
     serialize_graph(g, path)
     loaded = deserialize_graph(path)
@@ -468,7 +470,8 @@ def test_deserialize_then_compute_weights_noop(tmp_path):
 
 
 def test_deserialize_unknown_node_kind_rejected(tmp_path):
-    g = compute_weights(accumulate_counts(TOY_CORPUS, build_vocabulary(TOY_CORPUS)))
+    corpus = corpus_of(TOY_CORPUS)
+    g = compute_weights(accumulate_counts(corpus, build_vocabulary(corpus)))
     g.vocab = Vocabulary(nodes=[(w, "colour" if i == 1 else k)
                                 for i, (w, k) in enumerate(g.vocab.nodes)])
     path = tmp_path / "basic.victrg"
@@ -590,9 +593,9 @@ def test_adjacency_all_connected_is_two_kind_blocks():
 def test_adjacency_holds_only_the_kind_blocks():
     corpus = [sg(1, ["man", "horse"], relations=[(0, "ride", 1)], attributes=[(1, "brown")]),
               sg(2, ["rock", "tree", "sky"])]
-    vocab = build_vocabulary(corpus)
-    a_hat = normalized_adjacency(compute_weights(accumulate_counts(corpus, vocab)))
-    assert list(a_hat.nodes) == [vocab.require(w, k) for w, k in
+    vocab = build_vocabulary(corpus_of(corpus))
+    a_hat = normalized_adjacency(compute_weights(accumulate_counts(corpus_of(corpus), vocab)))
+    assert list(a_hat.nodes) == [vocab.index[w, k] for w, k in
                                  (("man", OBJECT), ("horse", OBJECT), ("ride", RELATION),
                                   ("brown", ATTRIBUTE))]
     # B1: man and horse x ride and brown; B2: ride x horse
