@@ -57,7 +57,7 @@ def _coerce(name: str, raw: str):
 
 def load_config(path) -> PipelineConfig:
     values, line_of = {}, {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not part of a key
         for ln, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .binio import GRAPH_MAGIC, header_ints, read_container, write_container
 from .errors import InvariantError
-from .geometry import GEOMETRIC_RELATIONS, classify_geometric_relation
+from .geometry import GEOMETRIC_RELATIONS, classify_geometric_relations
 
 OBJECT, RELATION, ATTRIBUTE = "object", "relation", "attribute"
 KINDS = (OBJECT, RELATION, ATTRIBUTE)  # ``Vocabulary.kind_codes`` index this
@@ -218,18 +218,20 @@ def verify_weight_sums(graph: RelationalGraph) -> None:
 def build_positional_graphs(corpus, vocab: Vocabulary, box_of: dict) -> dict[str, RelationalGraph]:
     """Split relation-triple counts across six graphs keyed by box geometry.
 
-    box_of maps object rows of the corpus to their ``BoundingBox``, as
+    box_of maps object rows of the corpus to their (x, y, w, h) box, as
     ``geometry.match_objects_to_boxes`` gives it. A triple contributes only
-    when both of its objects have boxes, and then to exactly one graph.
+    when both of its objects have boxes, and then to exactly one graph: the
+    one ``geometry.classify_geometric_relations`` labels its subject's box
+    with, relative to its object's box.
     """
     (obj, pred, _), rel = _nodes(corpus, vocab), corpus.relations
-    boxed = np.flatnonzero(np.isin(rel[:, ::2], list(box_of)).all(axis=1))
-    rows = {p: [] for p in GEOMETRIC_RELATIONS}  # label -> its relation rows
-    for r, (s, _, o) in zip(boxed.tolist(), rel[boxed].tolist()):
-        rows[classify_geometric_relation(box_of[s], box_of[o])].append(r)
+    boxes = np.full((len(corpus.objects), 4), np.nan)  # NaN: the object has no box
+    boxes[list(box_of)] = np.reshape(list(box_of.values()), (-1, 4))
+    boxed = np.flatnonzero(~np.isnan(boxes[rel[:, ::2], 0]).any(axis=1))
+    label = classify_geometric_relations(boxes[rel[boxed, 0]], boxes[rel[boxed, 2]])
     return {p: compute_weights(_count_edges(vocab, p, np.concatenate([obj[rel[r, 0]], pred[r]]),
                                             np.concatenate([pred[r], obj[rel[r, 2]]])))
-            for p, r in rows.items()}
+            for i, p in enumerate(GEOMETRIC_RELATIONS) for r in [boxed[label == i]]}
 
 
 class Adjacency:

@@ -14,9 +14,10 @@ so ``true`` is not an integer; other fields are ignored.
   holds {``id``: id, used once; ``name``, ``supercategory``: strings, one
   supercategory per name}; ``annotations`` (``BOX_FIELDS``) holds
   {``image_id``: id; ``category_id``: a category's id; ``bbox``: a list of
-  four finite numbers x, y, w, h with w, h > 0}. ``load_instances`` checks
-  each box once and keeps it as (category name, ``BoundingBox``) under its
-  image id; ``load_categories`` reads and checks the categories alone.
+  four finite numbers x, y, w, h with w, h > 0}. Category names are
+  lower-cased. ``load_instances`` checks each box once and keeps it as
+  (category name, (x, y, w, h)) under its image id, the box as floats;
+  ``load_categories`` reads and checks the categories alone.
 - Scene graphs (``sceneparse.scene_graph_to_json``), one file
   ``scene_graphs/<caption id>.json`` per kept caption, which the parse
   stage exports for reading; no stage reads them back (later stages read
@@ -117,36 +118,6 @@ class DependencyGraph:
             else:
                 kids[t.head] = [t]
         return kids
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """An annotated box, x and y its top-left corner (image coordinates)."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"non-positive size {self.w:g}x{self.h:g}")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def contains(self, other: "BoundingBox") -> bool:
-        return (
-            other.x >= self.x
-            and other.y >= self.y
-            and other.x + other.w <= self.x + self.w
-            and other.y + other.h <= self.y + self.h
-        )
 
 
 def caption_id_fault(cid: str) -> str | None:
@@ -301,6 +272,7 @@ def _categories(doc, path) -> tuple[dict[str, str], dict[str, str]]:
     cat_name, cat_super = {}, {}  # category id -> name, name -> super-class
     categories = json_records(doc, "categories", CATEGORY_FIELDS, path)
     for i, (cat_id, name, sup) in enumerate(categories):
+        name = name.lower()  # object words are lower-cased, and matched to names
         if str(cat_id) in cat_name:
             raise ValueError(f"{path}: categories[{i}]: duplicate category id {cat_id}")
         if cat_super.setdefault(name, sup) != sup:
@@ -309,7 +281,7 @@ def _categories(doc, path) -> tuple[dict[str, str], dict[str, str]]:
     return cat_name, cat_super
 
 
-def load_instances(path) -> dict[str, list[tuple[str, BoundingBox]]]:
+def load_instances(path) -> dict[str, list[tuple[str, tuple[float, float, float, float]]]]:
     """Image id -> [(category name, box)], from an instances file; its
     categories are checked as by ``load_categories``."""
     doc = _json_file(path)
@@ -325,20 +297,19 @@ def load_instances(path) -> dict[str, list[tuple[str, BoundingBox]]]:
     return boxes
 
 
-def _bbox(value: list, where: str) -> BoundingBox:
-    """A JSON bbox [x, y, w, h] as a BoundingBox: four finite numbers with w, h > 0."""
+def _bbox(value: list, where: str) -> tuple[float, float, float, float]:
+    """A JSON bbox [x, y, w, h] as floats: four finite numbers with w, h > 0."""
     if not (len(value) == 4 and all(type(v) in (int, float) for v in value)):
         raise ValueError(f"{where} must be 4 numbers, got {value!r}")  # bool is not a number here
     try:
-        xywh = [float(v) for v in value]
+        x, y, w, h = xywh = tuple(map(float, value))
     except OverflowError:  # an integer too large for a float
         raise ValueError(f"{where}: value out of range in {value!r}") from None
     if not all(map(math.isfinite, xywh)):
         raise ValueError(f"{where}: non-finite value in {value!r}")
-    try:
-        return BoundingBox(*xywh)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{where}: non-positive size {w:g}x{h:g}")
+    return xywh
 
 
 def tsv_pairs(path, row_format: str):
@@ -350,7 +321,7 @@ def tsv_pairs(path, row_format: str):
     property relies on it); with another value it raises, naming both lines.
     """
     seen: dict[str, tuple[int, str]] = {}  # lower-cased key -> (first line, value)
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not part of a key
         for ln, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

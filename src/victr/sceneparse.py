@@ -59,6 +59,7 @@ class QuantifierLexicon:
     def __post_init__(self):
         if self.many_value < 1 or self.max_duplication < 1:
             raise ValueError("many_value and max_duplication must be >= 1")
+        self.numeral_map = {k.lower(): v for k, v in self.numeral_map.items()}
         self.phrase_map = {k.lower(): v for k, v in self.phrase_map.items()}
         if any(self.resolve(v) < 1 for v in (*self.numeral_map.values(),
                                              *self.phrase_map.values())):

@@ -23,6 +23,7 @@ from victr.fusion import (
     save_text_features,
 )
 from victr.gcn import load_embeddings, save_embeddings
+from victr.geometry import load_alias_table, match_objects_to_boxes
 from victr.graphstore import (
     EDGE_DTYPE,
     RelationalGraph,
@@ -30,6 +31,7 @@ from victr.graphstore import (
     deserialize_graph,
     serialize_graph,
 )
+from victr.ingest import load_instances
 from victr.sceneparse import load_corpus, scene_graph_from_json
 
 
@@ -1059,6 +1061,33 @@ def test_parse_without_lexicon_reads_only_instance_categories(tmp_path, toy_path
     assert got == clean
     assert main(["build-graphs", "--config", cfg]) == 2
     assert f"{bad}: annotations[3].bbox" in capsys.readouterr().err
+
+
+def test_toy_corpus_matches_48_of_60_objects(toy_cfg, toy_paths):
+    cfg, out = toy_cfg
+    assert main(["parse", "--config", cfg]) == 0
+    corpus = load_corpus(out / "corpus.victrs")
+    matches = match_objects_to_boxes(corpus, load_instances(toy_paths["instances"]),
+                                     load_alias_table(toy_paths["aliases"]))
+    assert (len(matches), len(corpus.objects)) == (48, 60)
+
+
+def test_category_name_case_does_not_change_graphs(tmp_path, toy_paths):
+    """A category named "Dog" boxes the objects "dog" as one named "dog" does;
+    without a super-class lexicon it gives them its super-class too."""
+    doc = json.loads(Path(toy_paths["instances"]).read_text(encoding="utf-8"))
+    graphs = {}
+    for name in ("dog", "Dog"):
+        next(c for c in doc["categories"] if c["name"].lower() == "dog")["name"] = name
+        instances = tmp_path / f"{name}_instances.json"
+        instances.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / name
+        cfg = _cfg_file(tmp_path, {**toy_paths, "superclasses": "", "instances": str(instances)},
+                        out)
+        assert main(["parse", "--config", cfg]) == 0
+        assert main(["build-graphs", "--config", cfg]) == 0
+        graphs[name] = {p.name: p.read_bytes() for p in (out / "graphs").iterdir()}
+    assert graphs["Dog"] == graphs["dog"]
 
 
 def _renamed_captions(tmp_path, toy_paths, renames) -> dict:

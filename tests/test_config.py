@@ -25,6 +25,13 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
         epochs=5, learning_rate=0.5, caption_mode="richest", out_dir="some dir")
 
 
+def test_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    # editors on Windows start UTF-8 files with one
+    path = tmp_path / "config.txt"
+    path.write_text("\ufeffconllu = a.conllu\nepochs = 5\n", encoding="utf-8")
+    assert load_config(path) == PipelineConfig(conllu="a.conllu", epochs=5)
+
+
 @pytest.mark.parametrize("line, message", [
     ("frobnicate = yes", "unknown config key 'frobnicate'"),
     ("seed", "expected 'key = value'"),

@@ -22,7 +22,7 @@ from tuple_walk_reference import (
 )
 
 from victr.embedding import compose_tables, scene_visual_semantics
-from victr.geometry import GEOMETRIC_RELATIONS, BoundingBox
+from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import (
     accumulate_counts,
     build_positional_graphs,
@@ -38,7 +38,7 @@ def _graphs_with_boxes(draw):
     graphs = random_scene_graphs(draw(st.integers(0, 10**6)), n_graphs=draw(st.integers(1, 8)))
     # a small grid, so touching, nested, equal and same-centre boxes all occur
     coord, side = st.integers(0, 40).map(float), st.integers(1, 20).map(float)
-    box = st.builds(BoundingBox, coord, coord, side, side)
+    box = st.tuples(coord, coord, side, side)
     matches = [draw(st.dictionaries(st.sampled_from([oid for oid, _, _ in sg.objects]), box))
                for sg in graphs]
     return graphs, matches

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import box_rows, corpus_of, random_scene_graphs
+from tuple_walk_reference import classify_geometric_relation
 
 from victr.binio import GRAPH_MAGIC, FormatError, read_container
 from victr.errors import InvariantError
-from victr.geometry import GEOMETRIC_RELATIONS, BoundingBox, classify_geometric_relation
+from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import (
     ATTRIBUTE,
     EDGE_DTYPE,
@@ -211,8 +212,7 @@ def _boxes(rel):
         "above": ((0, 0, 10, 10), (0, 30, 10, 10)),
         "inside": ((5, 5, 2, 2), (0, 0, 20, 20)),
     }
-    (sx, sy, sw, sh), (ox, oy, ow, oh) = layouts[rel]
-    return BoundingBox(sx, sy, sw, sh), BoundingBox(ox, oy, ow, oh)
+    return layouts[rel]
 
 
 def test_positional_single_assignment():
@@ -262,7 +262,7 @@ def test_positional_partition_exactly_one_graph():
         for oid, _, _ in g.objects:
             x, y = rng.integers(0, 200, 2)
             w, h = rng.integers(1, 80, 2)
-            m[oid] = BoundingBox(float(x), float(y), float(w), float(h))
+            m[oid] = (float(x), float(y), float(w), float(h))
         matches.append(m)
     graphs = build_positional_graphs(corpus_of(corpus), vocab, box_rows(corpus, matches))
     total_triples = sum(len(g.relations) for g in corpus)
@@ -333,7 +333,7 @@ def _corpus_with_boxes(draw):
     corpus = random_scene_graphs(draw(st.integers(0, 10**6)), n_graphs=draw(st.integers(1, 8)))
     # a small grid, so touching, nested, equal and same-centre boxes all occur
     coord, side = st.integers(0, 40).map(float), st.integers(1, 20).map(float)
-    box = st.builds(BoundingBox, coord, coord, side, side)
+    box = st.tuples(coord, coord, side, side)
     matches = [draw(st.dictionaries(st.sampled_from([oid for oid, _, _ in sg.objects]), box))
                for sg in corpus]
     return corpus, matches

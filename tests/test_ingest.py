@@ -5,7 +5,6 @@ import pytest
 from helpers import to_conllu
 
 from victr.ingest import (
-    BoundingBox,
     ConlluError,
     load_captions,
     load_categories,
@@ -13,7 +12,8 @@ from victr.ingest import (
     load_instances,
     select_richest_caption,
 )
-from victr.sceneparse import SceneGraph
+from victr.geometry import load_alias_table
+from victr.sceneparse import SceneGraph, load_quantifier_lexicon, load_superclass_lexicon
 
 MINIMAL = """# caption_id = 9
 # image_id = 4
@@ -185,7 +185,8 @@ def test_load_instances_basic(tmp_path):
     doc = _instances_doc([{"image_id": 5, "category_id": 1, "bbox": [10, 20, 30, 40]}])
     p = tmp_path / "i.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_instances(p)["5"] == [("dog", BoundingBox(10.0, 20.0, 30.0, 40.0))]
+    assert load_instances(p)["5"] == [("dog", (10.0, 20.0, 30.0, 40.0))]
+    assert all(type(v) is float for v in load_instances(p)["5"][0][1])
     assert load_categories(p)["dog"] == "animal"
 
 
@@ -228,6 +229,44 @@ def test_load_instances_unknown_category(tmp_path):
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="unknown category_id"):
         load_instances(p)
+
+
+def test_load_instances_names_the_first_faulty_box(tmp_path):
+    # the later box fails a check made before the earlier box's
+    doc = _instances_doc([{"image_id": 5, "category_id": 1, "bbox": [0, 0, 0, 5]},
+                          {"image_id": 5, "category_id": 1, "bbox": [0, 0, 5]}])
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"annotations\[0\]\.bbox: non-positive size 0x5$"):
+        load_instances(p)
+
+
+def test_category_names_are_lower_cased(tmp_path):
+    doc = _instances_doc([{"image_id": 5, "category_id": 1, "bbox": [0, 0, 5, 5]}],
+                         [{"id": 1, "name": "Dog", "supercategory": "animal"},
+                          {"id": 2, "name": "DOG", "supercategory": "animal"}])
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_instances(p)["5"] == [("dog", (0.0, 0.0, 5.0, 5.0))]
+    assert load_categories(p) == {"dog": "animal"}
+    doc["categories"][1]["supercategory"] = "pet"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"categories\[1\]: 'dog' mapped to two super-classes"):
+        load_categories(p)
+
+
+@pytest.mark.parametrize("load, row, value_of_first_key", [
+    (lambda p: load_quantifier_lexicon(p, many_value=3, max_duplication=10), "two\t2",
+     lambda lex: lex.numeral_map.get("two")),
+    (load_superclass_lexicon, "dog\tanimal", lambda lex: lex.lookup("dog")),
+    (load_alias_table, "puppy\tdog", lambda table: table.get("puppy")),
+], ids=["quantifier", "superclass", "alias"])
+def test_tsv_byte_order_mark_is_not_part_of_the_first_key(tmp_path, load, row,
+                                                          value_of_first_key):
+    # editors on Windows start UTF-8 files with one
+    path = tmp_path / "table.tsv"
+    path.write_text(f"\ufeff{row}\n", encoding="utf-8")
+    assert str(value_of_first_key(load(path))) == row.split("\t")[1]
 
 
 def _sg(cid, n_obj, n_rel, n_attr):

@@ -227,6 +227,18 @@ def test_quantifier_lexicon_tsv_round_trip(tmp_path, toy_paths):
     assert lex.phrase_map["a lot of"] == "MANY"
 
 
+def test_lexicon_keys_of_any_case_count():
+    # numerals, like phrases, are looked up lower-cased
+    lex = QuantifierLexicon({"Two": 2}, {"A Few": "MANY"}, many_value=3, max_duplication=10)
+    two = _dep([("two", "two", "NUM", 2, "nummod"), ("dogs", "dog", "NOUN", 3, "nsubj"),
+                ("bark", "bark", "VERB", 0, "root")])
+    few = _dep([("a", "a", "DET", 3, "det"), ("few", "few", "ADJ", 3, "amod"),
+                ("dogs", "dog", "NOUN", 4, "nsubj"), ("bark", "bark", "VERB", 0, "root")])
+    for g, count in ((two, 2), (few, 3)):
+        assert _object_words(extract_scene_graph(expand_quantifiers(g, lex), NO_SUPERS)) == \
+            ["dog"] * count
+
+
 @pytest.mark.parametrize("load, rows", [
     (lambda p: load_quantifier_lexicon(p, many_value=3, max_duplication=10),
      ["two\t2", "two\t2", "Two\t3"]),

@@ -5,13 +5,16 @@ read a ``sceneparse.Corpus``, are compared against.
 The functions are verbatim but for their names (the ``tuple_walk_`` prefix),
 line breaks, one docstring that named the scene-graph reader of the time,
 and ``vocab.index[word, kind]`` for the ``vocab.require(word, kind)`` that
-raised on a word outside the vocabulary.
+raised on a word outside the vocabulary. ``classify_geometric_relation``,
+the scalar classifier ``geometry.classify_geometric_relations`` replaced,
+reads boxes as (x, y, w, h) tuples, where it read a ``BoundingBox``'s
+``center`` and ``contains``; its float expressions are theirs.
 """
 
 import numpy as np
 
 from victr.embedding import ComposedTables, VisualSemanticMatrix, _segment_means
-from victr.geometry import GEOMETRIC_RELATIONS, classify_geometric_relation
+from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import (
     ATTRIBUTE,
     OBJECT,
@@ -21,6 +24,34 @@ from victr.graphstore import (
     _count_edges,
     compute_weights,
 )
+
+
+def _contains(a, b) -> bool:
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    return bx >= ax and by >= ay and bx + bw <= ax + aw and by + bh <= ay + ah
+
+
+def classify_geometric_relation(s, o) -> str:
+    """Label s relative to o: containment first, then the dominant center offset.
+
+    Image coordinates (y grows downward). Identical boxes, and the
+    measure-zero case of coincident centers, fall back to "inside".
+    """
+    if _contains(o, s):
+        return "inside"
+    if _contains(s, o):
+        return "surrounding"
+    sx, sy = s[0] + s[2] / 2.0, s[1] + s[3] / 2.0
+    ox, oy = o[0] + o[2] / 2.0, o[1] + o[3] / 2.0
+    dx, dy = ox - sx, oy - sy
+    if abs(dx) >= abs(dy):
+        if dx > 0:
+            return "left_of"
+        if dx < 0:
+            return "right_of"
+        return "inside"  # dx == dy == 0 without containment
+    return "above" if dy > 0 else "below"
 
 
 def tuple_walk_build_vocabulary(corpus) -> Vocabulary:
@@ -92,7 +123,7 @@ def tuple_walk_build_positional_graphs(corpus, vocab: Vocabulary, box_matches
     """Split relation-triple counts across six graphs keyed by box geometry.
 
     box_matches runs parallel to corpus: per caption, a map object_id ->
-    BoundingBox (may be empty). A triple contributes only when both of its
+    (x, y, w, h) box (may be empty). A triple contributes only when both of its
     objects have boxes, and then to exactly one graph.
     """
     ids = {p: ([], []) for p in GEOMETRIC_RELATIONS}  # label -> (src ids, dst ids)
