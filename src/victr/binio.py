@@ -61,11 +61,8 @@ def write_container(path, magic: bytes, header: dict, payload: bytes) -> None:
     header["version"] = VERSION
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(magic + b"\n")
-        f.write(struct.pack("<I", len(head)))
-        f.write(head)
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        f.write(b"".join((magic, b"\n", struct.pack("<I", len(head)), head, payload,
+                          struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))))
 
 
 def read_container(path, magic: bytes) -> tuple[dict, bytes]:

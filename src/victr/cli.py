@@ -26,7 +26,7 @@ from .config import PipelineConfig, load_config
 from .errors import InvariantError
 
 GRAPH_NAMES = ("basic",) + geo.GEOMETRIC_RELATIONS
-COMPOSE_BLOCK_ROWS = 256  # E_vs rows composed per call; see cmd_compose
+BLOCK_FLOATS = 2**16  # floats of output rows per block of captions; see _blocks
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -52,6 +52,17 @@ def _remove_stale(directory, suffix: str, caption_ids: set[str]) -> None:
     for name in os.listdir(directory):
         if name.endswith(suffix) and name[: -len(suffix)] not in caption_ids:
             os.remove(os.path.join(directory, name))
+
+
+def _blocks(corpus, row_floats):
+    """(lo, hi) per block of whole captions, in order, whose rows take at most
+    BLOCK_FLOATS floats at row_floats per object, attribute, relation and token
+    row (a larger caption is a block alone), so memory stays fixed as N grows."""
+    starts, lo = corpus.offsets @ np.array(row_floats, dtype=np.int64), 0
+    while lo < len(corpus):
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + BLOCK_FLOATS, "right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _corpus_path(cfg) -> str:
@@ -237,22 +248,19 @@ def cmd_compose(cfg: PipelineConfig) -> int:
 
     Row i of that file is object i of the caption's scene graph, whose word
     the corpus holds; no other file repeats it. Whole captions are composed
-    in blocks of at most COMPOSE_BLOCK_ROWS rows (a larger caption is a
-    block on its own), so memory stays fixed as the corpus grows.
+    in blocks (``_blocks``), each cast to float32 once.
     """
     corpus = _load_corpus(cfg)
     vocab, tables = _load_tables(cfg)
     vocab_hash = vocab.content_hash()
     evs_dir = os.path.join(cfg.out_dir, "evs")
     os.makedirs(evs_dir, exist_ok=True)
-    starts, lo = corpus.offsets[:, 0], 0
-    while lo < len(corpus):
-        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + COMPOSE_BLOCK_ROWS, "right")) - 1)
-        rows = emb.scene_visual_semantics(corpus.select(lo, hi), tables).rows
+    starts = corpus.offsets[:, 0]
+    for lo, hi in _blocks(corpus, (tables.scene_width, 0, 0, 0)):
+        rows = emb.scene_visual_semantics(corpus.select(lo, hi), tables).rows.astype("<f4")
         for cid, part in zip(corpus.caption_ids[lo:hi],
                              np.split(rows, starts[lo + 1:hi] - starts[lo])):
             gcn.save_embeddings(part, os.path.join(evs_dir, f"{cid}.victre"), vocab_hash=vocab_hash)
-        lo = hi
     _remove_stale(evs_dir, ".victre", set(corpus.caption_ids))
     print(
         f"composed visual semantic matrices for {len(corpus)} captions "
@@ -286,49 +294,52 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     With features_dir, the caption's text features come from
     features_dir/<caption id>.victre, one word row per token; otherwise they
     are built in, one row per distinct token. Each E_vs file must have the
-    scene width the config gives, 2(B + 6P) + B.
+    scene width the config gives, 2(B + 6P) + B. Whole captions are fused in
+    blocks (``_blocks``); each file's bytes are those of its caption fused alone.
     """
     evs_dir = os.path.join(cfg.out_dir, "evs")
     corpus_path, corpus = _corpus_path(cfg), _load_corpus(cfg)
-    caption_ids, starts = corpus.caption_ids, corpus.offsets[:, 3].tolist()
+    caption_ids, lengths = corpus.caption_ids, np.diff(corpus.offsets[:, 3])
     evs_paths = [_require_file(os.path.join(evs_dir, f"{cid}.victre"),
                                f"E_vs file of caption {cid}", hint="run the compose stage first")
                  for cid in caption_ids]
-    token_ids = [corpus.tokens[a:b].tolist() for a, b in zip(starts, starts[1:])]  # string ids
-    if not (features_dir or all(token_ids)):
-        raise ValueError(f"caption {caption_ids[token_ids.index([])]} has no tokens in "
-                         f"{corpus_path}")
+    if not (features_dir or lengths.all()):
+        raise ValueError(f"caption {caption_ids[lengths.argmin()]} has no tokens in {corpus_path}")
     visual_dim = 2 * (cfg.basic_width + 6 * cfg.positional_width) + cfg.basic_width
     w = _fusion_weights(cfg, weights_path, visual_dim)
     if not features_dir:  # built-in features and queries: one row per distinct token
-        tokens, token_rows = fus.distinct_tokens(token_ids)
-        table = fus.builtin_text_features([corpus.strings[t] for t in tokens],
+        tokens, token_rows = fus.distinct_tokens(corpus.tokens)
+        table = fus.builtin_text_features([corpus.strings[t] for t in tokens.tolist()],
                                           seed=cfg.seed, dim=cfg.text_width)
         queries = table @ w
 
     fused_dir = os.path.join(cfg.out_dir, "fused")
     os.makedirs(fused_dir, exist_ok=True)
-    for i, (cid, evs_path) in enumerate(zip(caption_ids, evs_paths)):
-        vs_rows, _ = gcn.load_embeddings(evs_path)
-        if vs_rows.shape[1] != visual_dim:
-            raise ValueError(f"{evs_path}: rows of width {vs_rows.shape[1]}, "
-                             f"expected the configured scene width {visual_dim}")
+    for lo, hi in _blocks(corpus, (visual_dim, 0, 0, cfg.text_width + visual_dim)):
+        vs_rows, features = [], []
+        for cid, evs_path, length in zip(caption_ids[lo:hi], evs_paths[lo:hi],
+                                         lengths[lo:hi].tolist()):
+            vs_rows.append(gcn.load_embeddings(evs_path)[0])
+            if vs_rows[-1].shape[1] != visual_dim:
+                raise ValueError(f"{evs_path}: rows of width {vs_rows[-1].shape[1]}, "
+                                 f"expected the configured scene width {visual_dim}")
+            if features_dir:
+                path = _require_file(os.path.join(features_dir, f"{cid}.victre"),
+                                     f"text features for caption {cid}")
+                words, sentence = fus.load_text_features(path, expect_dim=cfg.text_width)
+                if len(words) != length:
+                    raise ValueError(f"{path}: {len(words)} word rows, but caption {cid} has "
+                                     f"{length} tokens in {corpus_path}")
+                features.append((words, sentence[None], words @ w))  # W per caption, as before
         if features_dir:
-            path = _require_file(os.path.join(features_dir, f"{cid}.victre"),
-                                 f"text features for caption {cid}")
-            words, sentence = fus.load_text_features(path, expect_dim=cfg.text_width)
-            if len(words) != len(token_ids[i]):
-                raise ValueError(f"{path}: {len(words)} word rows, but caption {cid} has "
-                                 f"{len(token_ids[i])} tokens in {corpus_path}")
-            query = words @ w
+            words, sentences, query = map(np.concatenate, zip(*features))
         else:  # rows of table @ W: table[ids] @ W may round differently in the last bit
-            words, query = table[token_rows[i]], queries[token_rows[i]]
-            sentence = words.mean(axis=0)
-        fused = fus.fuse(words, sentence, query, vs_rows)
-        fus.save_fused(
-            fused, os.path.join(fused_dir, f"{cid}.victrf"),
-            caption_id=cid, text_dim=cfg.text_width, visual_dim=visual_dim,
-        )
+            rows = token_rows[corpus.offsets[lo, 3]:corpus.offsets[hi, 3]]
+            words, sentences, query = table[rows], None, queries[rows]
+        fus.save_fused(fus.fuse(words, sentences, query, np.concatenate(vs_rows), lengths[lo:hi],
+                                np.array([len(v) for v in vs_rows])),
+                       fused_dir, caption_ids[lo:hi], cfg.text_width, visual_dim)
+        del vs_rows, features, words, sentences, query  # before the next block's arrays
     _remove_stale(fused_dir, ".victrf", set(caption_ids))
     print(
         f"fused {len(caption_ids)} captions "

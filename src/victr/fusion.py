@@ -6,10 +6,13 @@ are the words @ W; keys and values are the visual rows). Each VICTR word is
 its feature concatenated with its attended visual vector, (L, D + V), and
 the VICTR sentence is the sentence feature concatenated with the sum of
 those vectors, (D + V,). The built-in features and their queries are
-evaluated once per distinct token and gathered per caption.
+evaluated once per distinct token and gathered per caption. ``fuse`` takes
+a block of captions at once; each number rounds as it does for its caption
+alone, so no output depends on how the captions are blocked.
 """
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +23,14 @@ from .binio import (EMBED_MAGIC, FUSED_MAGIC, header_ints, pack, read_container,
 
 @dataclass
 class FusedRepresentation:
+    """Captions fused one after another (load_fused reads one): caption c has
+    lengths[c] word rows, n_obj[c] objects and sentence row c, and its
+    (l, n_obj) attention is the next l * n_obj values."""
     word_repr: np.ndarray  # (L, D + V)
-    sentence_repr: np.ndarray  # (D + V,)
-    attention: np.ndarray  # (L, n_objects)
+    sentence_repr: np.ndarray  # (C, D + V)
+    attention: np.ndarray  # (sum of l * n_obj,)
+    lengths: np.ndarray  # (C,)
+    n_obj: np.ndarray  # (C,)
 
 
 def init_fusion_parameters(text_dim: int, visual_dim: int, seed: int) -> np.ndarray:
@@ -32,33 +40,40 @@ def init_fusion_parameters(text_dim: int, visual_dim: int, seed: int) -> np.ndar
     return rng.uniform(-lim, lim, size=(text_dim, visual_dim))
 
 
-def attend(queries: np.ndarray, vs_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attention-pool the visual rows per word.
+def fuse(words: np.ndarray, sentences, queries: np.ndarray, vs_rows: np.ndarray,
+         lengths: np.ndarray, n_obj: np.ndarray) -> FusedRepresentation:
+    """Fuse captions, one after another, with their visual rows.
 
-    queries are the words' rows of words @ W. scores = queries @ vs_rows.T,
-    row-softmaxed into weights, then weights @ vs_rows. With no objects the
-    pooled matrix is zero and the attention matrix is empty.
+    Caption c owns the next lengths[c] >= 1 rows of words (L, D) and of
+    queries (their rows of words @ W), the next n_obj[c] rows of vs_rows
+    (N, V) and row c of sentences (C, D), or its mean word if sentences is
+    None. Its attention is q_c @ vs_c.T, row-softmaxed together with the
+    rows of captions with as many objects (so each row rounds as alone);
+    its attended rows are attention @ vs_c, zero with no objects.
     """
-    length, v = queries.shape
-    if vs_rows.size == 0:
-        return np.zeros((length, v)), np.zeros((length, 0))
-    if vs_rows.ndim != 2 or vs_rows.shape[1] != v:
-        raise ValueError(f"visual rows width {vs_rows.shape} does not match W width {v}")
-    scores = queries @ vs_rows.T
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    attention = e / e.sum(axis=1, keepdims=True)
-    return attention @ vs_rows, attention
-
-
-def fuse(words: np.ndarray, sentence: np.ndarray, queries: np.ndarray,
-         vs_rows: np.ndarray) -> FusedRepresentation:
-    """Fuse a caption's (L, D) words and (D,) sentence with its visual rows."""
-    attended, attention = attend(queries, vs_rows)
-    return FusedRepresentation(
-        word_repr=np.concatenate([words, attended], axis=1),
-        sentence_repr=np.concatenate([sentence, attended.sum(axis=0)]),
-        attention=attention,
-    )
+    if vs_rows.shape[1] != queries.shape[1] or not len(queries) == len(words) == lengths.sum():
+        raise ValueError(f"{vs_rows.shape} visual rows or {queries.shape} queries do not fit")
+    n_list = n_obj.tolist()  # spans: each caption's (end, count) of words, then of objects
+    spans = list(zip(*(x.tolist() for x in (lengths.cumsum(), lengths, n_obj.cumsum(), n_obj))))
+    att = [queries[a - l:a] @ vs_rows[o - n:o].T for a, l, o, n in spans]  # scores, then weights
+    for n in set(n_list) - {0}:
+        members = [c for c, count in enumerate(n_list) if count == n]
+        e = np.concatenate([att[c] for c in members])
+        e = np.exp(e - e.max(axis=1, keepdims=True))
+        e /= e.sum(axis=1, keepdims=True)
+        ends = np.cumsum([spans[c][1] for c in members]).tolist()
+        for c, end in zip(members, ends):
+            att[c] = e[end - spans[c][1]:end]
+    attended = np.empty((len(words), vs_rows.shape[1]))
+    for (a, l, o, n), att_c in zip(spans, att):
+        np.matmul(att_c, vs_rows[o - n:o], out=attended[a - l:a])
+    # caption by caption, so each sum rounds as alone; np.add.reduceat adds in another order
+    sums = lambda rows: np.array([np.add.reduce(rows[a - l:a]) for a, l, _, _ in spans])  # noqa: E731
+    if sentences is None:
+        sentences = sums(words) / lengths[:, None]
+    return FusedRepresentation(np.concatenate([words, attended], axis=1),
+                               np.concatenate([sentences, sums(attended)], axis=1),
+                               np.concatenate([a.ravel() for a in att]), lengths, n_obj)
 
 
 def builtin_text_features(tokens, seed: int, dim: int) -> np.ndarray:
@@ -82,12 +97,11 @@ def builtin_text_features(tokens, seed: int, dim: int) -> np.ndarray:
     return rows
 
 
-def distinct_tokens(token_lists) -> tuple[list[str], list[np.ndarray]]:
-    """The distinct tokens in first-seen order, and per list its tokens' rows in that order."""
-    index: dict[str, int] = {}
-    ids = [np.array([index.setdefault(t, len(index)) for t in tokens], dtype=np.intp)
-           for tokens in token_lists]
-    return list(index), ids
+def distinct_tokens(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of tokens in first-seen order, and each token's position among them."""
+    values, first, inverse = np.unique(tokens, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return values[order], np.argsort(order)[inverse]
 
 
 def save_text_features(words: np.ndarray, sentence: np.ndarray, path) -> None:
@@ -112,27 +126,24 @@ def load_text_features(path, expect_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(unpack(payload, path, "<f4", (length, dim), (dim,)))
 
 
-def save_fused(fused: FusedRepresentation, path, caption_id: str,
-               text_dim: int, visual_dim: int) -> None:
-    length, n_obj = fused.attention.shape
-    header = {
-        "caption_id": caption_id,
-        "l": length,
-        "d": text_dim,
-        "v": visual_dim,
-        "n_obj": n_obj,
-    }
-    write_container(path, FUSED_MAGIC, header,
-                    pack((fused.attention, fused.word_repr, fused.sentence_repr), "<f4"))
+def save_fused(fused: FusedRepresentation, directory, caption_ids, text_dim: int,
+               visual_dim: int) -> None:
+    """Write each caption of the block to directory/<caption id>.victrf: the
+    block is cast to float32 once, then each payload is joined from slices."""
+    att, words, sentences = (a.astype("<f4") for a in (
+        fused.attention, fused.word_repr, fused.sentence_repr))
+    lengths, n_obj = fused.lengths.tolist(), fused.n_obj.tolist()
+    ends = np.cumsum(fused.lengths * fused.n_obj).tolist(), np.cumsum(lengths).tolist()
+    for c, (cid, a, r, l, n) in enumerate(zip(caption_ids, *ends, lengths, n_obj)):
+        write_container(os.path.join(directory, f"{cid}.victrf"), FUSED_MAGIC,
+                        {"caption_id": cid, "l": l, "d": text_dim, "v": visual_dim, "n_obj": n},
+                        b"".join((att[a - l * n:a], words[r - l:r], sentences[c])))
 
 
 def load_fused(path) -> tuple[FusedRepresentation, dict]:
     header, payload = read_container(path, FUSED_MAGIC)
     length, d, v, n_obj = header_ints(header, path, "l", "d", "v", "n_obj")
     attention, word_repr, sentence_repr = unpack(
-        payload, path, "<f4", (length, n_obj), (length, d + v), (d + v,))
-    return (
-        FusedRepresentation(word_repr=word_repr, sentence_repr=sentence_repr,
-                            attention=attention),
-        header,
-    )
+        payload, path, "<f4", (length * n_obj,), (length, d + v), (1, d + v))
+    return FusedRepresentation(word_repr, sentence_repr, attention, np.array([length]),
+                               np.array([n_obj])), header

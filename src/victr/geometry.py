@@ -57,4 +57,4 @@ def match_objects_to_boxes(corpus, boxes_of, aliases: dict[str, str]) -> dict[in
 def load_alias_table(path) -> dict[str, str]:
     """TSV rows ``caption_lemma<TAB>category_name``, both lower-cased."""
     return {lemma.lower(): category.lower()
-            for _, lemma, category in tsv_pairs(path, "lemma<TAB>category")}
+            for _, lemma, category in tsv_pairs(path, "lemma<TAB>category", str.lower)}

@@ -189,7 +189,7 @@ def load_conllu(path) -> list[DependencyGraph]:
         meta.clear()
         rows.clear()
 
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not part of line 1
         line_no = 0
         for line_no, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -245,7 +245,7 @@ def json_records(doc, key: str | None, fields: dict[str, set[type]],
 
 def _json_file(path):
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # json.load rejects a byte-order mark
             return json.load(f)
     except ValueError as e:  # not JSON, or not UTF-8
         raise ValueError(f"{path}: {e}") from None
@@ -312,13 +312,14 @@ def _bbox(value: list, where: str) -> tuple[float, float, float, float]:
     return xywh
 
 
-def tsv_pairs(path, row_format: str):
+def tsv_pairs(path, row_format: str, stored=str):
     """Yield (line_no, key, value) per row of a two-column TSV file, both
     stripped; blank and ``#`` lines are skipped, other widths raise.
 
-    Keys are compared lower-cased, as every loader keys its table. A key
-    given again with the same value is allowed (the line-duplication fuzz
-    property relies on it); with another value it raises, naming both lines.
+    Keys are compared lower-cased, as every loader keys its table, and values
+    as stored(value), as the caller keeps them. A key given again with the
+    same value is allowed (the line-duplication fuzz property relies on it);
+    with another value it raises, naming both lines.
     """
     seen: dict[str, tuple[int, str]] = {}  # lower-cased key -> (first line, value)
     with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not part of a key
@@ -331,7 +332,7 @@ def tsv_pairs(path, row_format: str):
                 raise ValueError(f"{path}:{ln}: expected '{row_format}'")
             key, value = parts[0].strip(), parts[1].strip()
             first, was = seen.setdefault(key.lower(), (ln, value))
-            if was != value:
+            if stored(was) != stored(value):
                 raise ValueError(f"{path}:{ln}: {key!r} maps to {value!r}, "
                                  f"but {path}:{first} maps it to {was!r}")
             yield ln, key, value

@@ -115,7 +115,7 @@ def load_quantifier_lexicon(path, many_value: int, max_duplication: int) -> Quan
     Multi-word entries become phrase rules."""
     numerals: dict[str, int] = {}
     phrases: dict[str, int | str] = {}
-    for ln, word, value in tsv_pairs(path, "word<TAB>value"):
+    for ln, word, value in tsv_pairs(path, "word<TAB>value", str.upper):
         word = word.lower()
         if value.upper() == MANY:
             parsed: int | str = MANY

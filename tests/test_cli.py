@@ -60,6 +60,38 @@ def toy_cfg(tmp_path, toy_paths):
     return _cfg_file(tmp_path, toy_paths, out_dir), out_dir
 
 
+def test_byte_order_marks_do_not_change_parse(tmp_path, toy_paths):
+    # the CoNLL-U, captions and instances files, each starting with one
+    outs = []
+    for bom in (False, True):
+        paths = dict(toy_paths)
+        if bom:
+            for name in ("conllu", "captions", "instances"):
+                paths[name] = tmp_path / f"bom-{name}"
+                paths[name].write_bytes(b"\xef\xbb\xbf" + Path(toy_paths[name]).read_bytes())
+        outs.append(tmp_path / f"out-{bom}")
+        assert main(["parse", "--config", _cfg_file(tmp_path, paths, outs[-1])]) == 0
+    plain, marked = ({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+                     for out in outs)
+    assert len(plain) == 21 and marked == plain
+
+
+@pytest.mark.parametrize("key, rows, code", [
+    ("alias_table", "puppy\tdog\npuppy\tDog\n", 0),  # one category, as loaded
+    ("superclass_lexicon", "dog\tanimal\nDog\tpet\n", 2),
+], ids=["alias", "superclass"])
+def test_table_values_differing_in_case(tmp_path, toy_paths, capsys, key, rows, code):
+    table = tmp_path / "table.tsv"
+    table.write_text(rows, encoding="utf-8")
+    cfg = _cfg_file(tmp_path, toy_paths, tmp_path / "out", **{key: table})
+    assert main(["parse", "--config", cfg]) == code
+    if code == 0:
+        assert main(["build-graphs", "--config", cfg]) == 0
+    else:
+        assert f"{table}:2: 'Dog' maps to 'pet', but {table}:1 maps it to 'animal'" in \
+            capsys.readouterr().err
+
+
 def test_parse_writes_one_json_per_caption(toy_cfg, capsys):
     cfg, out = toy_cfg
     assert main(["parse", "--config", cfg]) == 0
@@ -276,8 +308,8 @@ def test_compose_fuse_project_chain(toy_cfg, capsys):
     assert main(["fuse", "--config", cfg]) == 0
     fused, header = load_fused(out / "fused" / "101.victrf")
     assert header["d"] == 256 and header["v"] == 1200
-    assert fused.word_repr.shape == (6, 1456)
-    assert np.allclose(fused.attention.sum(axis=1), 1.0, atol=1e-6)
+    assert fused.word_repr.shape == (6, 1456) and fused.n_obj.tolist() == [4]
+    assert np.allclose(fused.attention.reshape(6, 4).sum(axis=1), 1.0, atol=1e-6)
 
     assert main(["project", "--config", cfg, "--svg"]) == 0
     tsv = (out / "projection" / "object.tsv").read_text(encoding="utf-8")
@@ -494,7 +526,7 @@ def test_compose_block_size_leaves_files_unchanged(fuse_cfg, monkeypatch, block_
     """Blocks of any size, and captions larger than a block, give the same E_vs files."""
     cfg, out = fuse_cfg
     whole = {p.name: p.read_bytes() for p in (out / "evs").iterdir()}
-    monkeypatch.setattr(victr.cli, "COMPOSE_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(victr.cli, "BLOCK_FLOATS", block_rows * 1200)  # E_vs rows 1,200 wide
     assert main(["compose", "--config", cfg]) == 0
     assert {p.name: p.read_bytes() for p in (out / "evs").iterdir()} == whole
 
@@ -508,6 +540,28 @@ def _write_text_features(directory, toy_dep_graphs, dim=256):
     for g in toy_dep_graphs:
         words = builtin_text_features([t.surface for t in g.tokens], seed=7, dim=dim)
         save_text_features(words, words.mean(axis=0), directory / f"{g.caption_id}.victre")
+
+
+@pytest.mark.parametrize("text_features", [False, True])
+@pytest.mark.parametrize("block_floats, blocks", [(1, 20), (20_000, 19), (10**9, 1)])
+def test_fuse_block_size_leaves_files_unchanged(fuse_cfg, monkeypatch, tmp_path, toy_dep_graphs,
+                                                text_features, block_floats, blocks):
+    """A block per caption, blocks of one or two captions with one caption larger
+    than a block (23,392 floats), and the whole corpus as one block give the
+    fused files of the default blocks, byte for byte."""
+    cfg, out = fuse_cfg
+    extra = []
+    if text_features:
+        _write_text_features(tmp_path / "text", toy_dep_graphs)
+        extra = ["--text-features", str(tmp_path / "text")]
+    assert main(["fuse", "--config", cfg] + extra) == 0
+    default = _fused_bytes(out)
+    monkeypatch.setattr(victr.cli, "BLOCK_FLOATS", block_floats)
+    # a toy caption takes 1,456 floats per token and 1,200 per object
+    spans = list(victr.cli._blocks(load_corpus(out / "corpus.victrs"), (1200, 0, 0, 1456)))
+    assert len(spans) == blocks
+    assert main(["fuse", "--config", cfg] + extra) == 0
+    assert len(default) == 20 and _fused_bytes(out) == default
 
 
 def test_fuse_default_weights_file_byte_identical(fuse_cfg, tmp_path):

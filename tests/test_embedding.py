@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from helpers import corpus_of, random_scene_graphs
 
-from victr.cli import COMPOSE_BLOCK_ROWS
 from victr.embedding import (
     compose_tables,
     pca_project,
@@ -315,7 +314,7 @@ def test_array_composition_matches_dict_reference(seed):
     ref = _reference_tables(vocab, basic, positional)
 
     graphs = [_random_scene_graph(rng, cid) for cid in range(60)]
-    graphs[30:30] = [sg(60, []), _random_scene_graph(rng, 61, n=COMPOSE_BLOCK_ROWS + 44)]
+    graphs[30:30] = [sg(60, []), _random_scene_graph(rng, 61, n=300)]  # a large caption
     assert any(w not in ref[OBJECT] for sg in graphs for _, w, _ in sg.objects)
     assert any(len(sg.attributes) > len({oid for oid, _ in sg.attributes}) for sg in graphs)
     got = scene_visual_semantics(corpus_of(graphs), tables).rows

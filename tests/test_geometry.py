@@ -151,6 +151,13 @@ def test_alias_table_rejects_a_lemma_given_two_categories(tmp_path):
         load_alias_table(path)
 
 
+def test_alias_table_values_differing_in_case_are_one_category(tmp_path):
+    # load_alias_table lower-cases categories, so both rows name the category dog
+    path = tmp_path / "aliases.tsv"
+    path.write_text("puppy\tdog\npuppy\tDog\n", encoding="utf-8")
+    assert load_alias_table(path) == {"puppy": "dog"}
+
+
 def test_match_prefers_largest_area():
     inst = _inst(
         [(1, "dog", (0, 0, 2, 2)), (1, "dog", (10, 10, 8, 8))]

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from helpers import to_conllu
@@ -267,6 +268,21 @@ def test_tsv_byte_order_mark_is_not_part_of_the_first_key(tmp_path, load, row,
     path = tmp_path / "table.tsv"
     path.write_text(f"\ufeff{row}\n", encoding="utf-8")
     assert str(value_of_first_key(load(path))) == row.split("\t")[1]
+
+
+def _with_byte_order_mark(path, tmp_path):
+    copy = tmp_path / f"bom-{Path(path).name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("name, load", [
+    ("conllu", load_conllu), ("captions", load_captions), ("instances", load_instances),
+    ("instances", load_categories),
+])
+def test_byte_order_mark_is_not_part_of_line_1(tmp_path, toy_paths, name, load):
+    # a CoNLL-U file's first comment would lose its "#", and json.load rejects one
+    assert load(_with_byte_order_mark(toy_paths[name], tmp_path)) == load(toy_paths[name])
 
 
 def _sg(cid, n_obj, n_rel, n_attr):

@@ -252,6 +252,17 @@ def test_lexicon_rejects_a_key_given_two_values(tmp_path, load, rows):
         load(path)
 
 
+def test_lexicon_values_compare_as_stored(tmp_path):
+    # MANY in any case is one value; super-classes are kept as written, so case tells them apart
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("a lot of\tMANY\nA lot of\tmany\n", encoding="utf-8")
+    assert load_quantifier_lexicon(path, many_value=3, max_duplication=10).phrase_map == {
+        "a lot of": "MANY"}
+    path.write_text("dog\tanimal\nDog\tAnimal\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:2: 'Dog' maps to 'Animal', but {path}:1 "):
+        load_superclass_lexicon(path)
+
+
 def test_scene_graph_json_round_trip(toy_dep_by_caption, qlex, slex):
     sg = extract_scene_graph(expand_quantifiers(toy_dep_by_caption["101"], qlex), slex)
     assert scene_graph_from_json(scene_graph_to_json(sg)) == sg
