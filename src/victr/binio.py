@@ -38,6 +38,7 @@ payload size the header implies and that every value is finite.
 import itertools
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -57,16 +58,19 @@ VERSION = 1
 
 
 def write_container(path, magic: bytes, header: dict, payload: bytes) -> None:
-    header = dict(header)
-    header["version"] = VERSION
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(b"".join((magic, b"\n", struct.pack("<I", len(head)), head, payload,
-                          struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))))
+    head = json.dumps(dict(header, version=VERSION), sort_keys=True, separators=(",", ":")).encode()
+    blob = memoryview(b"".join((magic, b"\n", struct.pack("<I", len(head)), head, payload,
+                                struct.pack("<I", zlib.crc32(payload)))))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while blob:  # one write, unless the file system takes less
+            blob = blob[os.write(fd, blob):]
+    finally:
+        os.close(fd)
 
 
 def read_container(path, magic: bytes) -> tuple[dict, bytes]:
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         blob = f.read()
     if len(blob) < len(magic) + 1 + 8:
         raise FormatError(f"{path}: truncated file")

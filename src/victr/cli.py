@@ -55,9 +55,8 @@ def _remove_stale(directory, suffix: str, caption_ids: set[str]) -> None:
 
 
 def _blocks(corpus, row_floats):
-    """(lo, hi) per block of whole captions, in order, whose rows take at most
-    BLOCK_FLOATS floats at row_floats per object, attribute, relation and token
-    row (a larger caption is a block alone), so memory stays fixed as N grows."""
+    """(lo, hi) per block of whole captions, in order, of at most BLOCK_FLOATS floats at row_floats
+    per object, attribute, relation and token row (a larger caption is a block alone)."""
     starts, lo = corpus.offsets @ np.array(row_floats, dtype=np.int64), 0
     while lo < len(corpus):
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + BLOCK_FLOATS, "right")) - 1)
@@ -311,7 +310,7 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
         tokens, token_rows = fus.distinct_tokens(corpus.tokens)
         table = fus.builtin_text_features([corpus.strings[t] for t in tokens.tolist()],
                                           seed=cfg.seed, dim=cfg.text_width)
-        queries = table @ w
+        queries, w = table @ w, None  # release W: the blocks reuse its memory
 
     fused_dir = os.path.join(cfg.out_dir, "fused")
     os.makedirs(fused_dir, exist_ok=True)
@@ -330,14 +329,13 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
                 if len(words) != length:
                     raise ValueError(f"{path}: {len(words)} word rows, but caption {cid} has "
                                      f"{length} tokens in {corpus_path}")
-                features.append((words, sentence[None], words @ w))  # W per caption, as before
+                features.append((words, sentence[None], words @ w))  # rows round as alone
         if features_dir:
             words, sentences, query = map(np.concatenate, zip(*features))
         else:  # rows of table @ W: table[ids] @ W may round differently in the last bit
             rows = token_rows[corpus.offsets[lo, 3]:corpus.offsets[hi, 3]]
             words, sentences, query = table[rows], None, queries[rows]
-        fus.save_fused(fus.fuse(words, sentences, query, np.concatenate(vs_rows), lengths[lo:hi],
-                                np.array([len(v) for v in vs_rows])),
+        fus.save_fused(fus.fuse(words, sentences, query, vs_rows, lengths[lo:hi]),
                        fused_dir, caption_ids[lo:hi], cfg.text_width, visual_dim)
         del vs_rows, features, words, sentences, query  # before the next block's arrays
     _remove_stale(fused_dir, ".victrf", set(caption_ids))

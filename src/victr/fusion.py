@@ -6,7 +6,7 @@ are the words @ W; keys and values are the visual rows). Each VICTR word is
 its feature concatenated with its attended visual vector, (L, D + V), and
 the VICTR sentence is the sentence feature concatenated with the sum of
 those vectors, (D + V,). The built-in features and their queries are
-evaluated once per distinct token and gathered per caption. ``fuse`` takes
+evaluated once per distinct token and gathered per block. ``fuse`` takes
 a block of captions at once; each number rounds as it does for its caption
 alone, so no output depends on how the captions are blocked.
 """
@@ -23,9 +23,8 @@ from .binio import (EMBED_MAGIC, FUSED_MAGIC, header_ints, pack, read_container,
 
 @dataclass
 class FusedRepresentation:
-    """Captions fused one after another (load_fused reads one): caption c has
-    lengths[c] word rows, n_obj[c] objects and sentence row c, and its
-    (l, n_obj) attention is the next l * n_obj values."""
+    """Captions one after another (load_fused reads one): caption c has lengths[c] word rows,
+    n_obj[c] objects, sentence row c, and its (l, n_obj) attention as the next l * n_obj values."""
     word_repr: np.ndarray  # (L, D + V)
     sentence_repr: np.ndarray  # (C, D + V)
     attention: np.ndarray  # (sum of l * n_obj,)
@@ -40,40 +39,39 @@ def init_fusion_parameters(text_dim: int, visual_dim: int, seed: int) -> np.ndar
     return rng.uniform(-lim, lim, size=(text_dim, visual_dim))
 
 
-def fuse(words: np.ndarray, sentences, queries: np.ndarray, vs_rows: np.ndarray,
-         lengths: np.ndarray, n_obj: np.ndarray) -> FusedRepresentation:
+def fuse(words: np.ndarray, sentences, queries: np.ndarray, vs_rows: list,
+         lengths: np.ndarray) -> FusedRepresentation:
     """Fuse captions, one after another, with their visual rows.
 
     Caption c owns the next lengths[c] >= 1 rows of words (L, D) and of
-    queries (their rows of words @ W), the next n_obj[c] rows of vs_rows
-    (N, V) and row c of sentences (C, D), or its mean word if sentences is
-    None. Its attention is q_c @ vs_c.T, row-softmaxed together with the
-    rows of captions with as many objects (so each row rounds as alone);
-    its attended rows are attention @ vs_c, zero with no objects.
+    queries (their rows of words @ W), vs_rows[c], its (n, V) visual rows,
+    and row c of sentences (C, D), or its mean word if sentences is None.
+    Its attention is q_c @ vs_c.T, row-softmaxed together with the rows of
+    the captions with as many objects (so each row rounds as alone); its
+    attended rows are attention @ vs_c, zero with no objects.
     """
-    if vs_rows.shape[1] != queries.shape[1] or not len(queries) == len(words) == lengths.sum():
-        raise ValueError(f"{vs_rows.shape} visual rows or {queries.shape} queries do not fit")
-    n_list = n_obj.tolist()  # spans: each caption's (end, count) of words, then of objects
-    spans = list(zip(*(x.tolist() for x in (lengths.cumsum(), lengths, n_obj.cumsum(), n_obj))))
-    att = [queries[a - l:a] @ vs_rows[o - n:o].T for a, l, o, n in spans]  # scores, then weights
+    v, n_list = queries.shape[1], [len(vs) for vs in vs_rows]
+    if any(vs.shape[1] != v for vs in vs_rows) or not len(queries) == len(words) == lengths.sum():
+        raise ValueError(f"visual rows or {queries.shape} queries do not fit {len(words)} words")
+    spans = [(end - n, end) for end, n in zip(lengths.cumsum().tolist(), lengths.tolist())]
+    att = [queries[a:b] @ vs.T for (a, b), vs in zip(spans, vs_rows)]  # scores, then weights
     for n in set(n_list) - {0}:
-        members = [c for c, count in enumerate(n_list) if count == n]
+        members = [c for c, m in enumerate(n_list) if m == n]
         e = np.concatenate([att[c] for c in members])
         e = np.exp(e - e.max(axis=1, keepdims=True))
         e /= e.sum(axis=1, keepdims=True)
-        ends = np.cumsum([spans[c][1] for c in members]).tolist()
-        for c, end in zip(members, ends):
-            att[c] = e[end - spans[c][1]:end]
-    attended = np.empty((len(words), vs_rows.shape[1]))
-    for (a, l, o, n), att_c in zip(spans, att):
-        np.matmul(att_c, vs_rows[o - n:o], out=attended[a - l:a])
+        for c, end in zip(members, np.cumsum([len(att[c]) for c in members]).tolist()):
+            att[c] = e[end - len(att[c]):end]
+    attended = np.empty((len(words), v))
+    for (a, b), att_c, vs in zip(spans, att, vs_rows):
+        np.matmul(att_c, vs, out=attended[a:b])
     # caption by caption, so each sum rounds as alone; np.add.reduceat adds in another order
-    sums = lambda rows: np.array([np.add.reduce(rows[a - l:a]) for a, l, _, _ in spans])  # noqa: E731
+    sums = lambda rows: np.array([np.add.reduce(rows[a:b]) for a, b in spans])  # noqa: E731
     if sentences is None:
         sentences = sums(words) / lengths[:, None]
     return FusedRepresentation(np.concatenate([words, attended], axis=1),
                                np.concatenate([sentences, sums(attended)], axis=1),
-                               np.concatenate([a.ravel() for a in att]), lengths, n_obj)
+                               np.concatenate([a.ravel() for a in att]), lengths, np.array(n_list))
 
 
 def builtin_text_features(tokens, seed: int, dim: int) -> np.ndarray:

@@ -86,7 +86,7 @@ def _write_text_features(path):
 
 
 def _write_fused(path):
-    fused = fuse(np.ones((3, 4)), None, np.ones((3, 2)), np.eye(2), np.array([3]), np.array([2]))
+    fused = fuse(np.ones((3, 4)), None, np.ones((3, 2)), [np.eye(2)], np.array([3]))
     save_fused(fused, path.parent, ["9"], text_dim=4, visual_dim=2)
     (path.parent / "9.victrf").rename(path)
 

@@ -84,8 +84,7 @@ def _captions_of(fused):
 
 def _fuse_one(words, sentence, queries, vs_rows):
     """fuse over a block of one caption: (word rows, sentence, attention)."""
-    (got,) = _captions_of(fuse(words, sentence[None], queries, vs_rows,
-                               np.array([len(words)]), np.array([len(vs_rows)])))
+    (got,) = _captions_of(fuse(words, sentence[None], queries, [vs_rows], np.array([len(words)])))
     return got
 
 
@@ -102,10 +101,8 @@ def distinct_token_fuse(captions, w, seed, dim):
     tokens, rows = distinct_tokens(np.array([t for tokens, _ in captions for t in tokens]))
     table = builtin_text_features(tokens.tolist(), seed=seed, dim=dim)
     queries = table @ w
-    return _captions_of(fuse(table[rows], None, queries[rows],
-                             np.concatenate([vs_rows for _, vs_rows in captions]),
-                             np.array([len(tokens) for tokens, _ in captions]),
-                             np.array([len(vs_rows) for _, vs_rows in captions])))
+    return _captions_of(fuse(table[rows], None, queries[rows], [vs_rows for _, vs_rows in captions],
+                             np.array([len(tokens) for tokens, _ in captions])))
 
 
 @st.composite
@@ -390,7 +387,7 @@ def test_fused_file_round_trip(tmp_path):
     lengths, n_obj = np.array([3, 1, 2]), np.array([2, 0, 9])
     words = rng.standard_normal((6, 4))
     w = rng.standard_normal((4, 6))
-    fused = fuse(words, None, words @ w, rng.standard_normal((11, 6)), lengths, n_obj)
+    fused = fuse(words, None, words @ w, [rng.standard_normal((n, 6)) for n in n_obj], lengths)
     save_fused(fused, tmp_path, ["77", "78", "79"], text_dim=4, visual_dim=6)
     for cid, want, length, n in zip(("77", "78", "79"), _captions_of(fused), lengths, n_obj):
         loaded, header = load_fused(tmp_path / f"{cid}.victrf")
@@ -412,9 +409,8 @@ def test_block_fuse_equals_per_caption_reference(shapes, dim, visual, scale, see
     captions = [(rng.standard_normal((length, dim)), rng.standard_normal(dim),
                  scale * rng.standard_normal((n, visual))) for length, n in shapes]
     fused = fuse(np.concatenate([c[0] for c in captions]), np.stack([c[1] for c in captions]),
-                 np.concatenate([c[0] @ w for c in captions]),
-                 np.concatenate([c[2] for c in captions]),
-                 np.array([length for length, _ in shapes]), np.array([n for _, n in shapes]))
+                 np.concatenate([c[0] @ w for c in captions]), [c[2] for c in captions],
+                 np.array([length for length, _ in shapes]))
     for (words, sentence, vs_rows), got in zip(captions, _captions_of(fused)):
         _assert_fused_equal(got, per_caption_fuse(words, sentence, words @ w, vs_rows))
 
