@@ -59,12 +59,17 @@ VERSION = 1
 
 def write_container(path, magic: bytes, header: dict, payload: bytes) -> None:
     head = json.dumps(dict(header, version=VERSION), sort_keys=True, separators=(",", ":")).encode()
-    blob = memoryview(b"".join((magic, b"\n", struct.pack("<I", len(head)), head, payload,
-                                struct.pack("<I", zlib.crc32(payload)))))
+    write_file(path, b"".join((magic, b"\n", struct.pack("<I", len(head)), head, payload,
+                               struct.pack("<I", zlib.crc32(payload)))))
+
+
+def write_file(path, data: bytes) -> None:
+    """Create or truncate path and write data to it, unbuffered."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        while blob:  # one write, unless the file system takes less
-            blob = blob[os.write(fd, blob):]
+        data = memoryview(data)
+        while data:  # one write, unless the file system takes less
+            data = data[os.write(fd, data):]
     finally:
         os.close(fd)
 

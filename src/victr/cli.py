@@ -8,13 +8,13 @@ so stages can be rerun and tested in isolation. Exit codes: 0 success,
 """
 
 import argparse
-import csv
 import functools
 import os
 import sys
 
 import numpy as np
 
+from . import binio
 from . import embedding as emb
 from . import fusion as fus
 from . import gcn
@@ -122,9 +122,8 @@ def cmd_parse(cfg: PipelineConfig) -> int:
     sg_dir = os.path.join(cfg.out_dir, "scene_graphs")
     os.makedirs(sg_dir, exist_ok=True)
     for sg in parsed:  # an export to read; later stages read the corpus file
-        with open(os.path.join(sg_dir, f"{sg.caption_id}.json"), "w",
-                  encoding="utf-8") as f:
-            f.write(sp.scene_graph_to_json(sg))
+        binio.write_file(os.path.join(sg_dir, f"{sg.caption_id}.json"),
+                         sp.scene_graph_to_json(sg).encode())
     _remove_stale(sg_dir, ".json", {sg.caption_id for sg in parsed})
     parsed.sort(key=lambda sg: ingest._id_sort_key(sg.caption_id))
     tokens = {g.caption_id: g.tokens for g in dep_graphs}
@@ -210,12 +209,9 @@ def cmd_train(cfg: PipelineConfig) -> int:
             rows, os.path.join(cfg.out_dir, "embeddings", f"{name}.victre"),
             vocab_hash=graph.vocab.content_hash(),
         )
-        with open(os.path.join(cfg.out_dir, "loss", f"{name}.csv"), "w",
-                  encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "loss"])
-            for epoch, loss in enumerate(history, start=1):
-                writer.writerow([epoch, repr(loss)])
+        lines = [f"{epoch},{loss!r}\r\n" for epoch, loss in enumerate(history, start=1)]
+        binio.write_file(os.path.join(cfg.out_dir, "loss", f"{name}.csv"),
+                         "".join(["epoch,loss\r\n"] + lines).encode())  # csv's line ends
         acc = gcn.accuracy(model, a_hat, labels)
         print(
             f"{name}: trained {cfg.epochs} epochs (H={hidden}, mu={len(classes)}), "
@@ -224,9 +220,9 @@ def cmd_train(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_tables(cfg):
-    """The basic graph's vocabulary and the seven embedding tables composed over
-    it; each table must have a row per node at its graph's configured width."""
+def _load_tables(cfg) -> tuple[str, emb.ComposedTables]:
+    """The basic graph's path and the seven embedding tables composed over its
+    vocabulary; each table must have a row per node at its graph's configured width."""
     basic_path, basic = _load_graph(cfg, "basic")
     vocab, want_hash = basic.vocab, basic.vocab.content_hash()
     rows = {}
@@ -239,19 +235,25 @@ def _load_tables(cfg):
                              f"expected {len(vocab)} of width {_width(cfg, name)}")
         if got_hash != want_hash:
             raise ValueError(f"{path}: trained on a vocabulary other than {basic_path}'s")
-    return vocab, emb.compose_tables(vocab, rows.pop("basic"), rows)
+    return basic_path, emb.compose_tables(vocab, rows.pop("basic"), rows)
 
 
 def cmd_compose(cfg: PipelineConfig) -> int:
     """Write each caption's E_vs matrix to evs/<caption id>.victre.
 
     Row i of that file is object i of the caption's scene graph, whose word
-    the corpus holds; no other file repeats it. Whole captions are composed
-    in blocks (``_blocks``), each cast to float32 once.
+    the corpus holds; no other file repeats it. Each word of the corpus must
+    be a node of the basic graph, checked before the first file is written.
+    Whole captions are composed in blocks (``_blocks``), each cast to float32 once.
     """
-    corpus = _load_corpus(cfg)
-    vocab, tables = _load_tables(cfg)
-    vocab_hash = vocab.content_hash()
+    corpus_path, corpus = _corpus_path(cfg), _load_corpus(cfg)
+    basic_path, tables = _load_tables(cfg)
+    try:
+        gs.corpus_nodes(corpus, tables.vocab)
+    except InvariantError as e:  # a corpus parsed after the graphs were built
+        raise ValueError(f"{corpus_path}: {e} of {basic_path}; "
+                         "run build-graphs and train again") from None
+    vocab_hash = tables.vocab.content_hash()
     evs_dir = os.path.join(cfg.out_dir, "evs")
     os.makedirs(evs_dir, exist_ok=True)
     starts = corpus.offsets[:, 0]
@@ -261,10 +263,8 @@ def cmd_compose(cfg: PipelineConfig) -> int:
                              np.split(rows, starts[lo + 1:hi] - starts[lo])):
             gcn.save_embeddings(part, os.path.join(evs_dir, f"{cid}.victre"), vocab_hash=vocab_hash)
     _remove_stale(evs_dir, ".victre", set(corpus.caption_ids))
-    print(
-        f"composed visual semantic matrices for {len(corpus)} captions "
-        f"(width {tables.scene_width})"
-    )
+    print(f"composed visual semantic matrices for {len(corpus)} captions "
+          f"(width {tables.scene_width})")
     return 0
 
 
@@ -275,9 +275,8 @@ def _fusion_weights(cfg, weights_path: str | None, visual_dim: int) -> np.ndarra
         except (ValueError, EOFError) as e:
             raise ValueError(f"{weights_path}: not a numeric .npy matrix ({e})") from None
         if w.shape != (cfg.text_width, visual_dim):
-            raise ValueError(
-                f"fusion weights shape {w.shape}, expected ({cfg.text_width}, {visual_dim})"
-            )
+            raise ValueError(f"{weights_path}: fusion weights shape {w.shape}, "
+                             f"expected ({cfg.text_width}, {visual_dim})")
         if not np.isfinite(w).all():
             raise ValueError(f"{weights_path}: fusion weights hold non-finite values")
         return w
@@ -292,13 +291,14 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     corpus input is read again, and its E_vs matrix from evs/<caption id>.victre.
     With features_dir, the caption's text features come from
     features_dir/<caption id>.victre, one word row per token; otherwise they
-    are built in, one row per distinct token. Each E_vs file must have the
-    scene width the config gives, 2(B + 6P) + B. Whole captions are fused in
-    blocks (``_blocks``); each file's bytes are those of its caption fused alone.
+    are built in, one row per distinct token. Each E_vs file must hold a row
+    per object the corpus gives its caption, of the scene width the config
+    gives, 2(B + 6P) + B. Whole captions are fused in blocks (``_blocks``);
+    each file's bytes are those of its caption fused alone.
     """
     evs_dir = os.path.join(cfg.out_dir, "evs")
     corpus_path, corpus = _corpus_path(cfg), _load_corpus(cfg)
-    caption_ids, lengths = corpus.caption_ids, np.diff(corpus.offsets[:, 3])
+    caption_ids, (n_obj, _, _, lengths) = corpus.caption_ids, np.diff(corpus.offsets, axis=0).T
     evs_paths = [_require_file(os.path.join(evs_dir, f"{cid}.victre"),
                                f"E_vs file of caption {cid}", hint="run the compose stage first")
                  for cid in caption_ids]
@@ -316,12 +316,14 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
     os.makedirs(fused_dir, exist_ok=True)
     for lo, hi in _blocks(corpus, (visual_dim, 0, 0, cfg.text_width + visual_dim)):
         vs_rows, features = [], []
-        for cid, evs_path, length in zip(caption_ids[lo:hi], evs_paths[lo:hi],
-                                         lengths[lo:hi].tolist()):
+        for cid, evs_path, length, n in zip(caption_ids[lo:hi], evs_paths[lo:hi],
+                                            lengths[lo:hi].tolist(), n_obj[lo:hi].tolist()):
             vs_rows.append(gcn.load_embeddings(evs_path)[0])
-            if vs_rows[-1].shape[1] != visual_dim:
-                raise ValueError(f"{evs_path}: rows of width {vs_rows[-1].shape[1]}, "
-                                 f"expected the configured scene width {visual_dim}")
+            if vs_rows[-1].shape != (n, visual_dim):
+                raise ValueError(
+                    f"{evs_path}: rows of width {vs_rows[-1].shape[1]}, expected the configured "
+                    f"scene width {visual_dim}, and {len(vs_rows[-1])} rows, expected the {n} "
+                    f"objects of caption {cid} in {corpus_path}; run compose again")
             if features_dir:
                 path = _require_file(os.path.join(features_dir, f"{cid}.victre"),
                                      f"text features for caption {cid}")
@@ -339,58 +341,43 @@ def cmd_fuse(cfg: PipelineConfig, weights_path: str | None,
                        fused_dir, caption_ids[lo:hi], cfg.text_width, visual_dim)
         del vs_rows, features, words, sentences, query  # before the next block's arrays
     _remove_stale(fused_dir, ".victrf", set(caption_ids))
-    print(
-        f"fused {len(caption_ids)} captions "
-        f"(word width {cfg.text_width + visual_dim}, visual width {visual_dim})"
-    )
+    print(f"fused {len(caption_ids)} captions "
+          f"(word width {cfg.text_width + visual_dim}, visual width {visual_dim})")
     return 0
 
 
 def _write_svg(path, words, coords, colors):
     from xml.sax.saxutils import escape  # not at the top: it loads urllib.request, ~7 MiB
-    xs, ys = coords[:, 0], coords[:, 1]
-    span = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-9)
-    scale = 560.0 / span
-
-    def sx(v):
-        return 20 + (float(v) - float(xs.min())) * scale
-
-    def sy(v):
-        return 20 + (float(v) - float(ys.min())) * scale
-
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
-        'viewBox="0 0 600 600">'
-    ]
-    for word, (x, y), color in zip(words, coords, colors):
-        parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{sx(x) + 6:.2f}" y="{sy(y) + 4:.2f}" font-size="10">{escape(word)}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    low = coords.min(axis=0)
+    span = max(float((coords.max(axis=0) - low).max()), 1e-9)
+    pixels = 20 + (coords - low) * (560.0 / span)  # the wider axis spans 20 to 580
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
+             'viewBox="0 0 600 600">']
+    for word, (x, y), color in zip(words, pixels.tolist(), colors):
+        parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}"/>',
+                  f'<text x="{x + 6:.2f}" y="{y + 4:.2f}" font-size="10">{escape(word)}</text>']
+    binio.write_file(path, "\n".join(parts + ["</svg>", ""]).encode())
 
 
 def cmd_project(cfg: PipelineConfig, svg: bool) -> int:
     """Write the object words' 2-d projection to projection/object.tsv and, with
     svg, a scatter coloured by super-class to projection/object.svg."""
-    vocab, tables = _load_tables(cfg)
+    basic_path, tables = _load_tables(cfg)
     words, rows = emb.projection_rows(tables)
+    if len(words) < 2:
+        raise ValueError(f"{basic_path}: the projection needs at least 2 object words, "
+                         f"got {len(words)}")
     coords = emb.pca_project(rows, out_dim=2)
     proj_dir = os.path.join(cfg.out_dir, "projection")
     os.makedirs(proj_dir, exist_ok=True)
     tsv_path = os.path.join(proj_dir, "object.tsv")
-    with open(tsv_path, "w", encoding="utf-8") as f:
-        for word, (x, y) in zip(words, coords):
-            f.write(f"{word}\tobject\t{float(x)!r}\t{float(y)!r}\n")
+    binio.write_file(tsv_path, "".join(f"{word}\tobject\t{float(x)!r}\t{float(y)!r}\n"
+                                       for word, (x, y) in zip(words, coords)).encode())
     svg_path = os.path.join(proj_dir, "object.svg")
     if svg:
         super_of = {
-            w: vocab.object_super_class.get(i, "other")
-            for i, w in vocab.words_of_kind(gs.OBJECT)
+            w: tables.vocab.object_super_class.get(i, "other")
+            for i, w in tables.vocab.words_of_kind(gs.OBJECT)
         }
         classes = sorted(set(super_of.values()) | {"other"})
         color_of = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(classes)}

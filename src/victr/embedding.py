@@ -5,8 +5,8 @@ with its six positional embeddings (fixed order: left_of, right_of, above,
 below, inside, surrounding); object and relation words use the whole
 vector, attribute words its basic segment alone. A scene graph's
 per-object rows append mean-pooled attribute and relation segments:
-object || attributes || relations. Words outside the vocabulary map to a
-zero vector.
+object || attributes || relations. Every word must be a vocabulary node
+of its kind (``graphstore.node_ids``).
 
 A segment mean starts at 0.0, adds its vectors in order, then divides by
 their count. That is np.mean over the gathered vectors, bit for bit, except
@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GEOMETRIC_RELATIONS
-from .graphstore import ATTRIBUTE, OBJECT, RELATION, Vocabulary, node_ids
+from .graphstore import OBJECT, Vocabulary, corpus_nodes
 
 
 @dataclass
 class ComposedTables:
     vocab: Vocabulary
-    vectors: np.ndarray  # (V + 1, B + 6P); the last row is zeros, for unknown words
+    vectors: np.ndarray  # (V, B + 6P)
     basic_width: int  # B
 
     @property
@@ -56,8 +56,7 @@ def compose_tables(vocab: Vocabulary, basic: np.ndarray, positional) -> Composed
     for t in tables + [basic]:
         if t.shape[0] != len(vocab):
             raise ValueError(f"table size {t.shape[0]} does not match vocabulary {len(vocab)}")
-    vectors = np.zeros((len(vocab) + 1, basic.shape[1] + 6 * widths.pop()))
-    np.concatenate([basic] + tables, axis=1, out=vectors[:-1])
+    vectors = np.concatenate([basic] + tables, axis=1, dtype=float)
     return ComposedTables(vocab=vocab, vectors=vectors, basic_width=basic.shape[1])
 
 
@@ -68,17 +67,14 @@ def scene_visual_semantics(corpus, tables: ComposedTables) -> VisualSemanticMatr
     segment is zero when its object has no attributes or no relations; an
     object pools a relation whether it is its subject or its object.
     """
-    fw, bw = tables.full_width, tables.basic_width
-    vocab, strings, vectors = tables.vocab, corpus.strings, tables.vectors
-    attr, rel = corpus.attributes, corpus.relations
+    fw, bw, vectors = tables.full_width, tables.basic_width, tables.vectors
+    obj, pred, attr = corpus_nodes(corpus, tables.vocab)
     rows = np.zeros((len(corpus.objects), tables.scene_width))
-    # node -1, a word outside the vocabulary, picks the last row of vectors: zeros
-    rows[:, :fw] = vectors[node_ids(vocab, strings, corpus.objects[:, 0], OBJECT)]
-    _segment_means(rows[:, fw : fw + bw], attr[:, 0],
-                   node_ids(vocab, strings, attr[:, 1], ATTRIBUTE), vectors[:, :bw])
+    rows[:, :fw] = vectors[obj]
+    _segment_means(rows[:, fw : fw + bw], corpus.attributes[:, 0], attr, vectors[:, :bw])
     # a triple pools into its subject, then its object
-    _segment_means(rows[:, fw + bw :], rel[:, ::2].ravel(),
-                   np.repeat(node_ids(vocab, strings, rel[:, 1], RELATION), 2), vectors)
+    _segment_means(rows[:, fw + bw :], corpus.relations[:, ::2].ravel(), np.repeat(pred, 2),
+                   vectors)
     return VisualSemanticMatrix(rows=rows)
 
 

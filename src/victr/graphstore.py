@@ -143,22 +143,21 @@ def build_vocabulary(corpus) -> Vocabulary:
 
 
 def node_ids(vocab: Vocabulary, strings: list[str], column: np.ndarray, kind: str) -> np.ndarray:
-    """The node of (strings[i], kind) for each string id i in column; -1 where vocab has none."""
+    """The node of (strings[i], kind) for each string id i in column. Every such
+    word must be in vocab; InvariantError names one that is not, with its kind."""
     ids, inverse = np.unique(column, return_inverse=True)
-    nodes = np.array([vocab.index.get((strings[i], kind), -1) for i in ids.tolist()], dtype=np.intp)
+    try:
+        nodes = np.array([vocab.index[strings[i], kind] for i in ids.tolist()], dtype=np.intp)
+    except KeyError as e:
+        raise InvariantError(f"{kind} word {e.args[0][0]!r} is not in the vocabulary") from None
     return nodes[inverse]
 
 
-def _nodes(corpus, vocab: Vocabulary) -> list[np.ndarray]:
-    """The nodes of the objects', predicates' and attributes' words; each must be in vocab."""
-    columns = ((corpus.objects[:, 0], OBJECT), (corpus.relations[:, 1], RELATION),
-               (corpus.attributes[:, 1], ATTRIBUTE))
-    nodes = [node_ids(vocab, corpus.strings, column, kind) for column, kind in columns]
-    for (column, kind), ids in zip(columns, nodes):
-        if (ids < 0).any():
-            raise InvariantError(f"out-of-vocabulary {kind} word "
-                                 f"{corpus.strings[column[np.argmin(ids)]]!r}")
-    return nodes
+def corpus_nodes(corpus, vocab: Vocabulary) -> list[np.ndarray]:
+    """The nodes of the objects', predicates' and attributes' words (``node_ids``)."""
+    return [node_ids(vocab, corpus.strings, column, kind) for column, kind in (
+        (corpus.objects[:, 0], OBJECT), (corpus.relations[:, 1], RELATION),
+        (corpus.attributes[:, 1], ATTRIBUTE))]
 
 
 def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
@@ -168,7 +167,7 @@ def accumulate_counts(corpus, vocab: Vocabulary) -> RelationalGraph:
     of that edge equals the number of times the attribute modified the
     object, which is exactly the attribute->object occurrence count.
     """
-    (obj, pred, attr), rel = _nodes(corpus, vocab), corpus.relations
+    (obj, pred, attr), rel = corpus_nodes(corpus, vocab), corpus.relations
     return _count_edges(vocab, "basic",
                         np.concatenate([obj[rel[:, 0]], pred, obj[corpus.attributes[:, 0]]]),
                         np.concatenate([pred, obj[rel[:, 2]], attr]))
@@ -224,7 +223,7 @@ def build_positional_graphs(corpus, vocab: Vocabulary, box_of: dict) -> dict[str
     one ``geometry.classify_geometric_relations`` labels its subject's box
     with, relative to its object's box.
     """
-    (obj, pred, _), rel = _nodes(corpus, vocab), corpus.relations
+    (obj, pred, _), rel = corpus_nodes(corpus, vocab), corpus.relations
     boxes = np.full((len(corpus.objects), 4), np.nan)  # NaN: the object has no box
     boxes[list(box_of)] = np.reshape(list(box_of.values()), (-1, 4))
     boxed = np.flatnonzero(~np.isnan(boxes[rel[:, ::2], 0]).any(axis=1))

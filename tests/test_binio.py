@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import zlib
@@ -15,6 +16,7 @@ from victr.binio import (
     FormatError,
     read_container,
     write_container,
+    write_file,
 )
 from victr.fusion import fuse, load_fused, load_text_features, save_fused, save_text_features
 from victr.gcn import load_embeddings, save_embeddings
@@ -26,6 +28,15 @@ from victr.graphstore import (
     deserialize_graph,
     serialize_graph,
 )
+
+
+def test_write_file_truncates_and_finishes_short_writes(tmp_path, monkeypatch):
+    path = tmp_path / "f"
+    path.write_bytes(b"x" * 100)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))  # 3 bytes a call
+    write_file(path, b"0123456789")
+    assert path.read_bytes() == b"0123456789"
 
 
 def _container(path, payload):

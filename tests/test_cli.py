@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -238,9 +240,13 @@ def test_train_basic_and_positional_widths(toy_cfg):
         rows, _ = load_embeddings(out / "embeddings" / f"{name}.victre")
         assert rows.shape[1] == (200 if name == "basic" else 50)
     assert not (out / "models").exists()  # the trained weights are not written
-    with open(out / "loss" / "basic.csv", encoding="utf-8") as f:
-        rows = f.read().strip().splitlines()
-    assert rows[0] == "epoch,loss" and len(rows) == 201
+    with open(out / "loss" / "basic.csv", encoding="utf-8", newline="") as f:
+        text = f.read()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["epoch", "loss"] and len(rows) == 201
+    written = io.StringIO()
+    csv.writer(written).writerows(rows)
+    assert text == written.getvalue()  # csv's \r\n line ends
 
 
 def test_train_positional_rows_outside_participants_zero(toy_cfg):
@@ -391,6 +397,49 @@ def test_compose_and_fuse_drop_foreign_outputs(toy_cfg):
     assert keep.exists()
     assert len(os.listdir(out / "evs")) == 20 + 1
     assert len(os.listdir(out / "fused")) == 20
+
+
+def _reparsed(tmp_path, toy_paths, out, *edits) -> str:
+    """A config over out whose CoNLL-U file is the toy one with each (old, new)
+    of edits made once; parse has run on it."""
+    text = Path(toy_paths["conllu"]).read_text(encoding="utf-8")
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    conllu = tmp_path / "edited.conllu"
+    conllu.write_text(text, encoding="utf-8")
+    cfg = _cfg_file(tmp_path, {**toy_paths, "conllu": conllu}, out)
+    assert main(["parse", "--config", cfg]) == 0
+    return cfg
+
+
+# edits of toy caption 101, the first: "two men are riding brown horses"
+THREE_MEN = ("1\ttwo\ttwo\tNUM", "1\tthree\tthree\tNUM")
+ZEBRAS = ("6\thorses\thorse\t", "6\tzebras\tzebra\t")
+
+
+def test_fuse_refuses_evs_of_another_parse_exit_2(fuse_cfg, tmp_path, toy_paths, capsys):
+    # parse reruns on three men: the corpus gives caption 101 six objects, its E_vs file 4 rows
+    _, out = fuse_cfg
+    cfg = _reparsed(tmp_path, toy_paths, out, THREE_MEN)
+    capsys.readouterr()
+    assert main(["fuse", "--config", cfg]) == 2
+    assert (f"{out / 'evs' / '101.victre'}: rows of width 1200, expected the configured scene "
+            f"width 1200, and 4 rows, expected the 6 objects of caption 101 in "
+            f"{out / 'corpus.victrs'}; run compose again") in capsys.readouterr().err
+    assert not any((out / "fused").iterdir())
+
+
+def test_compose_refuses_words_outside_the_graphs_exit_2(fuse_cfg, tmp_path, toy_paths, capsys):
+    # parse reruns on three men riding zebras; the graphs were built before it
+    _, out = fuse_cfg
+    evs = {p.name: p.read_bytes() for p in (out / "evs").iterdir()}
+    cfg = _reparsed(tmp_path, toy_paths, out, THREE_MEN, ZEBRAS)
+    capsys.readouterr()
+    assert main(["compose", "--config", cfg]) == 2
+    assert (f"{out / 'corpus.victrs'}: object word 'zebra' is not in the vocabulary of "
+            f"{out / 'graphs' / 'basic.victrg'}; run build-graphs and train again"
+            ) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "evs").iterdir()} == evs
 
 
 def _header_not_json(path):
@@ -807,7 +856,7 @@ def _wrong_shape_weights(path):
     (_nan_weights, "{path}: fusion weights hold non-finite values"),
     (_object_weights, "{path}: not a numeric .npy matrix"),
     (_text_weights, "{path}: not a numeric .npy matrix"),
-    (_wrong_shape_weights, "fusion weights shape (256, 12), expected (256, 1200)"),
+    (_wrong_shape_weights, "{path}: fusion weights shape (256, 12), expected (256, 1200)"),
 ], ids=["nan", "object_array", "not_npy", "wrong_shape"])
 def test_fuse_bad_weights_exit_2(fuse_cfg, tmp_path, capsys, write, message):
     cfg, out = fuse_cfg
@@ -910,7 +959,8 @@ def test_project_requires_two_vectors(tmp_path, toy_paths, capsys):
     main(["build-graphs", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
     assert main(["project", "--config", str(cfg)]) == 2
-    assert "at least 2" in capsys.readouterr().err
+    assert (f"{out_dir / 'graphs' / 'basic.victrg'}: the projection needs at least 2 object "
+            "words, got 1") in capsys.readouterr().err
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

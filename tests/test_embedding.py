@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import corpus_of, random_scene_graphs
+from helpers import corpus_of
 
 from victr.embedding import (
     compose_tables,
@@ -8,6 +8,7 @@ from victr.embedding import (
     projection_rows,
     scene_visual_semantics,
 )
+from victr.errors import InvariantError
 from victr.geometry import GEOMETRIC_RELATIONS
 from victr.graphstore import ATTRIBUTE, OBJECT, RELATION, build_vocabulary
 from victr.sceneparse import SceneGraph
@@ -47,7 +48,7 @@ def test_composed_widths_default_dims():
     vocab, basic, positional = _tables()
     tables = compose_tables(vocab, basic, positional)
     assert tables.full_width == 500
-    assert tables.vectors.shape == (len(vocab) + 1, 500)
+    assert tables.vectors.shape == (len(vocab), 500)
     assert _vector(tables, "man", OBJECT).shape == (500,)
     assert _vector(tables, "brown", ATTRIBUTE).shape == (200,)
     assert tables.scene_width == 1200
@@ -61,15 +62,17 @@ def test_missing_positional_entries_zero_filled():
     assert v[:200].any() and not v[200:].any()
 
 
-def test_unknown_words_map_to_zero_vectors():
-    vocab, basic, positional = _tables()
-    tables = compose_tables(vocab, basic, positional)
+@pytest.mark.parametrize("graph, message", [
+    (sg(1, ["man", "zzyzx"]), "object word 'zzyzx'"),
     # a known word under another kind is unknown too
-    graph = sg(1, ["zzyzx", "brown"], relations=[(0, "man", 1)],
-               attributes=[(0, "zzyzx"), (1, "horse")])
-    rows = scene_visual_semantics(corpus_of([graph]), tables).rows
-    assert rows.shape == (2, 1200)
-    assert not rows.any()
+    (sg(1, ["man", "brown"]), "object word 'brown'"),
+    (sg(1, ["man", "horse"], attributes=[(0, "horse")]), "attribute word 'horse'"),
+    (sg(1, ["man", "horse"], relations=[(0, "man", 1)]), "relation word 'man'"),
+], ids=["unknown_object", "attribute_as_object", "object_as_attribute", "object_as_predicate"])
+def test_unknown_words_are_refused(graph, message):
+    tables = compose_tables(*_tables())
+    with pytest.raises(InvariantError, match=f"^{message} is not in the vocabulary$"):
+        scene_visual_semantics(corpus_of([graph]), tables)
 
 
 def test_width_mismatch_rejected():
@@ -243,7 +246,7 @@ def test_projection_rows_are_object_words():
     assert np.array_equal(rows[1], _vector(tables, "man", OBJECT))
 
 
-# Reference: the dict-of-vectors composition that the (V + 1, width) array
+# Reference: the dict-of-vectors composition that the (V, width) array
 # replaced, kept to show that the array path gives bit-identical rows.
 
 def _reference_tables(vocab, basic, positional):
@@ -260,10 +263,6 @@ def _reference_tables(vocab, basic, positional):
 
 
 def _reference_rows(sg, ref, bw, fw):
-    def vector(kind, word):
-        v = ref[kind].get(word)
-        return np.zeros(bw if kind == ATTRIBUTE else fw) if v is None else v
-
     attrs_by_obj, rels_by_obj = {}, {}
     for oid, word in sg.attributes:
         attrs_by_obj.setdefault(oid, []).append(word)
@@ -272,19 +271,18 @@ def _reference_rows(sg, ref, bw, fw):
         rels_by_obj.setdefault(o, []).append(p)
     rows = np.zeros((len(sg.objects), 2 * fw + bw))
     for i, (oid, word, _) in enumerate(sg.objects):
-        rows[i, :fw] = vector(OBJECT, word)
+        rows[i, :fw] = ref[OBJECT][word]
         if oid in attrs_by_obj:
             rows[i, fw : fw + bw] = np.mean(
-                [vector(ATTRIBUTE, w) for w in attrs_by_obj[oid]], axis=0)
+                [ref[ATTRIBUTE][w] for w in attrs_by_obj[oid]], axis=0)
         if oid in rels_by_obj:
             rows[i, fw + bw :] = np.mean(
-                [vector(RELATION, w) for w in rels_by_obj[oid]], axis=0)
+                [ref[RELATION][w] for w in rels_by_obj[oid]], axis=0)
     return rows
 
 
 def _random_scene_graph(rng, cid, n=None):
-    """Up to 6 objects (or n) with repeated words, attributes and predicates;
-    the pools reach past random_scene_graphs' vocabulary (obj10, rel6, attr5...)."""
+    """Up to 6 objects (or n) with repeated words, attributes and predicates."""
     n = int(rng.integers(0, 7)) if n is None else n
     objects = tuple((i, f"obj{int(rng.integers(12))}", "c") for i in range(n))
     attributes = tuple((int(rng.integers(n)), f"attr{int(rng.integers(7))}")
@@ -300,7 +298,9 @@ def _random_scene_graph(rng, cid, n=None):
 @pytest.mark.parametrize("seed", range(4))
 def test_array_composition_matches_dict_reference(seed):
     rng = np.random.default_rng(seed)
-    vocab = build_vocabulary(corpus_of(random_scene_graphs(seed, n_graphs=30)))
+    graphs = [_random_scene_graph(rng, cid) for cid in range(60)]
+    graphs[30:30] = [sg(60, []), _random_scene_graph(rng, 61, n=300)]  # a large caption
+    vocab = build_vocabulary(corpus_of(graphs))
     b, p = int(rng.integers(1, 9)), int(rng.integers(1, 5))
     basic = rng.standard_normal((len(vocab), b))
     basic[rng.random(len(vocab)) < 0.2] = -0.0  # np.mean of -0.0 rows is +0.0
@@ -313,9 +313,6 @@ def test_array_composition_matches_dict_reference(seed):
     tables = compose_tables(vocab, basic, positional)
     ref = _reference_tables(vocab, basic, positional)
 
-    graphs = [_random_scene_graph(rng, cid) for cid in range(60)]
-    graphs[30:30] = [sg(60, []), _random_scene_graph(rng, 61, n=300)]  # a large caption
-    assert any(w not in ref[OBJECT] for sg in graphs for _, w, _ in sg.objects)
     assert any(len(sg.attributes) > len({oid for oid, _ in sg.attributes}) for sg in graphs)
     got = scene_visual_semantics(corpus_of(graphs), tables).rows
     assert got.shape == (sum(len(g.objects) for g in graphs), tables.scene_width)

@@ -168,7 +168,8 @@ def test_distinct_tokens_first_seen_order():
 
 def test_text_features_sentence_defaults_to_mean_word(tmp_path):
     # the fuse stage's built-in features: a caption's sentence is its mean word row
-    save_corpus(pack_corpus([SceneGraph("5", "5", (), (), ())], [["a", "dog", "a"]]),
+    objects = ((0, "dog", "animal"), (1, "cat", "animal"))  # a row each in the E_vs file
+    save_corpus(pack_corpus([SceneGraph("5", "5", objects, (), ())], [["a", "dog", "a"]]),
                 tmp_path / "corpus.victrs")
     (tmp_path / "evs").mkdir()
     save_embeddings(np.random.default_rng(26).standard_normal((2, 15)),

@@ -148,14 +148,14 @@ def tuple_walk_scene_visual_semantics(scene_graphs,
     object pools a relation whether it is its subject or its object.
     """
     fw, bw = tables.full_width, tables.basic_width
-    row_of, zero = tables.vocab.index, len(tables.vocab)  # (word, kind) -> row; zero: unknown
+    row_of = tables.vocab.index  # (word, kind) -> row
     objects, attrs, attr_of, rels, rel_of = [], [], [], [], []
     for sg in scene_graphs:
         first = len(objects)  # the row of sg's object 0; object oid is row first + oid
-        objects += [row_of.get((w, OBJECT), zero) for _, w, _ in sg.objects]
-        attrs += [row_of.get((w, ATTRIBUTE), zero) for _, w in sg.attributes]
+        objects += [row_of[w, OBJECT] for _, w, _ in sg.objects]
+        attrs += [row_of[w, ATTRIBUTE] for _, w in sg.attributes]
         attr_of += [first + oid for oid, _ in sg.attributes]
-        rels += [row_of.get((p, RELATION), zero) for _, p, _ in sg.relations]
+        rels += [row_of[p, RELATION] for _, p, _ in sg.relations]
         rel_of += [first + end for s, _, o in sg.relations for end in (s, o)]
 
     rows = np.zeros((len(objects), tables.scene_width))
